@@ -72,6 +72,12 @@ def _parse_n_list(text: str, minimum: int = 1) -> list[int]:
     return ns
 
 
+def _check_draws(args) -> None:
+    """Reject a posterior sample too small to summarize before any training."""
+    if args.draws < 2:
+        raise ArgumentError(f"--draws must be at least 2, got {args.draws}")
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -180,6 +186,7 @@ def _run_fit(spec, f0, n, args):
 
 
 def cmd_fit(args) -> int:
+    _check_draws(args)
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("fit requires a built-in --function (f1 or f2)")
@@ -248,6 +255,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_draws(args)
     state, shape = vi.load_checkpoint(Path(args.checkpoint))
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
@@ -317,6 +325,7 @@ def fit_rate_slope(ns, errors) -> float:
 
 
 def cmd_rate_study(args) -> int:
+    _check_draws(args)
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("rate-study requires a built-in --function")

@@ -127,13 +127,69 @@ def _mixture_log_terms(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     return np.stack([np.broadcast_to(spike, np.shape(slab)), slab])
 
 
+def _spike_cut(spec: MixturePriorSpec) -> float:
+    """|t| beyond which the mixture is exactly its slab term in doubles.
+
+    Past the cut the spike's log weight relative to the slab lies below
+    -800 - 2 |log sigma1|, so logsumexp adds exp(...) == 0 to the slab, and
+    the spike part of the gradient, exp(-2 log sigma1 + log w_spike), is 0 as
+    well.  The 1 - (sigma1 / sigma2)^2 factor keeps the bound for a spike
+    that is not negligibly narrow; a spike at least as wide as the slab never
+    fades.  If sigma1 underflows, the cut is 0.
+    """
+    log_width = spec.log_sigma1 - math.log(spec.sigma2)
+    if log_width >= 0.0:
+        return math.inf
+    log_ratio = (math.log(spec.pi1) - spec.log_sigma1
+                 - math.log(spec.pi2) + math.log(spec.sigma2))
+    margin = 800.0 + abs(log_ratio) + 2.0 * abs(spec.log_sigma1)
+    return math.exp(spec.log_sigma1) * math.sqrt(2.0 * margin / -math.expm1(2.0 * log_width))
+
+
+def _two_component(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
+    """Indices of the 1-d t that need the full two-component formulas: inside
+    the spike cut, NaN, or so large that the slab's square overflows."""
+    a = np.abs(t)
+    return np.flatnonzero(~((a > _spike_cut(spec)) & (a < 1e154 * spec.sigma2)))
+
+
 def mixture_log_density(theta, spec: MixturePriorSpec):
-    """log g(theta) for the two-component Gaussian mixture, elementwise."""
-    terms = _mixture_log_terms(theta, spec)
-    out = logsumexp(terms, axis=0)
+    """log g(theta) for the two-component Gaussian mixture, elementwise.
+
+    Coordinates past the spike cut take the closed-form slab term, which is
+    what logsumexp of the two components returns there, bit for bit.
+    """
+    t = np.asarray(theta, dtype=float).ravel()
+    c = math.log(spec.pi2) - math.log(spec.sigma2) - 0.5 * _LOG_2PI
+    with np.errstate(over="ignore"):
+        out = np.square(t / spec.sigma2)
+    out *= 0.5
+    np.subtract(c, out, out=out)
+    near = _two_component(t, spec)
+    if near.size:
+        out[near] = logsumexp(_mixture_log_terms(t[near], spec), axis=0)
     if np.ndim(theta) == 0:
-        return float(out)
-    return out
+        return float(out[0])
+    return out.reshape(np.shape(theta))
+
+
+def _mixture_grad_log_density(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
+    """d/dt log g(t) through both components' responsibilities."""
+    terms = _mixture_log_terms(t, spec)
+    lse = logsumexp(terms, axis=0)
+    log_w_spike = terms[0] - lse
+    log_w_slab = terms[1] - lse
+    with np.errstate(over="ignore", invalid="ignore"):
+        # -2 log sigma1 alone can overflow exp; a -inf spike weight always
+        # means zero spike contribution, whatever the scale.
+        spike_part = np.where(
+            np.isneginf(log_w_spike),
+            0.0,
+            np.exp(-2.0 * spec.log_sigma1 + log_w_spike),
+        )
+        slab_part = np.exp(log_w_slab) / spec.sigma2**2
+        grad = -t * (spike_part + slab_part)
+    return np.where(t == 0.0, 0.0, grad)
 
 
 def mixture_sample(spec: MixturePriorSpec, count: int, seed: int) -> np.ndarray:
@@ -319,21 +375,14 @@ class MixtureDensity(DensityHandle):
 
     def grad_log_pdf(self, t):
         t = np.asarray(t, dtype=float)
-        terms = _mixture_log_terms(t, self.spec)
-        lse = logsumexp(terms, axis=0)
-        log_w_spike = terms[0] - lse
-        log_w_slab = terms[1] - lse
-        with np.errstate(over="ignore", invalid="ignore"):
-            # -2 log sigma1 alone can overflow exp; a -inf spike weight always
-            # means zero spike contribution, whatever the scale.
-            spike_part = np.where(
-                np.isneginf(log_w_spike),
-                0.0,
-                np.exp(-2.0 * self.spec.log_sigma1 + log_w_spike),
-            )
-            slab_part = np.exp(log_w_slab) / self.spec.sigma2**2
-            grad = -t * (spike_part + slab_part)
-        return np.where(t == 0.0, 0.0, grad)
+        flat = t.ravel()
+        # Past the spike cut the slab responsibility is exactly 1.
+        with np.errstate(over="ignore"):
+            grad = flat * -(1.0 / self.spec.sigma2**2)
+        near = _two_component(flat, self.spec)
+        if near.size:
+            grad[near] = _mixture_grad_log_density(flat[near], self.spec)
+        return grad.reshape(t.shape)
 
     def log_tail_mass(self, c: float) -> float:
         with np.errstate(over="ignore"):

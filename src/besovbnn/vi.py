@@ -94,6 +94,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1 or self.mc_samples_per_step < 1:
             raise ValueError("counts must be positive")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 means full batch)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.optimizer not in ("adaptive-moment", "plain-gradient"):
@@ -112,22 +114,28 @@ def _draw_zetas(T: int, mc: int, seed: int) -> np.ndarray:
     return rng.standard_normal((mc, T))
 
 
+def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0) -> float:
+    """Single-sample ELBO at theta = mu + sq * zeta, given the log-likelihood
+    ll of the data at theta.
+
+    log q at the sampled theta reduces to -sum(log sigma_q) - T/2 log 2pi
+    - |zeta|^2/2, so the pathwise theta-dependence of the entropy cancels.
+    """
+    neg_log_q = np.sum(np.log(sq)) + 0.5 * theta.size * _LOG_2PI + 0.5 * np.sum(zeta**2)
+    return float(n_weight * ll + prior.log_density_sum(theta) + neg_log_q)
+
+
 def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
                 n_weight: float = 1.0) -> float:
     """Single-sample ELBO with the noise draw zeta held fixed.
 
-    log q at the sampled theta reduces to -sum(log sigma_q) - T/2 log 2pi
-    - |zeta|^2/2, so the pathwise theta-dependence of the entropy cancels.
     This is the objective whose (mu, rho) gradient elbo_gradient computes for
     a single sample; finite differences of it validate the pathwise gradient.
     """
     sq = softplus(rho)
     theta = np.asarray(mu, dtype=float) + sq * zeta
-    params = NetworkParams.from_flat(shape, theta)
-    ll, _ = loglik_and_grad(params, x, y, sigma)
-    log_prior = prior.log_density_sum(theta)
-    neg_log_q = np.sum(np.log(sq)) + 0.5 * theta.size * _LOG_2PI + 0.5 * np.sum(zeta**2)
-    return float(n_weight * ll + log_prior + neg_log_q)
+    ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
+    return _elbo(ll, theta, zeta, sq, prior, n_weight)
 
 
 def elbo_estimate(state: VariationalState, shape: NetworkShape, data: Dataset,
@@ -142,13 +150,8 @@ def elbo_estimate(state: VariationalState, shape: NetworkShape, data: Dataset,
     total = 0.0
     for zeta in zetas:
         theta = state.mu + sq * zeta
-        params = NetworkParams.from_flat(shape, theta)
-        ll, _ = loglik_and_grad(params, data.x, data.y, sigma)
-        log_prior = prior.log_density_sum(theta)
-        neg_log_q = (
-            np.sum(np.log(sq)) + 0.5 * state.T * _LOG_2PI + 0.5 * np.sum(zeta**2)
-        )
-        total += ll + log_prior + neg_log_q
+        ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), data.x, data.y, sigma)
+        total += _elbo(ll, theta, zeta, sq, prior)
     return float(total / mc)
 
 
@@ -157,8 +160,10 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
                   x=None, y=None, n_weight: float = 1.0):
     """Pathwise gradient of the MC ELBO with respect to (mu, rho).
 
-    Optionally evaluates on an explicit (x, y) minibatch with the data term
-    reweighted by n_weight to stay unbiased.
+    Returns (objective, g_mu, g_rho), where objective is the frozen
+    single-sample ELBO of the first noise draw, taken from the same network
+    pass as its gradient.  Optionally evaluates on an explicit (x, y)
+    minibatch with the data term reweighted by n_weight to stay unbiased.
     """
     if mc < 1:
         raise ValueError("need mc >= 1")
@@ -169,14 +174,15 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     sig = _sigmoid(state.rho)
     g_mu = np.zeros(state.T)
     g_rho = np.zeros(state.T)
-    for zeta in zetas:
+    for k, zeta in enumerate(zetas):
         theta = state.mu + sq * zeta
-        params = NetworkParams.from_flat(shape, theta)
-        _, g_ll = loglik_and_grad(params, x, y, sigma)
+        ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
+        if k == 0:
+            objective = _elbo(ll, theta, zeta, sq, prior, n_weight)
         g_theta = n_weight * g_ll + prior.grad_log_pdf(theta)
         g_mu += g_theta
         g_rho += g_theta * zeta * sig + sig / sq  # + entropy term d/drho sum log sigma_q
-    return g_mu / mc, g_rho / mc
+    return objective, g_mu / mc, g_rho / mc
 
 
 def _init_state(shape: NetworkShape, config: TrainConfig) -> VariationalState:
@@ -217,11 +223,10 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
             xb, yb = data.x, data.y
         n_weight = n / batch
         step_seed = int(rng.integers(0, 2**63 - 1))
-        g_mu, g_rho = elbo_gradient(
+        obj, g_mu, g_rho = elbo_gradient(
             state, shape, data, prior, sigma, config.mc_samples_per_step,
             step_seed, x=xb, y=yb, n_weight=n_weight,
         )
-        obj = _trace_value(state, shape, xb, yb, prior, sigma, n_weight, step_seed)
         if not math.isfinite(obj):
             raise TrainingDiverged(it, obj)
         trace[it] = obj
@@ -242,16 +247,6 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
             state.rho = state.rho + config.learning_rate * g_rho
         state.step = it + 1
     return state, trace
-
-
-def _trace_value(state, shape, xb, yb, prior, sigma, n_weight, seed):
-    zeta = _draw_zetas(state.T, 1, seed)[0]
-    sq = state.sigma_q
-    theta = state.mu + sq * zeta
-    params = NetworkParams.from_flat(shape, theta)
-    ll, _ = loglik_and_grad(params, xb, yb, sigma)
-    neg_log_q = np.sum(np.log(sq)) + 0.5 * state.T * _LOG_2PI + 0.5 * np.sum(zeta**2)
-    return float(n_weight * ll + prior.log_density_sum(theta) + neg_log_q)
 
 
 @dataclass

@@ -153,7 +153,7 @@ def test_criterion_3_gradient_correctness():
             )
             prior = make_density("gauss")
             seed = 42
-            g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.3, mc=1, seed=seed)
+            _, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.3, mc=1, seed=seed)
             zeta = np.random.default_rng(seed).standard_normal((1, state.T))[0]
 
             def obj(mu, rho):

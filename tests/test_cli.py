@@ -90,6 +90,30 @@ class TestFit:
         assert rc == 2
 
 
+class TestDrawsValidation:
+    @pytest.mark.parametrize("command", ["fit", "predict", "rate-study"])
+    def test_single_draw_exits_2_before_training(self, tmp_path, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("besovbnn.vi.train", no_training)
+        argv = [command, "--function", "f2", "--out-dir", str(tmp_path / "out"),
+                *FAST_FIT, "--draws", "1"]
+        if command == "predict":
+            argv += ["--checkpoint", str(tmp_path / "missing")]
+        if command == "rate-study":
+            argv += ["--n", "20,40,80", "--replicates", "1"]
+        assert main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_single_draw_from_config_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"draws": 1}))
+        assert main(["--config", str(cfg), "fit", "--function", "f1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+
+
 class TestPredict:
     def test_from_checkpoint(self, tmp_path):
         fit_dir = tmp_path / "fit"

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from besovbnn.design import (
     MixturePriorSpec,
@@ -41,6 +44,7 @@ def friendly_mixture(pi2=0.3, log_sigma1=math.log(0.05), sigma2=1.5):
 
 
 F1_SPEC = SmoothnessSpec(s=math.log(2) / math.log(3), p=math.inf, q=math.inf, d=1, m=2)
+F2_SPEC = SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
 
 
 class TestSpikeSlab:
@@ -184,6 +188,140 @@ class TestMixtureDensity:
         theta = np.array([0.5, -1.0])
         expected = float(np.sum(gauss.log_pdf(theta)))
         assert shrinkage_log_prior(theta, gauss) == pytest.approx(expected)
+
+
+# Reference copy of the mixture log-density and gradient as logsumexp over
+# both components at every coordinate, which the slab-only fast path must
+# reproduce bit for bit.
+
+
+def _reference_terms(t, spec):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1_sq = np.square(t * math.exp(-spec.log_sigma1))
+        z1_sq = np.where(t == 0.0, 0.0, z1_sq)
+        spike = math.log(spec.pi1) - spec.log_sigma1 - 0.5 * math.log(2.0 * math.pi) - 0.5 * z1_sq
+        spike = np.where(np.isfinite(z1_sq), spike, -np.inf)
+        slab = (
+            math.log(spec.pi2)
+            - math.log(spec.sigma2)
+            - 0.5 * math.log(2.0 * math.pi)
+            - 0.5 * np.square(t / spec.sigma2)
+        )
+    return np.stack([np.broadcast_to(spike, np.shape(slab)), slab])
+
+
+def reference_log_pdf(t, spec):
+    out = logsumexp(_reference_terms(t, spec), axis=0)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def reference_grad_log_pdf(t, spec):
+    t = np.asarray(t, dtype=float)
+    terms = _reference_terms(t, spec)
+    lse = logsumexp(terms, axis=0)
+    log_w_spike = terms[0] - lse
+    log_w_slab = terms[1] - lse
+    with np.errstate(over="ignore", invalid="ignore"):
+        spike_part = np.where(
+            np.isneginf(log_w_spike), 0.0, np.exp(-2.0 * spec.log_sigma1 + log_w_spike)
+        )
+        slab_part = np.exp(log_w_slab) / spec.sigma2**2
+        grad = -t * (spike_part + slab_part)
+    return np.where(t == 0.0, 0.0, grad)
+
+
+def reference_cut(spec):
+    """The spike cut for a spike much narrower than the slab."""
+    log_ratio = (math.log(spec.pi1) - spec.log_sigma1
+                 - math.log(spec.pi2) + math.log(spec.sigma2))
+    margin = 800.0 + abs(log_ratio) + 2.0 * abs(spec.log_sigma1)
+    return math.exp(spec.log_sigma1) * math.sqrt(2.0 * margin)
+
+
+DESIGNED_SPECS = {
+    f"{name}-n{n:g}": mixture_hyperparams(design_architecture(smooth, int(n)))
+    for name, smooth in (("f1", F1_SPEC), ("f2", F2_SPEC))
+    for n in (100, 1000, 1e5, 1e8)
+}
+# A spike close to the slab's width and one wider than the slab: the cut has
+# to widen, or vanish, for these.
+OTHER_SPECS = {
+    "wide-spike": friendly_mixture(log_sigma1=math.log(0.05)),
+    "spike-wider-than-slab": MixturePriorSpec(
+        log_a=math.log(3.0), eta=0.9, log_sigma1=math.log(2.0), sigma2=1.5,
+        pi1=0.7, pi2=0.3, B=5.0, K0=5.0),
+}
+ALL_SPECS = {**DESIGNED_SPECS, **OTHER_SPECS}
+
+
+def assert_bitwise(got, want):
+    """Same type, shape and bits; a NaN only has to meet a NaN, since which
+    sign bit a NaN carries depends on the instruction that made it."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = got[~nan].view(np.int64) != want[~nan].view(np.int64)
+    assert not np.any(differ), got[~nan][differ][:5]
+
+
+def _spike_multiples(spec):
+    """Multiples of sigma1 spread over +-3 cuts, for specs with a finite cut."""
+    sigma1 = math.exp(spec.log_sigma1)
+    span = 3.0 * reference_cut(spec) / sigma1
+    return st.floats(-span, span).map(lambda k: k * sigma1)
+
+
+def _coordinates(spec):
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150,
+                         -1e150, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+        _spike_multiples(spec),
+        st.floats(-1e-300, 1e-300),  # subnormals and the smallest normals
+        st.floats(-1e150, 1e150, allow_nan=False),
+    )
+
+
+class TestMixtureFastPath:
+    @pytest.mark.parametrize("name", sorted(ALL_SPECS))
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_reference(self, name, data):
+        spec = ALL_SPECS[name]
+        g = make_density("mixture", mixture_spec=spec)
+        ts = np.array(data.draw(st.lists(_coordinates(spec), min_size=1, max_size=40)))
+        t = float(ts[0])
+        with np.errstate(invalid="ignore"):  # infinite and NaN inputs
+            assert_bitwise(g.log_pdf(ts), reference_log_pdf(ts, spec))
+            assert_bitwise(g.grad_log_pdf(ts), reference_grad_log_pdf(ts, spec))
+            assert_bitwise(g.log_pdf(t), reference_log_pdf(t, spec))
+            assert_bitwise(g.grad_log_pdf(t), reference_grad_log_pdf(t, spec))
+
+    @pytest.mark.parametrize("name", sorted(ALL_SPECS))
+    def test_dense_sweep_across_the_cut(self, name):
+        spec = ALL_SPECS[name]
+        g = make_density("mixture", mixture_spec=spec)
+        cut = reference_cut(spec)
+        edge = np.array([np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)])
+        ts = np.concatenate([np.linspace(-2.0 * cut, 2.0 * cut, 39_999), edge, -edge])
+        ts = ts.reshape(-1, 3)  # the fast path keeps the input's shape
+        assert_bitwise(g.log_pdf(ts), reference_log_pdf(ts, spec))
+        assert_bitwise(g.grad_log_pdf(ts), reference_grad_log_pdf(ts, spec))
+
+    def test_cut_needs_the_gradient_margin(self):
+        # Without the 2 |log sigma1| term the spike's share of the gradient
+        # still counts just past the cut at large n.
+        spec = DESIGNED_SPECS["f1-n1e+08"]
+        log_ratio = (math.log(spec.pi1) - spec.log_sigma1
+                     - math.log(spec.pi2) + math.log(spec.sigma2))
+        short_cut = math.exp(spec.log_sigma1) * math.sqrt(2.0 * (800.0 + abs(log_ratio)))
+        ts = np.linspace(short_cut, 2.0 * short_cut, 1001)
+        slab_only = ts * -(1.0 / spec.sigma2**2)
+        assert np.any(reference_grad_log_pdf(ts, spec) != slab_only)
+        g = make_density("mixture", mixture_spec=spec)
+        assert_bitwise(g.grad_log_pdf(ts), reference_grad_log_pdf(ts, spec))
 
 
 class TestSupportCondition:

@@ -10,6 +10,7 @@ from besovbnn.vi import (
     TrainConfig,
     TrainingDiverged,
     VariationalState,
+    _init_state,
     elbo_estimate,
     elbo_gradient,
     frozen_elbo,
@@ -117,11 +118,13 @@ class TestElboGradient:
         )
         prior = FlatDensity() if prior_name == "flat" else make_density("gauss")
         seed = 77
-        g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.2, mc=1, seed=seed)
+        objective, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.2, mc=1, seed=seed)
         zeta = np.random.default_rng(seed).standard_normal((1, state.T))[0]
 
         def obj(mu, rho):
             return frozen_elbo(mu, rho, zeta, shape, data.x, data.y, prior, 0.2)
+
+        assert objective == obj(state.mu, state.rho)
 
         h = 1e-5
         idx = rng.choice(state.T, size=20, replace=False)
@@ -140,7 +143,7 @@ class TestElboGradient:
         shape = NetworkShape(d_in=1, hidden_widths=(3,))
         _, data = small_data(n=5)
         state = make_state(shape, mu_val=0.2, sigma_q=0.3)
-        g_mu, g_rho = elbo_gradient(
+        _, g_mu, g_rho = elbo_gradient(
             state, shape, data, FlatDensity(), sigma=1e8, mc=1, seed=4
         )
         sig = 1.0 / (1.0 + math.exp(-inv_softplus(0.3)))
@@ -183,6 +186,32 @@ class TestTrain:
         config = TrainConfig(iterations=30, batch_size=16, learning_rate=0.01, seed=2)
         state, trace = train(shape, data, make_density("gauss"), config)
         assert state.step == 30 and np.all(np.isfinite(trace))
+
+    @pytest.mark.parametrize("batch_size", [0, 16])
+    def test_trace_records_the_frozen_elbo_of_the_step(self, batch_size):
+        # trace[0] is the single-sample ELBO at the initial state with the
+        # step-0 noise draw, on the step-0 minibatch, reweighted by n / batch
+        _, data = small_data(n=64, seed=4)
+        shape = NetworkShape(d_in=1, hidden_widths=(4,))
+        prior = make_density("gauss")
+        config = TrainConfig(iterations=3, batch_size=batch_size, learning_rate=0.01, seed=2)
+        _, trace = train(shape, data, prior, config, sigma=0.1)
+
+        init = _init_state(shape, config)
+        rng = np.random.default_rng(config.seed + 1)
+        if batch_size:
+            idx = rng.choice(data.n, size=batch_size, replace=False)
+            x, y, n_weight = data.x[idx], data.y[idx], data.n / batch_size
+        else:
+            x, y, n_weight = data.x, data.y, 1.0
+        step_seed = int(rng.integers(0, 2**63 - 1))
+        zeta = np.random.default_rng(step_seed).standard_normal((1, init.T))[0]
+        want = frozen_elbo(init.mu, init.rho, zeta, shape, x, y, prior, 0.1, n_weight)
+        assert trace[0] == want
+
+    def test_negative_batch_size_rejected(self):
+        with pytest.raises(ValueError):
+            TrainConfig(batch_size=-3)
 
     def test_divergence_raises(self):
         f = tabulated_function([0.0, 1.0], [0.5, 0.5])
