@@ -3,7 +3,8 @@ condition checks, covering bounds, and contraction-rate studies.
 
 Subcommands: design, fit, predict, check-prior, rate-study, covering.
 Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  Every command
-is deterministic given --seed; derived seeds are recorded in run manifests.
+is deterministic; fit, predict and rate-study draw their randomness from
+--seed, and fit records the derived seeds in its manifest.
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -164,7 +165,7 @@ def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
 
 
 def _run_fit(spec, f0, n, args):
-    """Shared generate -> train -> posterior_predictive pipeline."""
+    """Shared generate -> train pipeline."""
     arch = dz.design_architecture(spec, n, args.cB)
     mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
     prior = priors.make_density("mixture", mixture_spec=mix)
@@ -177,12 +178,24 @@ def _run_fit(spec, f0, n, args):
         seed=args.seed,
     )
     state, trace = vi.train(shape, data, prior, config, sigma=args.noise_sd)
+    return shape, data, state, trace
+
+
+def _write_predictive(out_dir: Path, state, shape, f0, data, args):
+    """Summarize q on the grid and write predictive.csv; returns the summary."""
     grid = np.linspace(0.0, 1.0, args.grid_points)
     summary = vi.posterior_predictive(
         state, shape, grid, args.draws, f0, data, alpha=args.alpha,
         seed=args.seed + 10_000,
     )
-    return arch, shape, data, state, trace, summary
+    (out_dir / "predictive.csv").write_text(
+        _csv_text(
+            ["x", "mean", "lo", "hi"],
+            list(zip(summary.grid.tolist(), summary.mean.tolist(),
+                     summary.lower.tolist(), summary.upper.tolist())),
+        )
+    )
+    return summary
 
 
 def cmd_fit(args) -> int:
@@ -221,22 +234,16 @@ def cmd_fit(args) -> int:
     }
     t0 = time.monotonic()
     try:
-        arch, shape, data, state, trace, summary = _run_fit(spec, f0, n, args)
+        shape, data, state, trace = _run_fit(spec, f0, n, args)
     except vi.TrainingDiverged as exc:
         manifest["status"] = f"diverged: {exc}"
         _write_json(out_dir / "manifest.json", manifest)
         print(f"training diverged: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.monotonic() - t0
 
     vi.save_checkpoint(out_dir / "checkpoint", state, shape)
-    (out_dir / "predictive.csv").write_text(
-        _csv_text(
-            ["x", "mean", "lo", "hi"],
-            list(zip(summary.grid.tolist(), summary.mean.tolist(),
-                     summary.lower.tolist(), summary.upper.tolist())),
-        )
-    )
+    summary = _write_predictive(out_dir, state, shape, f0, data, args)
+    elapsed = time.monotonic() - t0
     (out_dir / "errors.csv").write_text(
         _csv_text(["empirical_error"], [[e] for e in summary.errors.tolist()])
     )
@@ -256,7 +263,11 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     _check_draws(args)
-    state, shape = vi.load_checkpoint(Path(args.checkpoint))
+    checkpoint = Path(args.checkpoint)
+    for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
+        if not path.is_file():
+            raise ArgumentError(f"checkpoint file not found: {path}")
+    state, shape = vi.load_checkpoint(checkpoint)
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("predict requires a built-in --function")
@@ -264,20 +275,9 @@ def cmd_predict(args) -> int:
     if len(ns) != 1:
         raise ArgumentError("predict takes a single sample size")
     data = testbed.generate_dataset(f0, ns[0], args.noise_sd, args.seed)
-    grid = np.linspace(0.0, 1.0, args.grid_points)
-    summary = vi.posterior_predictive(
-        state, shape, grid, args.draws, f0, data, alpha=args.alpha,
-        seed=args.seed + 10_000,
-    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "predictive.csv").write_text(
-        _csv_text(
-            ["x", "mean", "lo", "hi"],
-            list(zip(summary.grid.tolist(), summary.mean.tolist(),
-                     summary.lower.tolist(), summary.upper.tolist())),
-        )
-    )
+    summary = _write_predictive(out_dir, state, shape, f0, data, args)
     print(f"predict done: median empirical error {summary.median_error():.4f}")
     return 0
 
@@ -340,13 +340,13 @@ def cmd_rate_study(args) -> int:
             rep_args = argparse.Namespace(**vars(args))
             rep_args.seed = args.seed + 1000 * r + n
             try:
-                _, shape, data, state, _, _ = _run_fit(spec, f0, n, rep_args)
+                shape, data, state, _ = _run_fit(spec, f0, n, rep_args)
             except vi.TrainingDiverged:
                 failures += 1
                 continue
             fx_true = np.asarray(f0(data.x[:, 0]), dtype=float)
-            mean_fn = _posterior_mean_on(state, shape, data.x, args.draws,
-                                         rep_args.seed + 20_000)
+            mean_fn = vi.posterior_predictive(state, shape, data.x, args.draws, f0, data,
+                                              seed=rep_args.seed + 20_000).mean
             rep_errors.append(float(testbed.empirical_norm(mean_fn - fx_true)))
         if not rep_errors:
             raise RuntimeError(f"all replicates diverged at n={n}")
@@ -369,18 +369,6 @@ def cmd_rate_study(args) -> int:
     )
     print(f"fitted slope {slope:.4f} (theoretical {theoretical:.4f})")
     return 0
-
-
-def _posterior_mean_on(state, shape, x, draws, seed):
-    from .network import NetworkParams, forward
-
-    rng = np.random.default_rng(seed)
-    sq = state.sigma_q
-    acc = np.zeros(x.shape[0])
-    for _ in range(draws):
-        theta = state.mu + sq * rng.standard_normal(state.T)
-        acc += forward(NetworkParams.from_flat(shape, theta), x)
-    return acc / draws
 
 
 def cmd_covering(args) -> int:
@@ -441,15 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besovbnn",
         description="Bayesian ReLU-network regression on Besov targets",
+        parents=[_config_parser()],
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON file of flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit architecture/prior tables")
     _add_smoothness_args(p)
     p.add_argument("--n", default="100,1000")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", default="out")
     p.set_defaults(func=cmd_design)
 
@@ -474,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_smoothness_args(p)
     p.add_argument("--density", default="mixture")
     p.add_argument("--n", default="100,1000")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", dest="out_dir", default="out")
     p.set_defaults(func=cmd_check_prior)
 
@@ -496,27 +482,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default="out")
     p.set_defaults(func=cmd_covering)
 
     return parser
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """The --config option alone, so main can read it before the full parse.
+    No abbreviations, so that no subcommand flag is taken for it."""
+    p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    p.add_argument("--config", type=Path, default=None,
+                   help="JSON object of flag defaults; explicit flags win")
+    return p
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert a config value as the command line would convert it."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ArgumentError(f"config key {key!r} must be true or false")
+        return value
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ArgumentError(f"config key {key!r} must be a number or a string")
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        raise ArgumentError(f"config key {key!r}: invalid value {value!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ArgumentError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: Path) -> None:
+    """Make the config file's values the defaults of every subcommand that
+    declares them, so explicit flags win in any spelling.  Keys may use - or
+    _; a key that no subcommand declares is an error."""
+    try:
+        config = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ArgumentError(f"bad config file: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ArgumentError("bad config file: expected a JSON object")
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    declared = set()
+    for sub in subparsers.values():
+        actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+        defaults = {}
+        for key, value in config.items():
+            action = actions.get(key.replace("-", "_"))
+            if action is not None:
+                defaults[action.dest] = _config_value(action, key, value)
+        declared.update(defaults)
+        sub.set_defaults(**defaults)
+    unknown = sorted(k for k in config if k.replace("-", "_") not in declared)
+    if unknown:
+        raise ArgumentError(f"config keys no command takes: {', '.join(unknown)}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            defaults = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bad config file: {exc}", file=sys.stderr)
-            return 2
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and f"--{key}" not in (argv or sys.argv):
-                setattr(args, attr, value)
     try:
+        config = _config_parser().parse_known_args(argv)[0].config
+        if config is not None:
+            _apply_config(parser, config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,9 @@ sigma_1 underflow symmetrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import log_ndtr, ndtri
 
 __all__ = [
@@ -329,16 +328,6 @@ def _spot_check_symmetry(g, scale: float) -> None:
         raise ValueError("density handle is not symmetric about 0")
 
 
-def _log_two_sided_tail(g, c: float) -> float:
-    """log P(|X| > c) for a density handle, analytic when available."""
-    if hasattr(g, "log_tail_mass"):
-        return g.log_tail_mass(c)
-    total, _ = integrate.quad(lambda t: math.exp(g.log_pdf(t)), c, np.inf, limit=200)
-    if total <= 0.0:
-        return -math.inf
-    return math.log(2.0 * total)
-
-
 def check_shrinkage_conditions(
     g,
     arch: ArchSpec,
@@ -369,7 +358,7 @@ def check_shrinkage_conditions(
     eta = math.exp(-K * n_eps_sq / arch.S)
     a = math.exp(arch.log_a)
 
-    log_one_minus_u = _log_two_sided_tail(g, a)
+    log_one_minus_u = g.log_tail_mass(a)
     one_minus_u = math.exp(log_one_minus_u)
     u = 1.0 - one_minus_u
     pass_spike = (one_minus_u <= ratio * (1.0 + spike_rtol)) and (
@@ -381,7 +370,7 @@ def check_shrinkage_conditions(
     tail_rhs_logsq = tail_constant * math.log(arch.n) ** 2
     pass_tail = tail_lhs <= tail_rhs
 
-    log_v = _log_two_sided_tail(g, arch.B)
+    log_v = g.log_tail_mass(arch.B)
     support_rhs_log = math.log(support_tol) - K0 * n_eps_sq
     pass_support = log_v <= support_rhs_log
 

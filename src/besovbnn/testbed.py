@@ -10,9 +10,6 @@ in a smoothness class.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -135,46 +132,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x_{j + 1}" for j in range(self.d)] + ["y"])
-        for xi, yi in zip(self.x, self.y):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(yi))])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "n": self.n,
-                "seed": self.seed,
-                "noise_sd": self.noise_sd,
-                "x": self.x.tolist(),
-                "y": self.y.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_csv(text: str, noise_sd: float = 0.0, seed: int = 0) -> "Dataset":
-        rows = list(csv.reader(io.StringIO(text)))
-        header, body = rows[0], rows[1:]
-        d = len(header) - 1
-        x = np.array([[float(v) for v in r[:d]] for r in body])
-        y = np.array([float(r[d]) for r in body])
-        return Dataset(x=x, y=y, noise_sd=noise_sd, seed=seed)
-
-    @staticmethod
-    def from_json(text: str) -> "Dataset":
-        obj = json.loads(text)
-        return Dataset(
-            x=np.asarray(obj["x"], dtype=float),
-            y=np.asarray(obj["y"], dtype=float),
-            noise_sd=obj["noise_sd"],
-            seed=obj["seed"],
-        )
 
 
 def generate_dataset(f: TrueFunction, n: int, noise_sd: float, seed: int) -> Dataset:

@@ -39,6 +39,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 FLATTEN_ORDER = "layer-major:weights-then-biases:row-major"
+INIT_SIGMA_Q = 1e-2  # initial posterior scale of every coordinate
 
 
 def softplus(rho):
@@ -81,25 +82,20 @@ class VariationalState:
 
 @dataclass
 class TrainConfig:
-    """Knobs of the stochastic ELBO ascent."""
+    """Knobs of the stochastic ELBO ascent: Adam on one noise draw per step."""
 
     iterations: int = 2000
     batch_size: int = 0  # 0 means full batch
-    mc_samples_per_step: int = 1
     learning_rate: float = 1e-3
-    optimizer: str = "adaptive-moment"  # or "plain-gradient"
     seed: int = 0
-    init_sigma_q: float = 1e-2
 
     def __post_init__(self):
-        if self.iterations < 1 or self.mc_samples_per_step < 1:
-            raise ValueError("counts must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 means full batch)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("adaptive-moment", "plain-gradient"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -194,7 +190,7 @@ def _init_state(shape: NetworkShape, config: TrainConfig) -> VariationalState:
         mus.append(rng.standard_normal(p[l] * p[l + 1]) / math.sqrt(fan_in))
         mus.append(np.zeros(p[l + 1]))
     mu = np.concatenate(mus)
-    rho = np.full(shape.n_params, float(_inv_softplus(config.init_sigma_q)))
+    rho = np.full(shape.n_params, float(_inv_softplus(INIT_SIGMA_Q)))
     return VariationalState(mu=mu, rho=rho, step=0, seed=config.seed)
 
 
@@ -207,7 +203,7 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
     n = data.n
     batch = config.batch_size if 0 < config.batch_size < n else n
 
-    # Adam moments (unused for plain gradient).
+    # Adam moments.
     m_mu = np.zeros(state.T)
     v_mu = np.zeros(state.T)
     m_rho = np.zeros(state.T)
@@ -224,27 +220,22 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
         n_weight = n / batch
         step_seed = int(rng.integers(0, 2**63 - 1))
         obj, g_mu, g_rho = elbo_gradient(
-            state, shape, data, prior, sigma, config.mc_samples_per_step,
-            step_seed, x=xb, y=yb, n_weight=n_weight,
+            state, shape, data, prior, sigma, 1, step_seed, x=xb, y=yb, n_weight=n_weight,
         )
         if not math.isfinite(obj):
             raise TrainingDiverged(it, obj)
         trace[it] = obj
-        if config.optimizer == "adaptive-moment":
-            t = it + 1
-            m_mu = beta1 * m_mu + (1 - beta1) * g_mu
-            v_mu = beta2 * v_mu + (1 - beta2) * g_mu**2
-            m_rho = beta1 * m_rho + (1 - beta1) * g_rho
-            v_rho = beta2 * v_rho + (1 - beta2) * g_rho**2
-            mhat_mu = m_mu / (1 - beta1**t)
-            vhat_mu = v_mu / (1 - beta2**t)
-            mhat_rho = m_rho / (1 - beta1**t)
-            vhat_rho = v_rho / (1 - beta2**t)
-            state.mu = state.mu + config.learning_rate * mhat_mu / (np.sqrt(vhat_mu) + adam_eps)
-            state.rho = state.rho + config.learning_rate * mhat_rho / (np.sqrt(vhat_rho) + adam_eps)
-        else:
-            state.mu = state.mu + config.learning_rate * g_mu
-            state.rho = state.rho + config.learning_rate * g_rho
+        t = it + 1
+        m_mu = beta1 * m_mu + (1 - beta1) * g_mu
+        v_mu = beta2 * v_mu + (1 - beta2) * g_mu**2
+        m_rho = beta1 * m_rho + (1 - beta1) * g_rho
+        v_rho = beta2 * v_rho + (1 - beta2) * g_rho**2
+        mhat_mu = m_mu / (1 - beta1**t)
+        vhat_mu = v_mu / (1 - beta2**t)
+        mhat_rho = m_rho / (1 - beta1**t)
+        vhat_rho = v_rho / (1 - beta2**t)
+        state.mu = state.mu + config.learning_rate * mhat_mu / (np.sqrt(vhat_mu) + adam_eps)
+        state.rho = state.rho + config.learning_rate * mhat_rho / (np.sqrt(vhat_rho) + adam_eps)
         state.step = it + 1
     return state, trace
 
@@ -313,6 +304,11 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (state, shape)."""
     path = Path(path)
     envelope = json.loads(path.with_suffix(".json").read_text())
+    if envelope.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(
+            f"checkpoint schema_version {envelope.get('schema_version')!r} is not "
+            f"{CHECKPOINT_SCHEMA_VERSION}"
+        )
     if envelope["flatten_order"] != FLATTEN_ORDER:
         raise ValueError("checkpoint uses an unknown flatten order")
     shape = NetworkShape.from_dict(envelope["shape"])

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import besovbnn
 from besovbnn.cli import fit_rate_slope, main
 
 
@@ -128,6 +133,27 @@ class TestPredict:
         rows = read_csv(out_dir / "predictive.csv")
         assert rows[0] == ["x", "mean", "lo", "hi"] and len(rows) == 22
 
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        rc = main(["predict", "--function", "f2", "--n", "50",
+                   "--checkpoint", str(tmp_path / "missing"),
+                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.json" in err
+        assert not (tmp_path / "pred").exists()
+
+    def test_other_schema_version_exits_1(self, tmp_path):
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--function", "f2", "--n", "50",
+                     "--out-dir", str(fit_dir), *FAST_FIT]) == 0
+        envelope = json.loads((fit_dir / "checkpoint.json").read_text())
+        envelope["schema_version"] = 2
+        (fit_dir / "checkpoint.json").write_text(json.dumps(envelope))
+        rc = main(["predict", "--function", "f2", "--n", "50",
+                   "--checkpoint", str(fit_dir / "checkpoint"),
+                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+        assert rc == 1
+
 
 class TestCheckPrior:
     def test_mixture_passes(self, tmp_path):
@@ -230,3 +256,69 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
         assert main(["--config", str(cfg), "design", "--function", "f1"]) == 2
+
+    def fit_config(self, tmp_path, config, *flags):
+        """Fit with FAST_FIT's settings except --iterations, which comes from
+        the config (60 unless it sets it) or from flags."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 60, **config}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "fit", "--function", "f2", "--n", "50",
+                   "--out-dir", str(out), *FAST_FIT[2:], *flags])
+        manifest = json.loads((out / "manifest.json").read_text()) if rc == 0 else None
+        return rc, manifest
+
+    def test_flag_beats_underscore_key(self, tmp_path):
+        rc, manifest = self.fit_config(tmp_path, {"batch_size": 7}, "--batch-size", "11")
+        assert rc == 0 and manifest["config"]["batch_size"] == 11
+
+    def test_equals_spelling_beats_config(self, tmp_path):
+        rc, manifest = self.fit_config(tmp_path, {"iterations": 3}, "--iterations=9")
+        assert rc == 0 and manifest["config"]["iterations"] == 9
+
+    def test_dash_key_applies(self, tmp_path):
+        rc, manifest = self.fit_config(tmp_path, {"batch-size": 7})
+        assert rc == 0 and manifest["config"]["batch_size"] == 7
+
+    def test_string_value_converts_like_a_flag(self, tmp_path):
+        rc, manifest = self.fit_config(tmp_path, {"iterations": "5"})
+        assert rc == 0 and manifest["config"]["iterations"] == 5
+        assert len(read_csv(tmp_path / "out" / "trace.csv")) == 6
+
+    @pytest.mark.parametrize("config", [
+        {"iterations": "five"},
+        {"iterations": 2.5},
+        {"iterations": None},
+        {"n": [100]},
+        {"function": "f3"},
+        {"full_scale": "yes"},
+    ])
+    def test_rejected_value_exits_2(self, tmp_path, monkeypatch, config):
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        rc, _ = self.fit_config(tmp_path, config)
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        rc, _ = self.fit_config(tmp_path, {"iteratons": 3})
+        assert rc == 2
+
+    def test_key_of_another_command_is_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "replicates": 2, "function": "f1"}))
+        rc = main(["--config", str(cfg), "design", "--n", "100",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
+
+def test_cli_import_skips_quadrature():
+    """The CLI needs no numerical integration; importing it must not pull in
+    scipy.integrate."""
+    env = dict(os.environ)
+    src = str(Path(besovbnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, besovbnn.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

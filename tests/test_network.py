@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovbnn.network import (
     NetworkParams,
@@ -218,3 +220,67 @@ class TestLoglikGrad:
         p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
         with pytest.raises(ValueError):
             loglik_and_grad(p, [[0.0]], [0.0], sigma=0.0)
+
+
+# Random geometries: 1-3 inputs, 1-3 hidden layers of width 1-6.
+shapes = st.builds(
+    NetworkShape,
+    d_in=st.integers(1, 3),
+    hidden_widths=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+)
+
+
+def relu_pattern(shape, theta, x):
+    """Which hidden units are active at each input."""
+    p = NetworkParams.from_flat(shape, theta)
+    h, active = x, []
+    for w, b in zip(p.weights[:-1], p.biases[:-1]):
+        z = h @ w + b
+        active.append((z > 0).ravel())
+        h = np.maximum(z, 0.0)
+    return np.concatenate(active)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=shapes, data=st.data())
+    def test_flatten_roundtrip(self, shape, data):
+        theta = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, width=64),
+            min_size=shape.n_params, max_size=shape.n_params,
+        )))
+        params = NetworkParams.from_flat(shape, theta)
+        assert [w.shape for w in params.weights] == [
+            (a, b) for a, b in zip(shape.layer_widths, shape.layer_widths[1:])
+        ]
+        flat = params.flatten()
+        assert flat.tobytes() == theta.tobytes()
+        again = NetworkParams.from_flat(shape, flat)
+        for a, b in zip(again.weights + again.biases, params.weights + params.biases):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(shape=shapes, n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        theta = 0.5 * rng.standard_normal(shape.n_params)
+        x = rng.uniform(0, 1, (n, shape.d_in))
+        y = rng.standard_normal(n)
+        sigma = 0.3
+
+        def ll(t):
+            return loglik_and_grad(NetworkParams.from_flat(shape, t), x, y, sigma)[0]
+
+        _, grad = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
+        assert grad.shape == theta.shape
+        base = relu_pattern(shape, theta, x)
+        h = 1e-6
+        for i in range(shape.n_params):
+            e = np.zeros_like(theta)
+            e[i] = h
+            # a unit crossing its kink makes the difference quotient meaningless
+            if not (np.array_equal(relu_pattern(shape, theta + e, x), base)
+                    and np.array_equal(relu_pattern(shape, theta - e, x), base)):
+                continue
+            fd = (ll(theta + e) - ll(theta - e)) / (2 * h)
+            assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(grad[i])), f"coord {i}"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from besovbnn.testbed import (
-    Dataset,
     ModulusGrid,
     besov_norm_estimate,
     cantor_function,
@@ -93,19 +92,6 @@ class TestDataset:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_dataset(cantor_function(), 0, 0.1, seed=0)
-
-    def test_csv_roundtrip(self):
-        ds = generate_dataset(cantor_function(), 20, 0.1, seed=5)
-        back = Dataset.from_csv(ds.to_csv(), noise_sd=ds.noise_sd, seed=ds.seed)
-        np.testing.assert_array_equal(ds.x, back.x)
-        np.testing.assert_array_equal(ds.y, back.y)
-
-    def test_json_roundtrip(self):
-        ds = generate_dataset(cantor_function(), 20, 0.1, seed=5)
-        back = Dataset.from_json(ds.to_json())
-        np.testing.assert_array_equal(ds.x, back.x)
-        np.testing.assert_array_equal(ds.y, back.y)
-        assert back.seed == ds.seed and back.noise_sd == ds.noise_sd
 
 
 class TestEmpiricalNorm:

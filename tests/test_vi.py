@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -270,4 +271,16 @@ class TestCheckpoint:
         )
         (tmp_path / "ckpt.json").write_text(env)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    def test_rejects_other_schema_version(self, tmp_path, version):
+        shape = NetworkShape(d_in=1, hidden_widths=(2,))
+        state = make_state(shape)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, state, shape)
+        env = json.loads((tmp_path / "ckpt.json").read_text())
+        env["schema_version"] = version
+        (tmp_path / "ckpt.json").write_text(json.dumps(env))
+        with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(path)
