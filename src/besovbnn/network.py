@@ -18,6 +18,7 @@ __all__ = [
     "membership",
     "truncate",
     "loglik_and_grad",
+    "PassBuffers",
 ]
 
 
@@ -56,8 +57,28 @@ class NetworkShape:
         return NetworkShape(d_in=obj["d_in"], hidden_widths=tuple(obj["hidden_widths"]))
 
 
+def _layer_views(shape: NetworkShape, flat: np.ndarray):
+    """Per-layer weight and bias views of a flat vector in the flattening
+    order; no data is copied."""
+    p = shape.layer_widths
+    weights, biases = [], []
+    pos = 0
+    for l in range(len(p) - 1):
+        nw = p[l] * p[l + 1]
+        weights.append(flat[pos : pos + nw].reshape(p[l], p[l + 1]))
+        pos += nw
+        biases.append(flat[pos : pos + p[l + 1]])
+        pos += p[l + 1]
+    return weights, biases
+
+
 class NetworkParams:
-    """Immutable weights and biases of an MLP, flattenable to a vector."""
+    """Weights and biases of an MLP, flattenable to a vector.
+
+    The arrays are read-only through this object but float64 input is not
+    copied: `from_flat` gives views of theta, so a later write to theta
+    shows through the parameters.
+    """
 
     def __init__(self, shape: NetworkShape, weights, biases):
         p = shape.layer_widths
@@ -92,21 +113,15 @@ class NetworkParams:
 
     @staticmethod
     def from_flat(shape: NetworkShape, theta) -> "NetworkParams":
+        """Parameters whose weights and biases are read-only views of theta
+        (a float64 vector of length shape.n_params is not copied), so later
+        writes to theta show through them."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (shape.n_params,):
             raise ValueError(
                 f"expected flat vector of length {shape.n_params}, got {theta.shape}"
             )
-        p = shape.layer_widths
-        weights, biases = [], []
-        pos = 0
-        for l in range(len(p) - 1):
-            nw = p[l] * p[l + 1]
-            weights.append(theta[pos : pos + nw].reshape(p[l], p[l + 1]).copy())
-            pos += nw
-            biases.append(theta[pos : pos + p[l + 1]].copy())
-            pos += p[l + 1]
-        return NetworkParams(shape, weights, biases)
+        return NetworkParams(shape, *_layer_views(shape, theta))
 
     @staticmethod
     def zeros(shape: NetworkShape) -> "NetworkParams":
@@ -157,11 +172,42 @@ def truncate(params: NetworkParams, a: float) -> NetworkParams:
     return NetworkParams.from_flat(params.shape, theta)
 
 
-def loglik_and_grad(params: NetworkParams, x, y, sigma: float):
+class PassBuffers:
+    """Work arrays of one `loglik_and_grad` call for a network shape and n
+    data points: the hidden activations, their ReLU masks, the backward
+    deltas, the output column and the flat gradient.  `grad_w[l]` and
+    `grad_b[l]` are views into `grad` in the flattening order, so the
+    layers' gradients land in the flat vector without a copy."""
+
+    def __init__(self, shape: NetworkShape, n: int):
+        hidden = shape.layer_widths[1:-1]
+        self.shape = shape
+        self.n = n
+        self.acts = [np.empty((n, w)) for w in hidden]
+        self.masks = [np.empty((n, w), dtype=bool) for w in hidden]
+        self.deltas = [np.empty((n, w)) for w in hidden]
+        self.out = np.empty((n, 1))
+        self.grad = np.empty(shape.n_params)
+        self.grad_w, self.grad_b = _layer_views(shape, self.grad)
+
+    def check(self, shape: NetworkShape, n: int) -> None:
+        """Raise ValueError unless the set was built for (shape, n)."""
+        if self.shape != shape or self.n != n:
+            raise ValueError(
+                f"buffers built for {self.shape} and n={self.n}, "
+                f"called with {shape} and n={n}"
+            )
+
+
+def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
+                    buffers: PassBuffers | None = None):
     """Gaussian log-likelihood sum_i log N(y_i | f(x_i), sigma^2) and its exact
     gradient in the flattened parameters by reverse accumulation.
 
-    The ReLU subgradient at exactly 0 is taken to be 0.
+    The ReLU subgradient at exactly 0 is taken to be 0.  The pass runs in
+    `buffers` (a PassBuffers for params.shape and len(y)), and the returned
+    gradient is `buffers.grad`, overwritten by the next call with the same
+    set; without one a fresh set is allocated.
     """
     if sigma <= 0:
         raise ValueError("need sigma > 0")
@@ -170,36 +216,35 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float):
     n = y.shape[0]
     if x.shape[0] != n:
         raise ValueError("x and y length mismatch")
-    n_layers = len(params.weights)
+    if buffers is None:
+        buffers = PassBuffers(params.shape, n)
+    else:
+        buffers.check(params.shape, n)
+    weights, biases = params.weights, params.biases
 
     # Forward pass, keeping post-activation values per layer.
-    acts = [x]
-    pre_acts = []
-    h = x
-    for l in range(n_layers - 1):
-        z = h @ params.weights[l] + params.biases[l]
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    f = (h @ params.weights[-1] + params.biases[-1])[:, 0]
+    acts = [x, *buffers.acts]
+    for l, h in enumerate(buffers.acts):
+        np.matmul(acts[l], weights[l], out=h)
+        h += biases[l]
+        np.maximum(h, 0.0, out=h)
+    np.matmul(acts[-1], weights[-1], out=buffers.out)
+    buffers.out += biases[-1]
+    f = buffers.out[:, 0]
 
     resid = y - f
     loglik = float(
         -0.5 * n * np.log(2.0 * np.pi * sigma**2) - 0.5 * np.sum(resid**2) / sigma**2
     )
 
-    # Backward pass: dL/df = resid / sigma^2.
+    # Backward pass: dL/df = resid / sigma^2.  A post-activation is > 0
+    # exactly where its pre-activation is.
     delta = (resid / sigma**2)[:, None]
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        grad_w[l] = acts[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[l].T, delta, out=buffers.grad_w[l])
+        np.sum(delta, axis=0, out=buffers.grad_b[l])
         if l > 0:
-            delta = (delta @ params.weights[l].T) * (pre_acts[l - 1] > 0.0)
-
-    parts = []
-    for gw, gb in zip(grad_w, grad_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return loglik, np.concatenate(parts)
+            mask = np.greater(acts[l], 0.0, out=buffers.masks[l - 1])
+            delta = np.matmul(delta, weights[l].T, out=buffers.deltas[l - 1])
+            delta *= mask
+    return loglik, buffers.grad

@@ -146,11 +146,12 @@ def _spike_cut(spec: MixturePriorSpec) -> float:
     return math.exp(spec.log_sigma1) * math.sqrt(2.0 * margin / -math.expm1(2.0 * log_width))
 
 
-def _two_component(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
-    """Indices of the 1-d t that need the full two-component formulas: inside
-    the spike cut, NaN, or so large that the slab's square overflows."""
-    a = np.abs(t)
-    return np.flatnonzero(~((a > _spike_cut(spec)) & (a < 1e154 * spec.sigma2)))
+def _two_component(a: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
+    """Indices of the 1-d a = |t| that need the full two-component formulas:
+    inside the spike cut, NaN, or so large that the slab's square overflows."""
+    slab = a > _spike_cut(spec)
+    slab &= a < 1e154 * spec.sigma2
+    return np.flatnonzero(np.logical_not(slab, out=slab))
 
 
 def mixture_log_density(theta, spec: MixturePriorSpec):
@@ -161,11 +162,12 @@ def mixture_log_density(theta, spec: MixturePriorSpec):
     """
     t = np.asarray(theta, dtype=float).ravel()
     c = math.log(spec.pi2) - math.log(spec.sigma2) - 0.5 * _LOG_2PI
+    out = np.abs(t)  # |t| first, so the slab term reuses the array
+    near = _two_component(out, spec)
     with np.errstate(over="ignore"):
-        out = np.square(t / spec.sigma2)
+        np.square(np.divide(t, spec.sigma2, out=out), out=out)
     out *= 0.5
     np.subtract(c, out, out=out)
-    near = _two_component(t, spec)
     if near.size:
         out[near] = logsumexp(_mixture_log_terms(t[near], spec), axis=0)
     if np.ndim(theta) == 0:
@@ -377,9 +379,10 @@ class MixtureDensity(DensityHandle):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         # Past the spike cut the slab responsibility is exactly 1.
+        grad = np.abs(flat)
+        near = _two_component(grad, self.spec)
         with np.errstate(over="ignore"):
-            grad = flat * -(1.0 / self.spec.sigma2**2)
-        near = _two_component(flat, self.spec)
+            np.multiply(flat, -(1.0 / self.spec.sigma2**2), out=grad)
         if near.size:
             grad[near] = _mixture_grad_log_density(flat[near], self.spec)
         return grad.reshape(t.shape)

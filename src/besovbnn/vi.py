@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetworkParams, NetworkShape, forward, loglik_and_grad
+from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
 from .testbed import Dataset, empirical_norm
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "TrainConfig",
     "PredictiveSummary",
     "TrainingDiverged",
+    "StepBuffers",
     "softplus",
     "frozen_elbo",
     "elbo_estimate",
@@ -40,15 +41,24 @@ _LOG_2PI = math.log(2.0 * math.pi)
 CHECKPOINT_SCHEMA_VERSION = 1
 FLATTEN_ORDER = "layer-major:weights-then-biases:row-major"
 INIT_SIGMA_Q = 1e-2  # initial posterior scale of every coordinate
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def softplus(rho):
-    return np.logaddexp(0.0, np.asarray(rho, dtype=float))
+def softplus(rho, out=None):
+    return np.logaddexp(0.0, np.asarray(rho, dtype=float), out=out)
 
 
-def _sigmoid(rho):
-    rho = np.asarray(rho, dtype=float)
-    return np.where(rho >= 0, 1.0 / (1.0 + np.exp(-rho)), np.exp(rho) / (1.0 + np.exp(rho)))
+def _sigmoid(rho, out=None, work=None, mask=None):
+    """Logistic sigmoid of a 1-d rho with one exp: e = exp(-|rho|), then
+    1 / (1 + e) where rho >= 0 and e / (1 + e) elsewhere, the same doubles
+    as the two-branch formula.  out, work and mask are optional buffers of
+    rho's shape (bool for mask); work is overwritten."""
+    e = np.abs(rho, out=work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=np.greater_equal(rho, 0.0, out=mask))
+    return np.divide(e, den, out=den)
 
 
 def _inv_softplus(s):
@@ -98,6 +108,21 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
+class StepBuffers:
+    """Work arrays of one `elbo_gradient` call for a network shape and batch
+    size: the noise draw, sigma_q, sigmoid(rho), theta, the two gradients, a
+    scratch vector and mask of length T, and the network pass's PassBuffers.
+    `train` builds one set per fit and reuses it on every step."""
+
+    def __init__(self, shape: NetworkShape, batch: int):
+        T = shape.n_params
+        self.zeta, self.sq, self.sig, self.theta, self.g_mu, self.g_rho, self.work = (
+            np.empty(T) for _ in range(7)
+        )
+        self.mask = np.empty(T, dtype=bool)
+        self.network = PassBuffers(shape, batch)
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, value: float):
         self.step = step
@@ -110,14 +135,15 @@ def _draw_zetas(T: int, mc: int, seed: int) -> np.ndarray:
     return rng.standard_normal((mc, T))
 
 
-def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0) -> float:
+def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None) -> float:
     """Single-sample ELBO at theta = mu + sq * zeta, given the log-likelihood
-    ll of the data at theta.
+    ll of the data at theta; `work`, if given, is overwritten scratch.
 
     log q at the sampled theta reduces to -sum(log sigma_q) - T/2 log 2pi
     - |zeta|^2/2, so the pathwise theta-dependence of the entropy cancels.
     """
-    neg_log_q = np.sum(np.log(sq)) + 0.5 * theta.size * _LOG_2PI + 0.5 * np.sum(zeta**2)
+    neg_log_q = (np.sum(np.log(sq, out=work)) + 0.5 * theta.size * _LOG_2PI
+                 + 0.5 * np.sum(np.square(zeta, out=work)))
     return float(n_weight * ll + prior.log_density_sum(theta) + neg_log_q)
 
 
@@ -152,33 +178,36 @@ def elbo_estimate(state: VariationalState, shape: NetworkShape, data: Dataset,
 
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
-                  prior, sigma: float, mc: int, seed: int,
-                  x=None, y=None, n_weight: float = 1.0):
-    """Pathwise gradient of the MC ELBO with respect to (mu, rho).
+                  prior, sigma: float, seed: int, x=None, y=None,
+                  n_weight: float = 1.0, buffers: StepBuffers | None = None):
+    """Pathwise gradient of the single-sample ELBO with respect to (mu, rho)
+    for the noise draw of `seed`.
 
-    Returns (objective, g_mu, g_rho), where objective is the frozen
-    single-sample ELBO of the first noise draw, taken from the same network
-    pass as its gradient.  Optionally evaluates on an explicit (x, y)
-    minibatch with the data term reweighted by n_weight to stay unbiased.
+    Returns (objective, g_mu, g_rho), where objective is the frozen ELBO of
+    that draw, taken from the same network pass as its gradient.  Optionally
+    evaluates on an explicit (x, y) minibatch with the data term reweighted
+    by n_weight to stay unbiased.  The step runs in `buffers` (a StepBuffers
+    for shape and len(y)), and g_mu and g_rho are its arrays, overwritten by
+    the next call with the same set; without one a fresh set is allocated.
     """
-    if mc < 1:
-        raise ValueError("need mc >= 1")
     if x is None:
         x, y = data.x, data.y
-    zetas = _draw_zetas(state.T, mc, seed)
-    sq = state.sigma_q
-    sig = _sigmoid(state.rho)
-    g_mu = np.zeros(state.T)
-    g_rho = np.zeros(state.T)
-    for k, zeta in enumerate(zetas):
-        theta = state.mu + sq * zeta
-        ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
-        if k == 0:
-            objective = _elbo(ll, theta, zeta, sq, prior, n_weight)
-        g_theta = n_weight * g_ll + prior.grad_log_pdf(theta)
-        g_mu += g_theta
-        g_rho += g_theta * zeta * sig + sig / sq  # + entropy term d/drho sum log sigma_q
-    return objective, g_mu / mc, g_rho / mc
+    b = StepBuffers(shape, len(y)) if buffers is None else buffers
+    b.network.check(shape, len(y))
+    zeta = np.random.default_rng(seed).standard_normal(out=b.zeta)
+    sq = softplus(state.rho, out=b.sq)
+    sig = _sigmoid(state.rho, out=b.sig, work=b.work, mask=b.mask)
+    theta = np.multiply(sq, zeta, out=b.theta)
+    theta += state.mu
+    ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma,
+                               buffers=b.network)
+    objective = _elbo(ll, theta, zeta, sq, prior, n_weight, work=b.work)
+    g_mu = np.multiply(g_ll, n_weight, out=b.g_mu)
+    g_mu += prior.grad_log_pdf(theta)
+    g_rho = np.multiply(g_mu, zeta, out=b.g_rho)
+    g_rho *= sig
+    g_rho += np.divide(sig, sq, out=b.work)  # entropy term d/drho sum log sigma_q
+    return objective, g_mu, g_rho
 
 
 def _init_state(shape: NetworkShape, config: TrainConfig) -> VariationalState:
@@ -203,12 +232,9 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
     n = data.n
     batch = config.batch_size if 0 < config.batch_size < n else n
 
-    # Adam moments.
-    m_mu = np.zeros(state.T)
-    v_mu = np.zeros(state.T)
-    m_rho = np.zeros(state.T)
-    v_rho = np.zeros(state.T)
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    buffers = StepBuffers(shape, batch)
+    m_mu, v_mu, m_rho, v_rho = (np.zeros(state.T) for _ in range(4))  # Adam moments
+    scratch = (np.empty(state.T), np.empty(state.T))
 
     trace = np.empty(config.iterations)
     for it in range(config.iterations):
@@ -220,24 +246,34 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
         n_weight = n / batch
         step_seed = int(rng.integers(0, 2**63 - 1))
         obj, g_mu, g_rho = elbo_gradient(
-            state, shape, data, prior, sigma, 1, step_seed, x=xb, y=yb, n_weight=n_weight,
+            state, shape, data, prior, sigma, step_seed, x=xb, y=yb, n_weight=n_weight,
+            buffers=buffers,
         )
         if not math.isfinite(obj):
             raise TrainingDiverged(it, obj)
         trace[it] = obj
-        t = it + 1
-        m_mu = beta1 * m_mu + (1 - beta1) * g_mu
-        v_mu = beta2 * v_mu + (1 - beta2) * g_mu**2
-        m_rho = beta1 * m_rho + (1 - beta1) * g_rho
-        v_rho = beta2 * v_rho + (1 - beta2) * g_rho**2
-        mhat_mu = m_mu / (1 - beta1**t)
-        vhat_mu = v_mu / (1 - beta2**t)
-        mhat_rho = m_rho / (1 - beta1**t)
-        vhat_rho = v_rho / (1 - beta2**t)
-        state.mu = state.mu + config.learning_rate * mhat_mu / (np.sqrt(vhat_mu) + adam_eps)
-        state.rho = state.rho + config.learning_rate * mhat_rho / (np.sqrt(vhat_rho) + adam_eps)
+        _adam_ascent(state.mu, g_mu, m_mu, v_mu, it + 1, config.learning_rate, scratch)
+        _adam_ascent(state.rho, g_rho, m_rho, v_rho, it + 1, config.learning_rate, scratch)
         state.step = it + 1
     return state, trace
+
+
+def _adam_ascent(param, g, m, v, t: int, lr: float, scratch) -> None:
+    """Adam step t (from 1) of gradient ascent, updating param and the
+    moments m and v in place with the two scratch vectors:
+    param += lr * mhat / (sqrt(vhat) + eps)."""
+    a, b = scratch
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
+    v += np.multiply(np.square(g, out=a), 1 - ADAM_BETA2, out=a)
+    np.divide(m, 1 - ADAM_BETA1**t, out=a)
+    a *= lr
+    np.divide(v, 1 - ADAM_BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    param += a
 
 
 @dataclass
@@ -259,11 +295,14 @@ class PredictiveSummary:
 def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
                          draws: int, f0, data: Dataset, alpha: float = 0.05,
                          seed: int = 0) -> PredictiveSummary:
-    """Sample `draws` networks from q and summarize them on the grid."""
+    """Sample `draws` networks from q and summarize them on the grid.  When
+    the grid is the training design itself (`grid is data.x`), its network
+    values also give the per-draw errors."""
     if draws < 2:
         raise ValueError("need at least 2 draws")
     grid = np.asarray(grid, dtype=float)
     grid_x = grid.reshape(-1, 1) if grid.ndim == 1 else grid
+    on_design = grid_x is data.x
     rng = np.random.default_rng(seed)
     sq = state.sigma_q
     fx_true = np.asarray(f0(data.x[:, 0] if data.d == 1 else data.x), dtype=float)
@@ -273,7 +312,8 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
         theta = state.mu + sq * rng.standard_normal(state.T)
         params = NetworkParams.from_flat(shape, theta)
         fvals[k] = forward(params, grid_x)
-        errors[k] = empirical_norm(forward(params, data.x) - fx_true)
+        fx = fvals[k] if on_design else forward(params, data.x)
+        errors[k] = empirical_norm(fx - fx_true)
     mean = fvals.mean(axis=0)
     lower = np.quantile(fvals, alpha / 2.0, axis=0)
     upper = np.quantile(fvals, 1.0 - alpha / 2.0, axis=0)

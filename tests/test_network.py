@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from besovbnn.network import (
     NetworkParams,
     NetworkShape,
+    PassBuffers,
     forward,
     loglik_and_grad,
     membership,
@@ -66,6 +67,17 @@ class TestFlatten:
         p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
         with pytest.raises(ValueError):
             p.weights[0][0, 0] = 1.0
+
+    def test_from_flat_gives_read_only_views(self):
+        shape = NetworkShape(d_in=2, hidden_widths=(3, 2))
+        theta = np.arange(float(shape.n_params))
+        p = NetworkParams.from_flat(shape, theta)
+        for a in p.weights + p.biases:
+            assert np.shares_memory(a, theta)
+            assert not a.flags.writeable
+        assert theta.flags.writeable
+        theta[0] = -7.0  # later writes to theta show through
+        assert p.weights[0][0, 0] == -7.0
 
 
 class TestForward:
@@ -284,3 +296,29 @@ class TestProperties:
                 continue
             fd = (ll(theta + e) - ll(theta - e)) / (2 * h)
             assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(grad[i])), f"coord {i}"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=shapes, n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_reused_buffers_match_fresh_calls(self, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        buffers = PassBuffers(shape, n)
+        fresh = []
+        for _ in range(2):
+            params = random_params(shape, rng)
+            x = rng.uniform(-1, 1, (n, shape.d_in))
+            y = rng.standard_normal(n)
+            ll, grad = loglik_and_grad(params, x, y, 0.3)
+            ll_buf, grad_buf = loglik_and_grad(params, x, y, 0.3, buffers=buffers)
+            assert grad_buf is buffers.grad
+            assert ll_buf == ll
+            assert grad_buf.tobytes() == grad.tobytes()
+            fresh.append(grad)
+        assert not np.shares_memory(fresh[0], fresh[1])
+
+    def test_mismatched_buffers_raise(self):
+        shape = NetworkShape(d_in=1, hidden_widths=(3,))
+        p = NetworkParams.zeros(shape)
+        x, y = np.zeros((4, 1)), np.zeros(4)
+        for wrong in (PassBuffers(shape, 5), PassBuffers(NetworkShape(1, (4,)), 4)):
+            with pytest.raises(ValueError, match="buffers built for"):
+                loglik_and_grad(p, x, y, 1.0, buffers=wrong)

@@ -7,7 +7,9 @@ import pytest
 from besovbnn.network import NetworkShape, forward, NetworkParams
 from besovbnn.priors import FlatDensity, make_density
 from besovbnn.testbed import Dataset, cantor_function, generate_dataset, tabulated_function
+from besovbnn import vi
 from besovbnn.vi import (
+    StepBuffers,
     TrainConfig,
     TrainingDiverged,
     VariationalState,
@@ -119,7 +121,7 @@ class TestElboGradient:
         )
         prior = FlatDensity() if prior_name == "flat" else make_density("gauss")
         seed = 77
-        objective, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.2, mc=1, seed=seed)
+        objective, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.2, seed=seed)
         zeta = np.random.default_rng(seed).standard_normal((1, state.T))[0]
 
         def obj(mu, rho):
@@ -145,11 +147,28 @@ class TestElboGradient:
         _, data = small_data(n=5)
         state = make_state(shape, mu_val=0.2, sigma_q=0.3)
         _, g_mu, g_rho = elbo_gradient(
-            state, shape, data, FlatDensity(), sigma=1e8, mc=1, seed=4
+            state, shape, data, FlatDensity(), sigma=1e8, seed=4
         )
         sig = 1.0 / (1.0 + math.exp(-inv_softplus(0.3)))
         np.testing.assert_allclose(g_rho, sig / 0.3, atol=1e-8)
         np.testing.assert_allclose(g_mu, 0.0, atol=1e-8)
+
+    def test_buffers_match_a_fresh_set_and_must_fit(self):
+        shape = NetworkShape(d_in=1, hidden_widths=(4, 4))
+        _, data = small_data(n=12, seed=2)
+        state = make_state(shape, mu_val=0.3, sigma_q=0.08)
+        prior = make_density("gauss")
+        buffers = StepBuffers(shape, 12)
+        for seed in (5, 6):
+            fresh = elbo_gradient(state, shape, data, prior, 0.2, seed=seed)
+            reused = elbo_gradient(state, shape, data, prior, 0.2, seed=seed, buffers=buffers)
+            assert reused[1] is buffers.g_mu and reused[2] is buffers.g_rho
+            assert reused[0] == fresh[0]
+            for got, want in zip(reused[1:], fresh[1:]):
+                assert got.tobytes() == want.tobytes()
+        for wrong in (StepBuffers(shape, 11), StepBuffers(NetworkShape(1, (4,)), 12)):
+            with pytest.raises(ValueError, match="buffers built for"):
+                elbo_gradient(state, shape, data, prior, 0.2, seed=5, buffers=wrong)
 
 
 class TestTrain:
@@ -234,6 +253,26 @@ class TestPosteriorPredictive:
         det = forward(NetworkParams.from_flat(shape, mu), grid[:, None])
         np.testing.assert_allclose(pred.mean, det, atol=1e-6)
         np.testing.assert_allclose(pred.upper - pred.lower, 0.0, atol=1e-6)
+
+    def test_design_grid_reuses_the_grid_pass(self, monkeypatch):
+        # with the training design as the grid, each draw evaluates the
+        # network once, and every output equals that of an equal copy
+        shape = NetworkShape(d_in=1, hidden_widths=(4,))
+        state = make_state(shape, mu_val=0.2, sigma_q=0.3)
+        f, data = small_data(n=10)
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(x)
+            return forward(params, x)
+
+        monkeypatch.setattr(vi, "forward", counting_forward)
+        on_design = posterior_predictive(state, shape, data.x, 7, f, data, seed=3)
+        assert len(calls) == 7
+        copy = posterior_predictive(state, shape, data.x.copy(), 7, f, data, seed=3)
+        assert len(calls) == 7 + 14
+        for name in ("mean", "lower", "upper", "errors"):
+            assert getattr(on_design, name).tobytes() == getattr(copy, name).tobytes()
 
     def test_draws_validation(self):
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
