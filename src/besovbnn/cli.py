@@ -164,20 +164,29 @@ def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
     return NetworkShape(d_in=spec.d, hidden_widths=tuple(widths))
 
 
-def _run_fit(spec, f0, n, args):
-    """Shared generate -> train pipeline."""
+def _designed_model(spec, n, args):
+    """The designed mixture prior and network shape for sample size n."""
     arch = dz.design_architecture(spec, n, args.cB)
     mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
     prior = priors.make_density("mixture", mixture_spec=mix)
-    shape = _desk_shape(spec, arch, args.full_scale)
-    data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
-    config = vi.TrainConfig(
+    return prior, _desk_shape(spec, arch, args.full_scale)
+
+
+def _train_config(n, args, seed: int) -> vi.TrainConfig:
+    return vi.TrainConfig(
         iterations=args.iterations,
         batch_size=min(n, args.batch_size) if args.batch_size else 0,
         learning_rate=args.learning_rate,
-        seed=args.seed,
+        seed=seed,
     )
-    state, trace = vi.train(shape, data, prior, config, sigma=args.noise_sd)
+
+
+def _run_fit(spec, f0, n, args):
+    """Shared generate -> train pipeline."""
+    prior, shape = _designed_model(spec, n, args)
+    data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
+    state, trace = vi.train(shape, data, prior, _train_config(n, args, args.seed),
+                            sigma=args.noise_sd)
     return shape, data, state, trace
 
 
@@ -326,6 +335,8 @@ def fit_rate_slope(ns, errors) -> float:
 
 def cmd_rate_study(args) -> int:
     _check_draws(args)
+    if args.replicates < 1:
+        raise ArgumentError(f"--replicates must be at least 1, got {args.replicates}")
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("rate-study requires a built-in --function")
@@ -335,18 +346,23 @@ def cmd_rate_study(args) -> int:
     per_n = []
     failures = 0
     for n in ns:
+        # The replicates at one n share everything but their seed, so they
+        # train together as one stack, each as its own fit would.
+        prior, shape = _designed_model(spec, n, args)
+        seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
+        datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
+        fits = vi.train_replicates(shape, datasets, prior,
+                                   [_train_config(n, args, s) for s in seeds],
+                                   sigma=args.noise_sd)
         rep_errors = []
-        for r in range(args.replicates):
-            rep_args = argparse.Namespace(**vars(args))
-            rep_args.seed = args.seed + 1000 * r + n
-            try:
-                shape, data, state, _ = _run_fit(spec, f0, n, rep_args)
-            except vi.TrainingDiverged:
+        for seed, data, fit in zip(seeds, datasets, fits):
+            if isinstance(fit, vi.TrainingDiverged):
                 failures += 1
                 continue
+            state, _ = fit
             fx_true = np.asarray(f0(data.x[:, 0]), dtype=float)
             mean_fn = vi.posterior_predictive(state, shape, data.x, args.draws, f0, data,
-                                              seed=rep_args.seed + 20_000).mean
+                                              seed=seed + 20_000).mean
             rep_errors.append(float(testbed.empirical_norm(mean_fn - fx_true)))
         if not rep_errors:
             raise RuntimeError(f"all replicates diverged at n={n}")

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams, NetworkShape, forward, loglik_and_grad
+from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
 from .testbed import Dataset
 
 __all__ = ["MHConfig", "MHResult", "mh_sample", "compare_vi_mh"]
 
 MAX_PARAMS = 200
+DRAWS_PER_PASS = 128  # chain draws per stacked network pass in compare_vi_mh
 
 
 @dataclass
@@ -43,14 +44,14 @@ class MHResult:
     shape: NetworkShape
 
 
-def _log_target(theta, shape, data, prior, sigma):
+def _log_target(theta, shape, data, prior, sigma, buffers):
     lp = prior.log_density_sum(theta)
     if not math.isfinite(lp):
         return lp
     if data is None or data.n == 0:
         return lp
     params = NetworkParams.from_flat(shape, theta)
-    ll, _ = loglik_and_grad(params, data.x, data.y, sigma)
+    ll, _ = loglik_and_grad(params, data.x, data.y, sigma, buffers=buffers)
     return lp + ll
 
 
@@ -66,7 +67,8 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
         raise ValueError(f"parameter count {T} exceeds the desk-scale cap {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
     theta = np.zeros(T) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    log_p = _log_target(theta, shape, data, prior, sigma)
+    buffers = None if data is None or data.n == 0 else PassBuffers(shape, data.n)
+    log_p = _log_target(theta, shape, data, prior, sigma, buffers)
     if not math.isfinite(log_p):
         raise ValueError("non-finite target at the initial point")
 
@@ -78,7 +80,7 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     window = 100
     for step in range(config.steps):
         prop = theta + sd * rng.standard_normal(T)
-        log_p_prop = _log_target(prop, shape, data, prior, sigma)
+        log_p_prop = _log_target(prop, shape, data, prior, sigma, buffers)
         accept = math.log(rng.random()) < log_p_prop - log_p
         if accept:
             theta = prop
@@ -115,11 +117,13 @@ def compare_vi_mh(vi_mean_on_grid, mh_result: MHResult, grid, tolerance: float =
     vi_mean = np.asarray(vi_mean_on_grid, dtype=float)
     if vi_mean.shape[0] != grid_x.shape[0]:
         raise ValueError("vi summary and grid length mismatch")
+    chain = mh_result.chain
     acc = np.zeros(grid_x.shape[0])
-    for theta in mh_result.chain:
-        params = NetworkParams.from_flat(mh_result.shape, theta)
-        acc += forward(params, grid_x)
-    mh_mean = acc / mh_result.chain.shape[0]
+    for start in range(0, chain.shape[0], DRAWS_PER_PASS):
+        params = NetworkParams.from_flat(mh_result.shape, chain[start:start + DRAWS_PER_PASS])
+        for f in forward(params, grid_x):  # in chain order, as a draw-by-draw sum
+            acc += f
+    mh_mean = acc / chain.shape[0]
     max_diff = float(np.max(np.abs(vi_mean - mh_mean)))
     return {
         "max_abs_diff": max_diff,

@@ -58,26 +58,29 @@ class NetworkShape:
 
 
 def _layer_views(shape: NetworkShape, flat: np.ndarray):
-    """Per-layer weight and bias views of a flat vector in the flattening
-    order; no data is copied."""
+    """Per-layer weight (..., p, q) and bias (..., q) views of flat vectors
+    (..., T) in the flattening order; no data is copied."""
     p = shape.layer_widths
+    lead = flat.shape[:-1]
     weights, biases = [], []
     pos = 0
     for l in range(len(p) - 1):
         nw = p[l] * p[l + 1]
-        weights.append(flat[pos : pos + nw].reshape(p[l], p[l + 1]))
+        weights.append(flat[..., pos : pos + nw].reshape(*lead, p[l], p[l + 1]))
         pos += nw
-        biases.append(flat[pos : pos + p[l + 1]])
+        biases.append(flat[..., pos : pos + p[l + 1]])
         pos += p[l + 1]
     return weights, biases
 
 
 class NetworkParams:
-    """Weights and biases of an MLP, flattenable to a vector.
+    """Weights and biases of an MLP, or of a stack of R MLPs of one shape,
+    flattenable to a vector (T,) or a stack of vectors (R, T).
 
-    The arrays are read-only through this object but float64 input is not
-    copied: `from_flat` gives views of theta, so a later write to theta
-    shows through the parameters.
+    A stack has weights (R, p, q) and biases (R, q); `stack` is R, or None
+    for one network.  The arrays are read-only through this object but
+    float64 input is not copied: `from_flat` gives views of theta, so a
+    later write to theta shows through the parameters.
     """
 
     def __init__(self, shape: NetworkShape, weights, biases):
@@ -87,13 +90,17 @@ class NetworkParams:
         self.shape = shape
         self.weights = []
         self.biases = []
+        lead = np.shape(weights[0])[:-2]
+        if len(lead) > 1:
+            raise ValueError(f"expected one network or a stack of them, got lead shape {lead}")
+        self.stack = lead[0] if lead else None
         for l, (w, b) in enumerate(zip(weights, biases)):
             w = np.asarray(w, dtype=float)
             b = np.asarray(b, dtype=float)
-            if w.shape != (p[l], p[l + 1]) or b.shape != (p[l + 1],):
+            if w.shape != (*lead, p[l], p[l + 1]) or b.shape != (*lead, p[l + 1]):
                 raise ValueError(
-                    f"layer {l}: expected W {(p[l], p[l + 1])} and b {(p[l + 1],)}, "
-                    f"got {w.shape} and {b.shape}"
+                    f"layer {l}: expected W {(*lead, p[l], p[l + 1])} and "
+                    f"b {(*lead, p[l + 1])}, got {w.shape} and {b.shape}"
                 )
             w.setflags(write=False)
             b.setflags(write=False)
@@ -107,19 +114,21 @@ class NetworkParams:
     def flatten(self) -> np.ndarray:
         parts = []
         for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
+            parts.append(w.reshape(*b.shape[:-1], -1))
             parts.append(b)
-        return np.concatenate(parts)
+        return np.concatenate(parts, axis=-1)
 
     @staticmethod
     def from_flat(shape: NetworkShape, theta) -> "NetworkParams":
-        """Parameters whose weights and biases are read-only views of theta
-        (a float64 vector of length shape.n_params is not copied), so later
-        writes to theta show through them."""
+        """Parameters whose weights and biases are read-only views of theta,
+        a vector (T,) or a stack (R, T) with T = shape.n_params (C-ordered
+        float64 input is not copied), so later writes to theta show through
+        them."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (shape.n_params,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != shape.n_params:
             raise ValueError(
-                f"expected flat vector of length {shape.n_params}, got {theta.shape}"
+                f"expected flat vector of length {shape.n_params} or a stack of them, "
+                f"got {theta.shape}"
             )
         return NetworkParams(shape, *_layer_views(shape, theta))
 
@@ -135,22 +144,24 @@ class NetworkParams:
 
 
 def forward(params: NetworkParams, x) -> np.ndarray | float:
-    """Evaluate the network; x may be a single point (d,) or a batch (n, d)."""
+    """Evaluate the network; x may be a single point (d,) or a batch
+    (..., n, d).  A stack of R networks gives (R, n) on a batch (n, d) or on
+    a stack of batches (R, n, d), and (R,) on a single point."""
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
     h = np.atleast_2d(x)
-    if h.shape[1] != params.shape.d_in:
-        if single and h.shape[1] == 1 and params.shape.d_in == h.size:
-            h = h.reshape(1, -1)
-        else:
-            raise ValueError(
-                f"input dimension {h.shape[1]} != d_in {params.shape.d_in}"
-            )
+    if h.shape[-1] != params.shape.d_in:
+        raise ValueError(f"input dimension {h.shape[-1]} != d_in {params.shape.d_in}")
     n_layers = len(params.weights)
-    for l in range(n_layers - 1):
-        h = np.maximum(h @ params.weights[l] + params.biases[l], 0.0)
-    out = (h @ params.weights[-1] + params.biases[-1])[:, 0]
-    return float(out[0]) if single else out
+    for l in range(n_layers):
+        h = h @ params.weights[l]  # the layer's one new array
+        h += params.biases[l][..., None, :]
+        if l < n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    out = h[..., 0]
+    if not single:
+        return out
+    return float(out[0]) if params.stack is None else out[..., 0]
 
 
 def membership(params: NetworkParams, L: int, W: int, S: int, B: float) -> bool:
@@ -173,29 +184,32 @@ def truncate(params: NetworkParams, a: float) -> NetworkParams:
 
 
 class PassBuffers:
-    """Work arrays of one `loglik_and_grad` call for a network shape and n
-    data points: the hidden activations, their ReLU masks, the backward
-    deltas, the output column and the flat gradient.  `grad_w[l]` and
-    `grad_b[l]` are views into `grad` in the flattening order, so the
-    layers' gradients land in the flat vector without a copy."""
+    """Work arrays of one `loglik_and_grad` call for a network shape, n data
+    points and a stack of R networks (stack=R) or one (stack=None): the
+    hidden activations, their ReLU masks, the backward deltas, the output
+    column and the flat gradient, each with a leading axis R for a stack.
+    `grad_w[l]` and `grad_b[l]` are views into `grad` in the flattening
+    order, so the layers' gradients land in the flat vectors without a copy."""
 
-    def __init__(self, shape: NetworkShape, n: int):
+    def __init__(self, shape: NetworkShape, n: int, stack: int | None = None):
         hidden = shape.layer_widths[1:-1]
+        lead = () if stack is None else (stack,)
         self.shape = shape
         self.n = n
-        self.acts = [np.empty((n, w)) for w in hidden]
-        self.masks = [np.empty((n, w), dtype=bool) for w in hidden]
-        self.deltas = [np.empty((n, w)) for w in hidden]
-        self.out = np.empty((n, 1))
-        self.grad = np.empty(shape.n_params)
+        self.stack = stack
+        self.acts = [np.empty((*lead, n, w)) for w in hidden]
+        self.masks = [np.empty((*lead, n, w), dtype=bool) for w in hidden]
+        self.deltas = [np.empty((*lead, n, w)) for w in hidden]
+        self.out = np.empty((*lead, n, 1))
+        self.grad = np.empty((*lead, shape.n_params))
         self.grad_w, self.grad_b = _layer_views(shape, self.grad)
 
-    def check(self, shape: NetworkShape, n: int) -> None:
-        """Raise ValueError unless the set was built for (shape, n)."""
-        if self.shape != shape or self.n != n:
+    def check(self, shape: NetworkShape, n: int, stack: int | None = None) -> None:
+        """Raise ValueError unless the set was built for (shape, n, stack)."""
+        if self.shape != shape or self.n != n or self.stack != stack:
             raise ValueError(
-                f"buffers built for {self.shape} and n={self.n}, "
-                f"called with {shape} and n={n}"
+                f"buffers built for {self.shape}, n={self.n} and stack={self.stack}, "
+                f"called with {shape}, n={n} and stack={stack}"
             )
 
 
@@ -204,47 +218,55 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
     """Gaussian log-likelihood sum_i log N(y_i | f(x_i), sigma^2) and its exact
     gradient in the flattened parameters by reverse accumulation.
 
+    For one network x is (n, d) and y (n,), and the log-likelihood is a
+    float.  For a stack of R networks x is (R, n, d) and y (R, n): row r of
+    the stack is evaluated on row r of the data, and the log-likelihoods
+    (R,) and gradients (R, T) equal those of R separate calls bit for bit.
+
     The ReLU subgradient at exactly 0 is taken to be 0.  The pass runs in
-    `buffers` (a PassBuffers for params.shape and len(y)), and the returned
-    gradient is `buffers.grad`, overwritten by the next call with the same
-    set; without one a fresh set is allocated.
+    `buffers` (a PassBuffers for params.shape, n and the stack), and the
+    returned gradient is `buffers.grad`, overwritten by the next call with
+    the same set; without one a fresh set is allocated.
     """
     if sigma <= 0:
         raise ValueError("need sigma > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if x.shape[0] != n:
+    n = y.shape[-1]
+    if x.shape[:-1] != y.shape:
         raise ValueError("x and y length mismatch")
+    if y.shape[:-1] != (() if params.stack is None else (params.stack,)):
+        raise ValueError(f"data of shape {y.shape} for a stack of {params.stack} networks")
     if buffers is None:
-        buffers = PassBuffers(params.shape, n)
+        buffers = PassBuffers(params.shape, n, params.stack)
     else:
-        buffers.check(params.shape, n)
+        buffers.check(params.shape, n, params.stack)
     weights, biases = params.weights, params.biases
 
     # Forward pass, keeping post-activation values per layer.
     acts = [x, *buffers.acts]
     for l, h in enumerate(buffers.acts):
         np.matmul(acts[l], weights[l], out=h)
-        h += biases[l]
+        h += biases[l][..., None, :]
         np.maximum(h, 0.0, out=h)
     np.matmul(acts[-1], weights[-1], out=buffers.out)
-    buffers.out += biases[-1]
-    f = buffers.out[:, 0]
+    buffers.out += biases[-1][..., None, :]
+    f = buffers.out[..., 0]
 
     resid = y - f
-    loglik = float(
-        -0.5 * n * np.log(2.0 * np.pi * sigma**2) - 0.5 * np.sum(resid**2) / sigma**2
-    )
+    loglik = (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
+              - 0.5 * np.sum(resid**2, axis=-1) / sigma**2)
+    if params.stack is None:
+        loglik = float(loglik)
 
     # Backward pass: dL/df = resid / sigma^2.  A post-activation is > 0
     # exactly where its pre-activation is.
-    delta = (resid / sigma**2)[:, None]
+    delta = (resid / sigma**2)[..., None]
     for l in range(len(weights) - 1, -1, -1):
-        np.matmul(acts[l].T, delta, out=buffers.grad_w[l])
-        np.sum(delta, axis=0, out=buffers.grad_b[l])
+        np.matmul(acts[l].swapaxes(-1, -2), delta, out=buffers.grad_w[l])
+        np.sum(delta, axis=-2, out=buffers.grad_b[l])
         if l > 0:
             mask = np.greater(acts[l], 0.0, out=buffers.masks[l - 1])
-            delta = np.matmul(delta, weights[l].T, out=buffers.deltas[l - 1])
+            delta = np.matmul(delta, weights[l].swapaxes(-1, -2), out=buffers.deltas[l - 1])
             delta *= mask
     return loglik, buffers.grad

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "elbo_estimate",
     "elbo_gradient",
     "train",
+    "train_replicates",
     "posterior_predictive",
     "save_checkpoint",
     "load_checkpoint",
@@ -49,7 +50,7 @@ def softplus(rho, out=None):
 
 
 def _sigmoid(rho, out=None, work=None, mask=None):
-    """Logistic sigmoid of a 1-d rho with one exp: e = exp(-|rho|), then
+    """Logistic sigmoid of rho with one exp: e = exp(-|rho|), then
     1 / (1 + e) where rho >= 0 and e / (1 + e) elsewhere, the same doubles
     as the two-branch formula.  out, work and mask are optional buffers of
     rho's shape (bool for mask); work is overwritten."""
@@ -68,7 +69,8 @@ def _inv_softplus(s):
 
 @dataclass
 class VariationalState:
-    """Factorized Gaussian posterior: means mu and scale pre-activations rho."""
+    """Factorized Gaussian posterior: means mu and scale pre-activations rho,
+    vectors (T,) or, for replicates trained together, stacks (R, T)."""
 
     mu: np.ndarray
     rho: np.ndarray
@@ -78,12 +80,12 @@ class VariationalState:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
-        if self.mu.shape != self.rho.shape or self.mu.ndim != 1:
-            raise ValueError("mu and rho must be 1-d vectors of equal length")
+        if self.mu.shape != self.rho.shape or self.mu.ndim not in (1, 2):
+            raise ValueError("mu and rho must be vectors or stacks of vectors of equal shape")
 
     @property
     def T(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     @property
     def sigma_q(self) -> np.ndarray:
@@ -109,18 +111,20 @@ class TrainConfig:
 
 
 class StepBuffers:
-    """Work arrays of one `elbo_gradient` call for a network shape and batch
-    size: the noise draw, sigma_q, sigmoid(rho), theta, the two gradients, a
-    scratch vector and mask of length T, and the network pass's PassBuffers.
-    `train` builds one set per fit and reuses it on every step."""
+    """Work arrays of one `elbo_gradient` call for a network shape, batch
+    size and a stack of R states (stack=R) or one (stack=None): the noise
+    draw, sigma_q, sigmoid(rho), theta, the two gradients, a scratch vector
+    and mask of length T, each with a leading axis R for a stack, and the
+    network pass's PassBuffers.  `train_replicates` builds one set per
+    stack and reuses it on every step."""
 
-    def __init__(self, shape: NetworkShape, batch: int):
-        T = shape.n_params
+    def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None):
+        size = (shape.n_params,) if stack is None else (stack, shape.n_params)
         self.zeta, self.sq, self.sig, self.theta, self.g_mu, self.g_rho, self.work = (
-            np.empty(T) for _ in range(7)
+            np.empty(size) for _ in range(7)
         )
-        self.mask = np.empty(T, dtype=bool)
-        self.network = PassBuffers(shape, batch)
+        self.mask = np.empty(size, dtype=bool)
+        self.network = PassBuffers(shape, batch, stack)
 
 
 class TrainingDiverged(RuntimeError):
@@ -178,7 +182,7 @@ def elbo_estimate(state: VariationalState, shape: NetworkShape, data: Dataset,
 
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
-                  prior, sigma: float, seed: int, x=None, y=None,
+                  prior, sigma: float, seed, x=None, y=None,
                   n_weight: float = 1.0, buffers: StepBuffers | None = None):
     """Pathwise gradient of the single-sample ELBO with respect to (mu, rho)
     for the noise draw of `seed`.
@@ -186,22 +190,36 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     Returns (objective, g_mu, g_rho), where objective is the frozen ELBO of
     that draw, taken from the same network pass as its gradient.  Optionally
     evaluates on an explicit (x, y) minibatch with the data term reweighted
-    by n_weight to stay unbiased.  The step runs in `buffers` (a StepBuffers
-    for shape and len(y)), and g_mu and g_rho are its arrays, overwritten by
-    the next call with the same set; without one a fresh set is allocated.
+    by n_weight to stay unbiased.  For a stacked state (mu and rho of shape
+    (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
+    and (R, n), and objective is an (R,) array; each row equals a separate
+    call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
+    n and the stack), and g_mu and g_rho are its arrays, overwritten by the
+    next call with the same set; without one a fresh set is allocated.
     """
     if x is None:
         x, y = data.x, data.y
-    b = StepBuffers(shape, len(y)) if buffers is None else buffers
-    b.network.check(shape, len(y))
-    zeta = np.random.default_rng(seed).standard_normal(out=b.zeta)
+    stack = None if state.mu.ndim == 1 else state.mu.shape[0]
+    n = np.shape(y)[-1]
+    b = StepBuffers(shape, n, stack) if buffers is None else buffers
+    b.network.check(shape, n, stack)
+    T = shape.n_params
+    seeds = [seed] if stack is None else list(seed)
+    if stack is not None and len(seeds) != stack:
+        raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
+    for z, s in zip(b.zeta.reshape(-1, T), seeds):
+        np.random.default_rng(s).standard_normal(out=z)
+    zeta = b.zeta
     sq = softplus(state.rho, out=b.sq)
     sig = _sigmoid(state.rho, out=b.sig, work=b.work, mask=b.mask)
     theta = np.multiply(sq, zeta, out=b.theta)
     theta += state.mu
     ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma,
                                buffers=b.network)
-    objective = _elbo(ll, theta, zeta, sq, prior, n_weight, work=b.work)
+    # One prior call per row, so each row sums as a separate call does.
+    rows = zip(np.reshape(ll, -1), *(a.reshape(-1, T) for a in (theta, zeta, sq, b.work)))
+    objective = [_elbo(l, t, z, s, prior, n_weight, work=w) for l, t, z, s, w in rows]
+    objective = objective[0] if stack is None else np.array(objective)
     g_mu = np.multiply(g_ll, n_weight, out=b.g_mu)
     g_mu += prior.grad_log_pdf(theta)
     g_rho = np.multiply(g_mu, zeta, out=b.g_rho)
@@ -210,52 +228,109 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     return objective, g_mu, g_rho
 
 
-def _init_state(shape: NetworkShape, config: TrainConfig) -> VariationalState:
+def _init_state(shape: NetworkShape, config: TrainConfig, mu=None, rho=None) -> VariationalState:
+    """Weights N(0, 1/fan_in) drawn from the config's seed, zero biases and
+    every scale INIT_SIGMA_Q, written into mu and rho (vectors of length T)
+    when they are given, so a stack's rows need no temporaries."""
+    mu = np.empty(shape.n_params) if mu is None else mu
+    rho = np.empty(shape.n_params) if rho is None else rho
     rng = np.random.default_rng(config.seed)
     p = shape.layer_widths
-    mus = []
+    pos = 0
     for l in range(len(p) - 1):
-        fan_in = p[l]
-        mus.append(rng.standard_normal(p[l] * p[l + 1]) / math.sqrt(fan_in))
-        mus.append(np.zeros(p[l + 1]))
-    mu = np.concatenate(mus)
-    rho = np.full(shape.n_params, float(_inv_softplus(INIT_SIGMA_Q)))
+        w = rng.standard_normal(out=mu[pos : pos + p[l] * p[l + 1]])
+        w /= math.sqrt(p[l])  # fan-in
+        pos += w.size
+        mu[pos : pos + p[l + 1]] = 0.0
+        pos += p[l + 1]
+    rho.fill(float(_inv_softplus(INIT_SIGMA_Q)))
     return VariationalState(mu=mu, rho=rho, step=0, seed=config.seed)
 
 
 def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
           sigma: float = 0.1):
     """Stochastic ELBO ascent; returns the final state and the per-iteration
-    objective trace (minibatch single-pass estimates)."""
-    state = _init_state(shape, config)
-    rng = np.random.default_rng(config.seed + 1)
-    n = data.n
-    batch = config.batch_size if 0 < config.batch_size < n else n
+    objective trace (minibatch single-pass estimates), or raises
+    TrainingDiverged at the first non-finite objective."""
+    (result,) = train_replicates(shape, [data], prior, [config], sigma)
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
-    buffers = StepBuffers(shape, batch)
-    m_mu, v_mu, m_rho, v_rho = (np.zeros(state.T) for _ in range(4))  # Adam moments
-    scratch = (np.empty(state.T), np.empty(state.T))
 
-    trace = np.empty(config.iterations)
-    for it in range(config.iterations):
-        if batch < n:
-            idx = rng.choice(n, size=batch, replace=False)
-            xb, yb = data.x[idx], data.y[idx]
-        else:
-            xb, yb = data.x, data.y
-        n_weight = n / batch
-        step_seed = int(rng.integers(0, 2**63 - 1))
+def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float = 0.1):
+    """Train one fit per (dataset, config) pair in lockstep, each step one
+    stacked `elbo_gradient` call and one stacked Adam update.
+
+    The configs may differ only in `seed`, and the datasets must share n
+    and d.  Each replicate keeps its own initial state, minibatch and noise
+    draws, so entry r of the returned list equals
+    train(shape, datasets[r], prior, configs[r], sigma) bit for bit: a
+    (state, trace) pair whose mu and rho are rows of the stack, or the
+    TrainingDiverged that fit raises.  A diverged replicate leaves the stack
+    before its update and the others go on.
+    """
+    datasets, configs = list(datasets), list(configs)
+    if not configs or len(datasets) != len(configs):
+        raise ValueError("need one dataset per config and at least one of each")
+    common = replace(configs[0], seed=0)
+    if any(replace(c, seed=0) != common for c in configs):
+        raise ValueError("replicate configs may differ only in seed")
+    n, d = datasets[0].n, datasets[0].d
+    if any((data.n, data.d) != (n, d) for data in datasets):
+        raise ValueError("replicate datasets must share n and d")
+    R, T = len(configs), shape.n_params
+    batch = common.batch_size if 0 < common.batch_size < n else n
+    n_weight = n / batch
+
+    state = VariationalState(mu=np.empty((R, T)), rho=np.empty((R, T)))
+    for r, config in enumerate(configs):
+        _init_state(shape, config, state.mu[r], state.rho[r])
+    rngs = [np.random.default_rng(config.seed + 1) for config in configs]
+    if batch < n:
+        xb, yb = np.empty((R, batch, d)), np.empty((R, batch))
+    else:
+        xb, yb = np.stack([data.x for data in datasets]), np.stack([data.y for data in datasets])
+
+    buffers = StepBuffers(shape, batch, R)
+    m_mu, v_mu, m_rho, v_rho = (np.zeros((R, T)) for _ in range(4))  # Adam moments
+    scratch = (np.empty((R, T)), np.empty((R, T)))
+    trace = np.empty((R, common.iterations))
+    results = [None] * R
+    rows = list(range(R))  # the replicate in each row of the stack
+    for it in range(common.iterations):
+        seeds = []
+        for r, k in enumerate(rows):
+            if batch < n:
+                idx = rngs[k].choice(n, size=batch, replace=False)
+                xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
+            seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
         obj, g_mu, g_rho = elbo_gradient(
-            state, shape, data, prior, sigma, step_seed, x=xb, y=yb, n_weight=n_weight,
+            state, shape, None, prior, sigma, seeds, x=xb, y=yb, n_weight=n_weight,
             buffers=buffers,
         )
-        if not math.isfinite(obj):
-            raise TrainingDiverged(it, obj)
-        trace[it] = obj
-        _adam_ascent(state.mu, g_mu, m_mu, v_mu, it + 1, config.learning_rate, scratch)
-        _adam_ascent(state.rho, g_rho, m_rho, v_rho, it + 1, config.learning_rate, scratch)
-        state.step = it + 1
-    return state, trace
+        finite = np.isfinite(obj)
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                results[rows[r]] = TrainingDiverged(it, float(obj[r]))
+            keep = np.flatnonzero(finite)
+            if keep.size == 0:
+                return results
+            rows = [rows[r] for r in keep]
+            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb, obj, g_mu, g_rho = (
+                a[keep] for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace,
+                                  xb, yb, obj, g_mu, g_rho))
+            state = VariationalState(mu=mu, rho=rho)
+            scratch = (np.empty(mu.shape), np.empty(mu.shape))
+            buffers = StepBuffers(shape, batch, len(rows))
+        trace[:, it] = obj
+        _adam_ascent(state.mu, g_mu, m_mu, v_mu, it + 1, common.learning_rate, scratch)
+        _adam_ascent(state.rho, g_rho, m_rho, v_rho, it + 1, common.learning_rate, scratch)
+    for r, k in enumerate(rows):
+        results[k] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
+                                       step=common.iterations, seed=configs[k].seed),
+                      trace[r])
+    return results
 
 
 def _adam_ascent(param, g, m, v, t: int, lr: float, scratch) -> None:

@@ -102,6 +102,7 @@ class TestDrawsValidation:
             raise AssertionError("training started")
 
         monkeypatch.setattr("besovbnn.vi.train", no_training)
+        monkeypatch.setattr("besovbnn.vi.train_replicates", no_training)
         argv = [command, "--function", "f2", "--out-dir", str(tmp_path / "out"),
                 *FAST_FIT, "--draws", "1"]
         if command == "predict":
@@ -222,6 +223,27 @@ class TestRateStudy:
         assert obj["theoretical_slope"] == pytest.approx(-1.5 / 4.0)
         rows = read_csv(tmp_path / "rate_study.csv")
         assert rows[0] == ["n", "median_error"] and len(rows) == 4
+
+
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_fewer_than_one_replicate_exits_2(self, tmp_path, monkeypatch, replicates):
+        monkeypatch.setattr("besovbnn.vi.train_replicates",
+                            lambda *a, **k: pytest.fail("trained"))
+        rc = main(["rate-study", "--function", "f2", "--n", "20,40,80",
+                   "--replicates", replicates, "--out-dir", str(tmp_path / "out"),
+                   *FAST_FIT])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_replicates_from_config_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("besovbnn.vi.train_replicates",
+                            lambda *a, **k: pytest.fail("trained"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"replicates": 0}))
+        rc = main(["--config", str(cfg), "rate-study", "--function", "f2",
+                   "--n", "20,40,80", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestRateSlope:

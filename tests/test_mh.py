@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from besovbnn import mh
 from besovbnn.mh import MHConfig, MHResult, compare_vi_mh, mh_sample
-from besovbnn.network import NetworkShape
+from besovbnn.network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
 from besovbnn.priors import make_density
+from besovbnn.testbed import generate_dataset, tabulated_function
 
 
 def ess(x):
@@ -83,6 +85,30 @@ class TestKnownTarget:
             assert np.var(x) == pytest.approx(sd**2, rel=0.2)
 
 
+class TestWithData:
+    def test_one_pass_buffer_set_per_chain(self, monkeypatch):
+        # the chain reuses one PassBuffers and equals a chain whose every
+        # likelihood call allocates afresh
+        f0 = tabulated_function([0.0, 1.0], [0.5, 0.5])
+        data = generate_dataset(f0, 30, 0.1, seed=1)
+        config = MHConfig(steps=400, burn_in=100, proposal_sd=0.05, seed=2)
+        prior = make_density("gauss")
+        seen = []
+
+        def fresh_call(params, x, y, sigma, buffers=None):
+            seen.append(buffers)
+            return loglik_and_grad(params, x, y, sigma)
+
+        monkeypatch.setattr(mh, "loglik_and_grad", fresh_call)
+        want = mh_sample(TINY_SHAPE, data, prior, 0.1, config)
+        monkeypatch.undo()
+        got = mh_sample(TINY_SHAPE, data, prior, 0.1, config)
+        assert got.chain.tobytes() == want.chain.tobytes()
+        assert got.acceptance_rate == want.acceptance_rate
+        assert len(seen) == config.steps + 1 and isinstance(seen[0], PassBuffers)
+        assert all(b is seen[0] for b in seen)
+
+
 class TestGuards:
     def test_parameter_cap(self):
         big = NetworkShape(d_in=1, hidden_widths=(20, 20))
@@ -114,6 +140,19 @@ class TestCompare:
         out = compare_vi_mh(np.full(11, 0.5), res, grid, tolerance=0.1)
         assert out["max_abs_diff"] == pytest.approx(0.5)
         assert not out["within_tolerance"]
+
+    @pytest.mark.parametrize("draws", [1, 128, 300])
+    def test_chain_mean_equals_a_draw_by_draw_sum(self, draws):
+        shape = NetworkShape(d_in=2, hidden_widths=(4, 3))
+        rng = np.random.default_rng(draws)
+        chain = rng.standard_normal((draws, shape.n_params))
+        grid = rng.uniform(0, 1, (17, 2))
+        acc = np.zeros(len(grid))
+        for theta in chain:
+            acc += forward(NetworkParams.from_flat(shape, theta), grid)
+        want = acc / draws
+        res = MHResult(chain=chain, acceptance_rate=0.2, proposal_sd=0.1, shape=shape)
+        assert compare_vi_mh(want, res, grid)["max_abs_diff"] == 0.0
 
     def test_grid_mismatch(self):
         res = MHResult(

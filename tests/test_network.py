@@ -322,3 +322,30 @@ class TestProperties:
         for wrong in (PassBuffers(shape, 5), PassBuffers(NetworkShape(1, (4,)), 4)):
             with pytest.raises(ValueError, match="buffers built for"):
                 loglik_and_grad(p, x, y, 1.0, buffers=wrong)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=shapes, stack=st.integers(1, 4), n=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_pass_matches_per_row_calls(self, shape, stack, n, seed):
+        rng = np.random.default_rng(seed)
+        theta = 0.5 * rng.standard_normal((stack, shape.n_params))
+        x = rng.uniform(-1, 1, (stack, n, shape.d_in))
+        y = rng.standard_normal((stack, n))
+        params = NetworkParams.from_flat(shape, theta)
+        assert params.stack == stack
+        assert all(np.shares_memory(w, theta) for w in params.weights + params.biases)
+        assert params.flatten().tobytes() == theta.tobytes()
+        ll, grad = loglik_and_grad(params, x, y, 0.3)
+        assert ll.shape == (stack,) and grad.shape == (stack, shape.n_params)
+        f = forward(params, x)
+        f_grid = forward(params, x[0])
+        for r in range(stack):
+            row = NetworkParams.from_flat(shape, theta[r])
+            ll_r, grad_r = loglik_and_grad(row, x[r], y[r], 0.3)
+            assert ll[r] == ll_r
+            assert grad[r].tobytes() == grad_r.tobytes()
+            assert f[r].tobytes() == forward(row, x[r]).tobytes()
+            assert f_grid[r].tobytes() == forward(row, x[0]).tobytes()
+        for wrong in (PassBuffers(shape, n), PassBuffers(shape, n, stack + 1)):
+            with pytest.raises(ValueError, match="buffers built for"):
+                loglik_and_grad(params, x, y, 0.3, buffers=wrong)

@@ -1,12 +1,20 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from besovbnn import design as dz
 from besovbnn.network import NetworkShape, forward, NetworkParams
 from besovbnn.priors import FlatDensity, make_density
-from besovbnn.testbed import Dataset, cantor_function, generate_dataset, tabulated_function
+from besovbnn.testbed import (
+    Dataset,
+    cantor_function,
+    generate_dataset,
+    log_singular_function,
+    tabulated_function,
+)
 from besovbnn import vi
 from besovbnn.vi import (
     StepBuffers,
@@ -22,6 +30,7 @@ from besovbnn.vi import (
     save_checkpoint,
     softplus,
     train,
+    train_replicates,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -239,6 +248,106 @@ class TestTrain:
         shape = NetworkShape(d_in=1, hidden_widths=(3,))
         with pytest.raises(TrainingDiverged), np.errstate(invalid="ignore"):
             train(shape, data, FlatDensity(), TrainConfig(iterations=10))
+
+
+def designed_f2(n):
+    """The designed mixture prior and desk network shape for f2 at n."""
+    spec = dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
+    arch = dz.design_architecture(spec, n, 10.0)
+    prior = make_density("mixture",
+                         mixture_spec=dz.mixture_hyperparams(arch, K0=5.0, counting="canonical"))
+    shape = NetworkShape(1, tuple(dz.desk_scale_widths(arch, max_depth=2, max_width=24)))
+    return prior, shape
+
+
+def warning_messages(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+class TestTrainReplicates:
+    def assert_fits_match(self, shape, datasets, prior, configs):
+        fits = train_replicates(shape, datasets, prior, configs, sigma=0.1)
+        assert len(fits) == len(configs)
+        for data, config, (state, trace) in zip(datasets, configs, fits):
+            want_state, want_trace = train(shape, data, prior, config, sigma=0.1)
+            assert trace.tobytes() == want_trace.tobytes()
+            assert state.mu.tobytes() == want_state.mu.tobytes()
+            assert state.rho.tobytes() == want_state.rho.tobytes()
+            assert (state.step, state.seed) == (want_state.step, want_state.seed)
+        # final states are rows of one stack, not copies
+        assert all(state.mu.base is fits[0][0].mu.base for state, _ in fits)
+        return fits
+
+    def test_full_batch_matches_separate_fits(self):
+        prior, shape = designed_f2(100)
+        f0 = log_singular_function()
+        datasets = [generate_dataset(f0, 100, 0.1, seed) for seed in (3, 4, 5)]
+        configs = [TrainConfig(iterations=200, learning_rate=0.01, seed=seed)
+                   for seed in (3, 4, 5)]
+        self.assert_fits_match(shape, datasets, prior, configs)
+
+    def test_minibatch_matches_separate_fits(self):
+        prior, shape = designed_f2(64)
+        f0 = log_singular_function()
+        datasets = [generate_dataset(f0, 64, 0.1, seed) for seed in (7, 8, 9)]
+        configs = [TrainConfig(iterations=60, batch_size=16, learning_rate=0.01, seed=seed)
+                   for seed in (7, 8, 9)]
+        self.assert_fits_match(shape, datasets, prior, configs)
+
+    def test_diverged_replicate_leaves_the_stack(self):
+        prior, shape = designed_f2(50)
+        f0 = log_singular_function()
+        datasets = [generate_dataset(f0, 50, 0.1, seed) for seed in (1, 2, 3)]
+        bad = datasets[1]
+        datasets[1] = Dataset(x=bad.x, y=bad.y * 1e200, noise_sd=bad.noise_sd, seed=bad.seed)
+        configs = [TrainConfig(iterations=40, learning_rate=0.01, seed=seed)
+                   for seed in (1, 2, 3)]
+
+        def separate():
+            out = []
+            for data, config in zip(datasets, configs):
+                try:
+                    out.append(train(shape, data, prior, config, sigma=0.1))
+                except TrainingDiverged as exc:
+                    out.append(exc)
+            return out
+
+        want, want_warnings = warning_messages(separate)
+        fits, got_warnings = warning_messages(
+            lambda: train_replicates(shape, datasets, prior, configs, sigma=0.1))
+        assert got_warnings <= want_warnings
+        assert isinstance(want[1], TrainingDiverged) and isinstance(fits[1], TrainingDiverged)
+        assert fits[1].step == want[1].step == 0
+        assert not math.isfinite(fits[1].value)
+        for r in (0, 2):
+            assert fits[r][1].tobytes() == want[r][1].tobytes()
+            assert fits[r][0].mu.tobytes() == want[r][0].mu.tobytes()
+            assert fits[r][0].rho.tobytes() == want[r][0].rho.tobytes()
+
+    @pytest.mark.parametrize("other", [
+        dict(iterations=6), dict(batch_size=4), dict(learning_rate=0.02)])
+    def test_configs_may_differ_only_in_seed(self, other):
+        _, data = small_data(n=20)
+        shape = NetworkShape(d_in=1, hidden_widths=(3,))
+        base = dict(iterations=5, batch_size=0, learning_rate=0.01)
+        configs = [TrainConfig(**base, seed=0), TrainConfig(**{**base, **other}, seed=1)]
+        with pytest.raises(ValueError, match="differ only in seed"):
+            train_replicates(shape, [data, data], FlatDensity(), configs)
+
+    def test_datasets_must_match_configs_and_each_other(self):
+        _, data = small_data(n=20)
+        _, short = small_data(n=19)
+        shape = NetworkShape(d_in=1, hidden_widths=(3,))
+        configs = [TrainConfig(iterations=5, seed=s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="share n"):
+            train_replicates(shape, [data, short], FlatDensity(), configs)
+        with pytest.raises(ValueError, match="one dataset per config"):
+            train_replicates(shape, [data], FlatDensity(), configs)
+        with pytest.raises(ValueError, match="one dataset per config"):
+            train_replicates(shape, [], FlatDensity(), [])
 
 
 class TestPosteriorPredictive:
