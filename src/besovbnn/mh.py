@@ -2,7 +2,9 @@
 
 Desk-scale only (a hard cap on the parameter count): the chain exists to
 cross-validate the variational posterior on tiny models, not to sample the
-table-sized networks.
+table-sized networks.  The target is evaluated by a forward pass only
+(`network.loglik`), and the current point and the proposal live in two
+buffers whose network views are built once per chain.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
+from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik
+from .network import loglik_and_grad  # unused: kept as the benchmark tracer's lookup site
 from .testbed import Dataset
 
 __all__ = ["MHConfig", "MHResult", "mh_sample", "compare_vi_mh"]
@@ -44,15 +47,13 @@ class MHResult:
     shape: NetworkShape
 
 
-def _log_target(theta, shape, data, prior, sigma, buffers):
+def _log_target(theta, params, data, prior, sigma, buffers):
+    """log prior + log-likelihood at theta, whose network views are params;
+    the prior alone without data, and a non-finite prior as it is."""
     lp = prior.log_density_sum(theta)
-    if not math.isfinite(lp):
+    if not math.isfinite(lp) or buffers is None:
         return lp
-    if data is None or data.n == 0:
-        return lp
-    params = NetworkParams.from_flat(shape, theta)
-    ll, _ = loglik_and_grad(params, data.x, data.y, sigma, buffers=buffers)
-    return lp + ll
+    return lp + loglik(params, data.x, data.y, sigma, buffers=buffers)
 
 
 def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
@@ -66,9 +67,13 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     if T > MAX_PARAMS:
         raise ValueError(f"parameter count {T} exceeds the desk-scale cap {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(T) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(T) if theta0 is None else np.array(theta0, dtype=float)
+    prop = np.empty(T)
+    # Network views of the two points; they swap with the buffers on accept.
+    params = NetworkParams.from_flat(shape, theta)
+    prop_params = NetworkParams.from_flat(shape, prop)
     buffers = None if data is None or data.n == 0 else PassBuffers(shape, data.n)
-    log_p = _log_target(theta, shape, data, prior, sigma, buffers)
+    log_p = _log_target(theta, params, data, prior, sigma, buffers)
     if not math.isfinite(log_p):
         raise ValueError("non-finite target at the initial point")
 
@@ -79,11 +84,15 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     accept_window = 0
     window = 100
     for step in range(config.steps):
-        prop = theta + sd * rng.standard_normal(T)
-        log_p_prop = _log_target(prop, shape, data, prior, sigma, buffers)
+        # prop = theta + sd * z, the same doubles written in place.
+        rng.standard_normal(out=prop)
+        prop *= sd
+        prop += theta
+        log_p_prop = _log_target(prop, prop_params, data, prior, sigma, buffers)
         accept = math.log(rng.random()) < log_p_prop - log_p
         if accept:
-            theta = prop
+            theta, prop = prop, theta
+            params, prop_params = prop_params, params
             log_p = log_p_prop
         if step < config.burn_in:
             accept_window += accept

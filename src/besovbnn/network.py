@@ -1,5 +1,6 @@
 """Fully connected ReLU networks: evaluation, sparsity accounting, coordinate
-thresholding, and exact reverse-mode gradients of the Gaussian log-likelihood.
+thresholding, and the Gaussian log-likelihood with or without its exact
+reverse-mode gradient.
 
 Parameter flattening order is part of the checkpoint contract: layer-major,
 weights before biases within a layer, weight matrices in row-major order.
@@ -17,6 +18,7 @@ __all__ = [
     "forward",
     "membership",
     "truncate",
+    "loglik",
     "loglik_and_grad",
     "PassBuffers",
 ]
@@ -184,12 +186,14 @@ def truncate(params: NetworkParams, a: float) -> NetworkParams:
 
 
 class PassBuffers:
-    """Work arrays of one `loglik_and_grad` call for a network shape, n data
-    points and a stack of R networks (stack=R) or one (stack=None): the
-    hidden activations, their ReLU masks, the backward deltas, the output
-    column and the flat gradient, each with a leading axis R for a stack.
-    `grad_w[l]` and `grad_b[l]` are views into `grad` in the flattening
-    order, so the layers' gradients land in the flat vectors without a copy."""
+    """Work arrays of one `loglik_and_grad` or `loglik` call for a network
+    shape, n data points and a stack of R networks (stack=R) or one
+    (stack=None): the hidden activations, their ReLU masks, the backward
+    deltas, the output column and the flat gradient, each with a leading
+    axis R for a stack.  `grad_w[l]` and `grad_b[l]` are views into `grad`
+    in the flattening order, so the layers' gradients land in the flat
+    vectors without a copy.  `loglik` uses only the activations and the
+    output column."""
 
     def __init__(self, shape: NetworkShape, n: int, stack: int | None = None):
         hidden = shape.layer_widths[1:-1]
@@ -213,21 +217,11 @@ class PassBuffers:
             )
 
 
-def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
-                    buffers: PassBuffers | None = None):
-    """Gaussian log-likelihood sum_i log N(y_i | f(x_i), sigma^2) and its exact
-    gradient in the flattened parameters by reverse accumulation.
-
-    For one network x is (n, d) and y (n,), and the log-likelihood is a
-    float.  For a stack of R networks x is (R, n, d) and y (R, n): row r of
-    the stack is evaluated on row r of the data, and the log-likelihoods
-    (R,) and gradients (R, T) equal those of R separate calls bit for bit.
-
-    The ReLU subgradient at exactly 0 is taken to be 0.  The pass runs in
-    `buffers` (a PassBuffers for params.shape, n and the stack), and the
-    returned gradient is `buffers.grad`, overwritten by the next call with
-    the same set; without one a fresh set is allocated.
-    """
+def _forward_loglik(params: NetworkParams, x, y, sigma: float,
+                    buffers: PassBuffers | None):
+    """Checked forward pass shared by `loglik` and `loglik_and_grad`: the
+    log-likelihood, the residuals y - f, the layer inputs (x, then the hidden
+    post-activations) and the buffer set the pass ran in."""
     if sigma <= 0:
         raise ValueError("need sigma > 0")
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -254,10 +248,37 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
     f = buffers.out[..., 0]
 
     resid = y - f
-    loglik = (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
-              - 0.5 * np.sum(resid**2, axis=-1) / sigma**2)
+    ll = (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
+          - 0.5 * (resid**2).sum(axis=-1) / sigma**2)
     if params.stack is None:
-        loglik = float(loglik)
+        ll = float(ll)
+    return ll, resid, acts, buffers
+
+
+def loglik(params: NetworkParams, x, y, sigma: float, buffers: PassBuffers | None = None):
+    """Gaussian log-likelihood sum_i log N(y_i | f(x_i), sigma^2) by a
+    forward pass only: the first value `loglik_and_grad` returns, bit for
+    bit, with the same shapes, checks and buffer contract."""
+    return _forward_loglik(params, x, y, sigma, buffers)[0]
+
+
+def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
+                    buffers: PassBuffers | None = None):
+    """Gaussian log-likelihood sum_i log N(y_i | f(x_i), sigma^2) and its exact
+    gradient in the flattened parameters by reverse accumulation.
+
+    For one network x is (n, d) and y (n,), and the log-likelihood is a
+    float.  For a stack of R networks x is (R, n, d) and y (R, n): row r of
+    the stack is evaluated on row r of the data, and the log-likelihoods
+    (R,) and gradients (R, T) equal those of R separate calls bit for bit.
+
+    The ReLU subgradient at exactly 0 is taken to be 0.  The pass runs in
+    `buffers` (a PassBuffers for params.shape, n and the stack), and the
+    returned gradient is `buffers.grad`, overwritten by the next call with
+    the same set; without one a fresh set is allocated.
+    """
+    ll, resid, acts, buffers = _forward_loglik(params, x, y, sigma, buffers)
+    weights = params.weights
 
     # Backward pass: dL/df = resid / sigma^2.  A post-activation is > 0
     # exactly where its pre-activation is.
@@ -269,4 +290,4 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
             mask = np.greater(acts[l], 0.0, out=buffers.masks[l - 1])
             delta = np.matmul(delta, weights[l].swapaxes(-1, -2), out=buffers.deltas[l - 1])
             delta *= mask
-    return loglik, buffers.grad
+    return ll, buffers.grad

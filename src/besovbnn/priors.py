@@ -299,8 +299,11 @@ class DensityHandle:
         """log P(|X| > c)."""
         raise NotImplementedError
 
-    def log_density_sum(self, theta_vec) -> float:
-        return float(np.sum(self.log_pdf(np.asarray(theta_vec, dtype=float))))
+    def log_density_sum(self, theta_vec):
+        """Sum of log_pdf over the last axis: a float for a vector (T,), an
+        array (R,) for a stack of vectors (R, T)."""
+        total = self.log_pdf(np.asarray(theta_vec, dtype=float)).sum(axis=-1)
+        return float(total) if np.ndim(total) == 0 else total
 
 
 class GaussianDensity(DensityHandle):

@@ -28,7 +28,6 @@ __all__ = [
     "StepBuffers",
     "softplus",
     "frozen_elbo",
-    "elbo_estimate",
     "elbo_gradient",
     "train",
     "train_replicates",
@@ -134,21 +133,19 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite ELBO ({value}) at step {step}")
 
 
-def _draw_zetas(T: int, mc: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((mc, T))
-
-
-def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None) -> float:
+def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None):
     """Single-sample ELBO at theta = mu + sq * zeta, given the log-likelihood
-    ll of the data at theta; `work`, if given, is overwritten scratch.
+    ll of the data at theta; `work`, if given, is overwritten scratch.  For
+    vectors (T,) it is a float; for stacks (R, T), with ll (R,), it is (R,),
+    every sum running over the last axis.
 
     log q at the sampled theta reduces to -sum(log sigma_q) - T/2 log 2pi
     - |zeta|^2/2, so the pathwise theta-dependence of the entropy cancels.
     """
-    neg_log_q = (np.sum(np.log(sq, out=work)) + 0.5 * theta.size * _LOG_2PI
-                 + 0.5 * np.sum(np.square(zeta, out=work)))
-    return float(n_weight * ll + prior.log_density_sum(theta) + neg_log_q)
+    neg_log_q = (np.sum(np.log(sq, out=work), axis=-1) + 0.5 * theta.shape[-1] * _LOG_2PI
+                 + 0.5 * np.sum(np.square(zeta, out=work), axis=-1))
+    elbo = n_weight * ll + prior.log_density_sum(theta) + neg_log_q
+    return float(elbo) if theta.ndim == 1 else elbo
 
 
 def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
@@ -162,23 +159,6 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
     theta = np.asarray(mu, dtype=float) + sq * zeta
     ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
     return _elbo(ll, theta, zeta, sq, prior, n_weight)
-
-
-def elbo_estimate(state: VariationalState, shape: NetworkShape, data: Dataset,
-                  prior, sigma: float, mc: int, seed: int) -> float:
-    """Monte Carlo ELBO: E_q[log p(D|theta) + log pi(theta) - log q(theta)]."""
-    if mc < 1:
-        raise ValueError("need mc >= 1")
-    if state.T != shape.n_params:
-        raise ValueError("state length does not match the network shape")
-    zetas = _draw_zetas(state.T, mc, seed)
-    sq = state.sigma_q
-    total = 0.0
-    for zeta in zetas:
-        theta = state.mu + sq * zeta
-        ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), data.x, data.y, sigma)
-        total += _elbo(ll, theta, zeta, sq, prior)
-    return float(total / mc)
 
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
@@ -216,10 +196,9 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     theta += state.mu
     ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma,
                                buffers=b.network)
-    # One prior call per row, so each row sums as a separate call does.
-    rows = zip(np.reshape(ll, -1), *(a.reshape(-1, T) for a in (theta, zeta, sq, b.work)))
-    objective = [_elbo(l, t, z, s, prior, n_weight, work=w) for l, t, z, s, w in rows]
-    objective = objective[0] if stack is None else np.array(objective)
+    # Row sums over the last axis equal separate per-row sums bit for bit
+    # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
+    objective = _elbo(ll, theta, zeta, sq, prior, n_weight, work=b.work)
     g_mu = np.multiply(g_ll, n_weight, out=b.g_mu)
     g_mu += prior.grad_log_pdf(theta)
     g_rho = np.multiply(g_mu, zeta, out=b.g_rho)

@@ -5,7 +5,7 @@ import pytest
 
 from besovbnn import mh
 from besovbnn.mh import MHConfig, MHResult, compare_vi_mh, mh_sample
-from besovbnn.network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
+from besovbnn.network import NetworkParams, NetworkShape, PassBuffers, forward, loglik
 from besovbnn.priors import make_density
 from besovbnn.testbed import generate_dataset, tabulated_function
 
@@ -97,9 +97,9 @@ class TestWithData:
 
         def fresh_call(params, x, y, sigma, buffers=None):
             seen.append(buffers)
-            return loglik_and_grad(params, x, y, sigma)
+            return loglik(params, x, y, sigma)
 
-        monkeypatch.setattr(mh, "loglik_and_grad", fresh_call)
+        monkeypatch.setattr(mh, "loglik", fresh_call)
         want = mh_sample(TINY_SHAPE, data, prior, 0.1, config)
         monkeypatch.undo()
         got = mh_sample(TINY_SHAPE, data, prior, 0.1, config)

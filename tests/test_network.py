@@ -10,6 +10,7 @@ from besovbnn.network import (
     NetworkShape,
     PassBuffers,
     forward,
+    loglik,
     loglik_and_grad,
     membership,
     truncate,
@@ -349,3 +350,37 @@ class TestProperties:
         for wrong in (PassBuffers(shape, n), PassBuffers(shape, n, stack + 1)):
             with pytest.raises(ValueError, match="buffers built for"):
                 loglik_and_grad(params, x, y, 0.3, buffers=wrong)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(shape=shapes, stack=st.one_of(st.none(), st.integers(1, 4)), n=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forward_only_loglik_matches(self, shape, stack, n, seed):
+        # loglik is loglik_and_grad's value bit for bit, with or without
+        # buffers, and both reject the same bad inputs
+        rng = np.random.default_rng(seed)
+        lead = () if stack is None else (stack,)
+        params = NetworkParams.from_flat(shape, 0.5 * rng.standard_normal((*lead, shape.n_params)))
+        x = rng.uniform(-1, 1, (*lead, n, shape.d_in))
+        y = rng.standard_normal((*lead, n))
+        want, _ = loglik_and_grad(params, x, y, 0.3)
+        buffers = PassBuffers(shape, n, stack)
+        for got in (loglik(params, x, y, 0.3), loglik(params, x, y, 0.3, buffers=buffers)):
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        wrong_buffers = (PassBuffers(shape, n + 1, stack),
+                         PassBuffers(shape, n, 1 if stack is None else None))
+        bad_calls = [
+            ((params, x, y, 0.0), "sigma"),
+            ((params, x, y, -1.0), "sigma"),
+            ((params, x, y[..., :-1], 0.3), "length mismatch"),
+            ((params, x[..., :-1, :], y, 0.3), "length mismatch"),
+            ((params, x[0], y[0], 0.3) if stack else (params, x[None], y[None], 0.3),
+             "stack"),
+        ]
+        for fn in (loglik, loglik_and_grad):
+            for args, match in bad_calls:
+                with pytest.raises(ValueError, match=match):
+                    fn(*args)
+            for wrong in wrong_buffers:
+                with pytest.raises(ValueError, match="buffers built for"):
+                    fn(params, x, y, 0.3, buffers=wrong)

@@ -414,3 +414,52 @@ class TestDensityRegistry:
         assert g.log_pdf(2.5) == -math.inf
         assert g.log_tail_mass(1.0) == pytest.approx(math.log(0.5))
         assert g.log_tail_mass(2.0) == -math.inf
+
+
+# Every registered density, the flat one, and a mixture whose spike is wide
+# enough for ordinary coordinates to fall inside its cut (every coordinate
+# then takes the two-component path, so its largest size is left out).
+SUM_DENSITIES = {
+    "mixture-designed": lambda: make_density("mixture", mixture_spec=DESIGNED_SPECS["f2-n100"]),
+    "mixture-wide-spike": lambda: make_density("mixture", mixture_spec=OTHER_SPECS["wide-spike"]),
+    "gauss": lambda: make_density("gauss", sigma=0.7),
+    "laplace": lambda: make_density("laplace", scale=0.5),
+    "uniform-slab": lambda: make_density("uniform-slab", B=0.5),
+    "flat": FlatDensity,
+}
+
+
+def _stack_rows(g, R_max, T, seed):
+    """R_max rows of T coordinates at VI-like scales; mixture rows also put
+    every 7th coordinate inside the spike cut, and uniform-slab rows 1 and 3
+    each carry one coordinate outside the slab."""
+    rng = np.random.default_rng(seed)
+    theta = 0.05 * rng.standard_normal((R_max, T))
+    if g.name == "mixture":
+        sigma1 = math.exp(g.spec.log_sigma1)
+        inside = theta[:, ::7]
+        inside *= sigma1 / 0.05
+        assert np.all(np.abs(inside) < reference_cut(g.spec))
+    if g.name == "uniform-slab":
+        theta[1, T // 2] = 1.0
+        theta[3, -1] = -1.0
+    return theta
+
+
+class TestStackedLogDensitySum:
+    @pytest.mark.parametrize("name,T", [
+        (name, T) for name in sorted(SUM_DENSITIES) for T in (13, 673, 8191, 483001)
+        if (name, T) != ("mixture-wide-spike", 483001)])
+    def test_rows_equal_per_row_calls(self, name, T):
+        # numpy does not promise that a sum over the last axis of (R, T)
+        # rounds as R separate sums; the stacked ELBO relies on it
+        g = SUM_DENSITIES[name]()
+        theta = _stack_rows(g, 20, T, seed=T)
+        per_row = [g.log_density_sum(row) for row in theta]
+        assert all(type(v) is float for v in per_row)
+        if name == "uniform-slab":
+            assert per_row[1] == per_row[3] == -math.inf and math.isfinite(per_row[0])
+        for R in (1, 2, 5, 20):
+            got = g.log_density_sum(theta[:R])
+            assert isinstance(got, np.ndarray) and got.shape == (R,)
+            assert got.tobytes() == np.array(per_row[:R]).tobytes()

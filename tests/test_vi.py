@@ -22,7 +22,6 @@ from besovbnn.vi import (
     TrainingDiverged,
     VariationalState,
     _init_state,
-    elbo_estimate,
     elbo_gradient,
     frozen_elbo,
     load_checkpoint,
@@ -86,36 +85,6 @@ class TestKLAgainstClosedForm:
         assert np.mean(diffs) == pytest.approx(
             0.0, abs=3 * np.std(diffs) / math.sqrt(100_000) + 1e-12
         )
-
-
-class TestElboEstimate:
-    def test_flat_prior_identity(self):
-        # with a flat prior the ELBO is exactly the frozen-noise objective
-        # averaged over the same seeded noise draws
-        shape = NetworkShape(d_in=1, hidden_widths=(4,))
-        _, data = small_data()
-        state = make_state(shape, mu_val=0.1, sigma_q=0.05)
-        prior = FlatDensity()
-        seed, mc = 13, 8
-        est = elbo_estimate(state, shape, data, prior, sigma=0.1, mc=mc, seed=seed)
-        zetas = np.random.default_rng(seed).standard_normal((mc, state.T))
-        manual = np.mean(
-            [
-                frozen_elbo(state.mu, state.rho, z, shape, data.x, data.y, prior, 0.1)
-                for z in zetas
-            ]
-        )
-        assert est == pytest.approx(manual, rel=1e-12)
-
-    def test_invalid_args(self):
-        shape = NetworkShape(d_in=1, hidden_widths=(3,))
-        _, data = small_data()
-        state = make_state(shape)
-        with pytest.raises(ValueError):
-            elbo_estimate(state, shape, data, FlatDensity(), 0.1, mc=0, seed=0)
-        bad = VariationalState(mu=np.zeros(5), rho=np.zeros(5))
-        with pytest.raises(ValueError):
-            elbo_estimate(bad, shape, data, FlatDensity(), 0.1, mc=1, seed=0)
 
 
 class TestElboGradient:
