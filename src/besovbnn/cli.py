@@ -73,10 +73,23 @@ def _parse_n_list(text: str, minimum: int = 1) -> list[int]:
     return ns
 
 
-def _check_draws(args) -> None:
-    """Reject a posterior sample too small to summarize before any training."""
+def _check_fit_args(args) -> None:
+    """Reject fit, predict and rate-study flags that no run can use (NaN
+    included) before any data generation or training."""
     if args.draws < 2:
         raise ArgumentError(f"--draws must be at least 2, got {args.draws}")
+    if not 0.0 < args.alpha < 1.0:
+        raise ArgumentError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if args.grid_points < 1:
+        raise ArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.iterations < 1:
+        raise ArgumentError(f"--iterations must be at least 1, got {args.iterations}")
+    if not args.learning_rate > 0.0:
+        raise ArgumentError(f"--learning-rate must be positive, got {args.learning_rate}")
+    if args.batch_size < 0:
+        raise ArgumentError(f"--batch-size must be >= 0, got {args.batch_size}")
+    if not args.noise_sd > 0.0:
+        raise ArgumentError(f"--noise-sd must be positive, got {args.noise_sd}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -208,7 +221,7 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
 
 
 def cmd_fit(args) -> int:
-    _check_draws(args)
+    _check_fit_args(args)
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("fit requires a built-in --function (f1 or f2)")
@@ -271,7 +284,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_draws(args)
+    _check_fit_args(args)
     checkpoint = Path(args.checkpoint)
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
@@ -334,7 +347,7 @@ def fit_rate_slope(ns, errors) -> float:
 
 
 def cmd_rate_study(args) -> int:
-    _check_draws(args)
+    _check_fit_args(args)
     if args.replicates < 1:
         raise ArgumentError(f"--replicates must be at least 1, got {args.replicates}")
     spec, f0 = _smoothness_from_args(args)

@@ -154,25 +154,32 @@ def _two_component(a: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     return np.flatnonzero(np.logical_not(slab, out=slab))
 
 
-def mixture_log_density(theta, spec: MixturePriorSpec):
-    """log g(theta) for the two-component Gaussian mixture, elementwise.
+def mixture_log_density(theta, spec: MixturePriorSpec, out=None):
+    """log g(theta) for the two-component Gaussian mixture, elementwise,
+    written into `out` (a C-contiguous float array of theta's shape) when
+    it is given, with the same bits.
 
     Coordinates past the spike cut take the closed-form slab term, which is
     what logsumexp of the two components returns there, bit for bit.
     """
     t = np.asarray(theta, dtype=float).ravel()
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     c = math.log(spec.pi2) - math.log(spec.sigma2) - 0.5 * _LOG_2PI
-    out = np.abs(t)  # |t| first, so the slab term reuses the array
-    near = _two_component(out, spec)
+    # |t| first, so the slab term reuses the array
+    flat = np.abs(t, out=None if out is None else out.reshape(-1))
+    near = _two_component(flat, spec)
     with np.errstate(over="ignore"):
-        np.square(np.divide(t, spec.sigma2, out=out), out=out)
-    out *= 0.5
-    np.subtract(c, out, out=out)
+        np.square(np.divide(t, spec.sigma2, out=flat), out=flat)
+    flat *= 0.5
+    np.subtract(c, flat, out=flat)
     if near.size:
-        out[near] = logsumexp(_mixture_log_terms(t[near], spec), axis=0)
+        flat[near] = logsumexp(_mixture_log_terms(t[near], spec), axis=0)
+    if out is not None:
+        return out
     if np.ndim(theta) == 0:
-        return float(out[0])
-    return out.reshape(np.shape(theta))
+        return float(flat[0])
+    return flat.reshape(np.shape(theta))
 
 
 def _mixture_grad_log_density(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
@@ -284,12 +291,24 @@ def arch_prior_sample(spec: ArchPriorSpec, seed: int):
 # Density handles
 
 
+def _into(values, out):
+    """values, copied into out when an out array is given."""
+    if out is None:
+        return values
+    np.copyto(out, values)
+    return out
+
+
 class DensityHandle:
-    """Symmetric univariate density usable as a coordinatewise prior."""
+    """Symmetric univariate density usable as a coordinatewise prior.
+
+    `log_pdf(t, out=None)` writes its values into `out`, a C-contiguous
+    float array of t's shape, when one is given; the bits are the same
+    either way."""
 
     name = "abstract"
 
-    def log_pdf(self, t):
+    def log_pdf(self, t, out=None):
         raise NotImplementedError
 
     def grad_log_pdf(self, t):
@@ -299,10 +318,12 @@ class DensityHandle:
         """log P(|X| > c)."""
         raise NotImplementedError
 
-    def log_density_sum(self, theta_vec):
+    def log_density_sum(self, theta_vec, out=None):
         """Sum of log_pdf over the last axis: a float for a vector (T,), an
-        array (R,) for a stack of vectors (R, T)."""
-        total = self.log_pdf(np.asarray(theta_vec, dtype=float)).sum(axis=-1)
+        array (R,) for a stack of vectors (R, T).  The log_pdf values go to
+        `out` when it is given, so a caller's scratch array stands in for a
+        T-length temporary."""
+        total = self.log_pdf(np.asarray(theta_vec, dtype=float), out=out).sum(axis=-1)
         return float(total) if np.ndim(total) == 0 else total
 
 
@@ -314,9 +335,10 @@ class GaussianDensity(DensityHandle):
             raise ValueError("need sigma > 0")
         self.sigma = sigma
 
-    def log_pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return -0.5 * _LOG_2PI - math.log(self.sigma) - 0.5 * np.square(t / self.sigma)
+    def log_pdf(self, t, out=None):
+        z = np.square(np.divide(np.asarray(t, dtype=float), self.sigma, out=out), out=out)
+        z = np.multiply(z, 0.5, out=out)
+        return np.subtract(-0.5 * _LOG_2PI - math.log(self.sigma), z, out=out)
 
     def grad_log_pdf(self, t):
         return -np.asarray(t, dtype=float) / self.sigma**2
@@ -333,9 +355,9 @@ class LaplaceDensity(DensityHandle):
             raise ValueError("need scale > 0")
         self.scale = scale
 
-    def log_pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return -math.log(2.0 * self.scale) - np.abs(t) / self.scale
+    def log_pdf(self, t, out=None):
+        z = np.divide(np.abs(np.asarray(t, dtype=float), out=out), self.scale, out=out)
+        return np.subtract(-math.log(2.0 * self.scale), z, out=out)
 
     def grad_log_pdf(self, t):
         # subgradient 0 at t = 0
@@ -355,9 +377,9 @@ class UniformSlabDensity(DensityHandle):
             raise ValueError("need B > 0")
         self.B = B
 
-    def log_pdf(self, t):
+    def log_pdf(self, t, out=None):
         t = np.asarray(t, dtype=float)
-        return np.where(np.abs(t) <= self.B, -math.log(2.0 * self.B), -np.inf)
+        return _into(np.where(np.abs(t) <= self.B, -math.log(2.0 * self.B), -np.inf), out)
 
     def grad_log_pdf(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
@@ -375,8 +397,8 @@ class MixtureDensity(DensityHandle):
     def __init__(self, spec: MixturePriorSpec):
         self.spec = spec
 
-    def log_pdf(self, t):
-        return mixture_log_density(t, self.spec)
+    def log_pdf(self, t, out=None):
+        return mixture_log_density(t, self.spec, out=out)
 
     def grad_log_pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -406,8 +428,8 @@ class FlatDensity(DensityHandle):
 
     name = "flat"
 
-    def log_pdf(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def log_pdf(self, t, out=None):
+        return _into(np.zeros_like(np.asarray(t, dtype=float)), out)
 
     def grad_log_pdf(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))

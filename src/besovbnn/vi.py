@@ -42,6 +42,7 @@ CHECKPOINT_SCHEMA_VERSION = 1
 FLATTEN_ORDER = "layer-major:weights-then-biases:row-major"
 INIT_SIGMA_Q = 1e-2  # initial posterior scale of every coordinate
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+TAIL_BLOCK = 32_768  # elements per block, across the stack, of a step's elementwise tail
 
 
 def softplus(rho, out=None):
@@ -111,19 +112,41 @@ class TrainConfig:
 
 class StepBuffers:
     """Work arrays of one `elbo_gradient` call for a network shape, batch
-    size and a stack of R states (stack=R) or one (stack=None): the noise
-    draw, sigma_q, sigmoid(rho), theta, the two gradients, a scratch vector
-    and mask of length T, each with a leading axis R for a stack, and the
-    network pass's PassBuffers.  `train_replicates` builds one set per
-    stack and reuses it on every step."""
+    size and a stack of R states (stack=R) or one (stack=None).
+
+    Length T, with a leading axis R for a stack: the noise draw zeta,
+    sigma_q, sigmoid(rho) and theta, plus the network pass's PassBuffers,
+    whose `grad` is the fifth, and `params`, the NetworkParams views of
+    theta.  The elementwise tail after the network pass runs over column
+    blocks of `width` (TAIL_BLOCK elements across the stack), so g_mu,
+    g_rho, the scratch pair `work` and the bool `mask` are one block wide.
+    `train_replicates` builds one set per stack and reuses it on every step.
+    """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None):
-        size = (shape.n_params,) if stack is None else (stack, shape.n_params)
-        self.zeta, self.sq, self.sig, self.theta, self.g_mu, self.g_rho, self.work = (
-            np.empty(size) for _ in range(7)
-        )
-        self.mask = np.empty(size, dtype=bool)
+        T = shape.n_params
+        lead = () if stack is None else (stack,)
+        self.zeta, self.sq, self.sig, self.theta = (np.empty((*lead, T)) for _ in range(4))
         self.network = PassBuffers(shape, batch, stack)
+        self.params = NetworkParams.from_flat(shape, self.theta)
+        self.width = min(T, max(1, TAIL_BLOCK // (stack or 1)))
+        self.g_mu, self.g_rho, *self.work = (np.empty((*lead, self.width)) for _ in range(4))
+        self.mask = np.empty((*lead, self.width), dtype=bool)
+
+    def blocks(self):
+        """The column slices of the tail's blocks, in order."""
+        T = self.theta.shape[-1]
+        return [slice(a, min(a + self.width, T)) for a in range(0, T, self.width)]
+
+    def rows(self, keep) -> "StepBuffers":
+        """A set for the stack rows `keep` that holds their part of the step
+        this set last ran, up to the tail."""
+        shape, n = self.network.shape, self.network.n
+        kept = StepBuffers(shape, n, len(keep))
+        for name in ("zeta", "sq", "theta"):
+            getattr(kept, name)[...] = getattr(self, name)[keep]
+        kept.network.grad[...] = self.network.grad[keep]
+        return kept
 
 
 class TrainingDiverged(RuntimeError):
@@ -135,7 +158,8 @@ class TrainingDiverged(RuntimeError):
 
 def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None):
     """Single-sample ELBO at theta = mu + sq * zeta, given the log-likelihood
-    ll of the data at theta; `work`, if given, is overwritten scratch.  For
+    ll of the data at theta; `work`, if given, is overwritten scratch of
+    theta's shape that holds each summand in turn.  For
     vectors (T,) it is a float; for stacks (R, T), with ll (R,), it is (R,),
     every sum running over the last axis.
 
@@ -144,7 +168,7 @@ def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None):
     """
     neg_log_q = (np.sum(np.log(sq, out=work), axis=-1) + 0.5 * theta.shape[-1] * _LOG_2PI
                  + 0.5 * np.sum(np.square(zeta, out=work), axis=-1))
-    elbo = n_weight * ll + prior.log_density_sum(theta) + neg_log_q
+    elbo = n_weight * ll + prior.log_density_sum(theta, out=work) + neg_log_q
     return float(elbo) if theta.ndim == 1 else elbo
 
 
@@ -163,7 +187,8 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
                   prior, sigma: float, seed, x=None, y=None,
-                  n_weight: float = 1.0, buffers: StepBuffers | None = None):
+                  n_weight: float = 1.0, buffers: StepBuffers | None = None,
+                  gradients: bool = True):
     """Pathwise gradient of the single-sample ELBO with respect to (mu, rho)
     for the noise draw of `seed`.
 
@@ -174,8 +199,10 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
-    n and the stack), and g_mu and g_rho are its arrays, overwritten by the
-    next call with the same set; without one a fresh set is allocated.
+    n and the stack; without one a fresh set is allocated), and g_mu and
+    g_rho are new arrays filled block by block through `_gradient_block`.
+    With gradients=False they are None: the step stops before the tail,
+    which the caller runs on `buffers` block by block.
     """
     if x is None:
         x, y = data.x, data.y
@@ -189,22 +216,36 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
         raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
     for z, s in zip(b.zeta.reshape(-1, T), seeds):
         np.random.default_rng(s).standard_normal(out=z)
-    zeta = b.zeta
     sq = softplus(state.rho, out=b.sq)
-    sig = _sigmoid(state.rho, out=b.sig, work=b.work, mask=b.mask)
-    theta = np.multiply(sq, zeta, out=b.theta)
+    theta = np.multiply(sq, b.zeta, out=b.theta)
     theta += state.mu
-    ll, g_ll = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma,
-                               buffers=b.network)
+    ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
     # Row sums over the last axis equal separate per-row sums bit for bit
     # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
-    objective = _elbo(ll, theta, zeta, sq, prior, n_weight, work=b.work)
-    g_mu = np.multiply(g_ll, n_weight, out=b.g_mu)
-    g_mu += prior.grad_log_pdf(theta)
-    g_rho = np.multiply(g_mu, zeta, out=b.g_rho)
-    g_rho *= sig
-    g_rho += np.divide(sig, sq, out=b.work)  # entropy term d/drho sum log sigma_q
+    # sig is the sums' scratch until the tail fills it.
+    objective = _elbo(ll, theta, b.zeta, sq, prior, n_weight, work=b.sig)
+    if not gradients:
+        return objective, None, None
+    g_mu, g_rho = np.empty_like(theta), np.empty_like(theta)
+    for cols in b.blocks():
+        g_mu[..., cols], g_rho[..., cols] = _gradient_block(b, state.rho, cols, prior, n_weight)
     return objective, g_mu, g_rho
+
+
+def _gradient_block(b: StepBuffers, rho, cols: slice, prior, n_weight: float):
+    """The tail of the step in `b` on the columns `cols`: sigmoid(rho) into
+    b.sig, then g_mu and g_rho into b's block arrays, whose views it
+    returns.  Every coordinate takes the operations of the whole-vector
+    formula in the same order, so the values do not depend on the blocks."""
+    w = cols.stop - cols.start
+    work, mask = b.work[0][..., :w], b.mask[..., :w]
+    sig = _sigmoid(rho[..., cols], out=b.sig[..., cols], work=work, mask=mask)
+    g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=b.g_mu[..., :w])
+    g_mu += prior.grad_log_pdf(b.theta[..., cols])
+    g_rho = np.multiply(g_mu, b.zeta[..., cols], out=b.g_rho[..., :w])
+    g_rho *= sig
+    g_rho += np.divide(sig, b.sq[..., cols], out=work)  # entropy term d/drho sum log sigma_q
+    return g_mu, g_rho
 
 
 def _init_state(shape: NetworkShape, config: TrainConfig, mu=None, rho=None) -> VariationalState:
@@ -239,7 +280,8 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
 
 def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float = 0.1):
     """Train one fit per (dataset, config) pair in lockstep, each step one
-    stacked `elbo_gradient` call and one stacked Adam update.
+    stacked `elbo_gradient` call up to the network pass and the ELBO, then
+    the gradient and the Adam updates of the stack block by block.
 
     The configs may differ only in `seed`, and the datasets must share n
     and d.  Each replicate keeps its own initial state, minibatch and noise
@@ -273,7 +315,6 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
 
     buffers = StepBuffers(shape, batch, R)
     m_mu, v_mu, m_rho, v_rho = (np.zeros((R, T)) for _ in range(4))  # Adam moments
-    scratch = (np.empty((R, T)), np.empty((R, T)))
     trace = np.empty((R, common.iterations))
     results = [None] * R
     rows = list(range(R))  # the replicate in each row of the stack
@@ -284,9 +325,9 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
                 idx = rngs[k].choice(n, size=batch, replace=False)
                 xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
             seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
-        obj, g_mu, g_rho = elbo_gradient(
+        obj, _, _ = elbo_gradient(
             state, shape, None, prior, sigma, seeds, x=xb, y=yb, n_weight=n_weight,
-            buffers=buffers,
+            buffers=buffers, gradients=False,
         )
         finite = np.isfinite(obj)
         if not finite.all():
@@ -296,15 +337,18 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             if keep.size == 0:
                 return results
             rows = [rows[r] for r in keep]
-            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb, obj, g_mu, g_rho = (
+            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb, obj = (
                 a[keep] for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace,
-                                  xb, yb, obj, g_mu, g_rho))
+                                  xb, yb, obj))
             state = VariationalState(mu=mu, rho=rho)
-            scratch = (np.empty(mu.shape), np.empty(mu.shape))
-            buffers = StepBuffers(shape, batch, len(rows))
+            buffers = buffers.rows(keep)
         trace[:, it] = obj
-        _adam_ascent(state.mu, g_mu, m_mu, v_mu, it + 1, common.learning_rate, scratch)
-        _adam_ascent(state.rho, g_rho, m_rho, v_rho, it + 1, common.learning_rate, scratch)
+        for cols in buffers.blocks():
+            g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
+            scratch = [a[..., : cols.stop - cols.start] for a in buffers.work]
+            for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu), (state.rho, g_rho, m_rho, v_rho)):
+                _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], it + 1,
+                             common.learning_rate, scratch)
     for r, k in enumerate(rows):
         results[k] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
                                        step=common.iterations, seed=configs[k].seed),
@@ -354,6 +398,8 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
     values also give the per-draw errors."""
     if draws < 2:
         raise ValueError("need at least 2 draws")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     grid = np.asarray(grid, dtype=float)
     grid_x = grid.reshape(-1, 1) if grid.ndim == 1 else grid
     on_design = grid_x is data.x
@@ -390,8 +436,9 @@ def save_checkpoint(path, state: VariationalState, shape: NetworkShape) -> None:
         "arrays": bin_path.name,
     }
     path.with_suffix(".json").write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    arr = np.concatenate([state.mu, state.rho]).astype("<f8")
-    bin_path.write_bytes(arr.tobytes())
+    with bin_path.open("wb") as f:
+        for a in (state.mu, state.rho):  # a float64 vector or stack row is not copied
+            f.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_checkpoint(path):

@@ -120,6 +120,38 @@ class TestDrawsValidation:
                      "--out-dir", str(tmp_path / "out")]) == 2
 
 
+BAD_FLAGS = [
+    ("--alpha", "1.5"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "nan"),
+    ("--grid-points", "0"),
+    ("--iterations", "0"),
+    ("--learning-rate", "0"), ("--learning-rate", "-0.01"), ("--learning-rate", "nan"),
+    ("--batch-size", "-1"),
+    ("--noise-sd", "0"), ("--noise-sd", "nan"),
+]
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize("command", ["fit", "predict", "rate-study"])
+    @pytest.mark.parametrize("flag, value", BAD_FLAGS)
+    def test_exits_2_before_data_or_training(self, tmp_path, monkeypatch, capsys,
+                                             command, flag, value):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("data generated or training started")
+
+        monkeypatch.setattr("besovbnn.testbed.generate_dataset", not_reached)
+        monkeypatch.setattr("besovbnn.vi.train", not_reached)
+        monkeypatch.setattr("besovbnn.vi.train_replicates", not_reached)
+        argv = [command, "--function", "f2", "--out-dir", str(tmp_path / "out"),
+                *FAST_FIT, flag, value]
+        if command == "predict":
+            argv += ["--checkpoint", str(tmp_path / "missing")]
+        if command == "rate-study":
+            argv += ["--n", "20,40,80", "--replicates", "1"]
+        assert main(argv) == 2
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPredict:
     def test_from_checkpoint(self, tmp_path):
         fit_dir = tmp_path / "fit"

@@ -1,23 +1,27 @@
 """The in-place VI step against a reference copy of the allocating one.
 
 `train` runs the network pass, the ELBO gradient and Adam in buffers that
-live for the whole fit.  The reference below is the step as it was written
-before that: every array is a fresh temporary, `from_flat` copies, the
+live for the whole fit, and the elementwise tail of each step block by
+block.  The reference below is the step as it was written before that:
+every array is a fresh temporary and whole-length, `from_flat` copies, the
 sigmoid takes two exps, and the gradient is averaged over `mc` draws.  The
 arithmetic is the same operation for operation, so the two must agree bit
 for bit, not merely to a tolerance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from besovbnn import design as dz
+from besovbnn import priors, vi
 from besovbnn.network import NetworkShape
 from besovbnn.priors import make_density
 from besovbnn.testbed import generate_dataset, log_singular_function
-from besovbnn.vi import INIT_SIGMA_Q, TrainConfig, VariationalState, _sigmoid, train
+from besovbnn.vi import (INIT_SIGMA_Q, TrainConfig, VariationalState, _sigmoid, train,
+                         train_replicates)
 
 # ----------------------------------------------------------------- reference
 
@@ -174,6 +178,86 @@ def test_train_matches_allocating_reference(n, widths, batch, iterations):
     assert_same_bits(state.mu, mu)
     assert_same_bits(state.rho, rho)
     assert isinstance(state, VariationalState) and state.step == iterations
+
+
+def blocks_of(monkeypatch, width, stack=1):
+    """Make the step's tail run in blocks of `width` columns."""
+    monkeypatch.setattr(vi, "TAIL_BLOCK", width * stack)
+
+
+def test_stack_in_several_blocks_matches_reference_per_replicate(monkeypatch):
+    # T = 673 in blocks of 100 columns: six full blocks and one of 73
+    blocks_of(monkeypatch, 100, stack=3)
+    shape, _, prior = designed_problem(80, (24, 24), seed=5)
+    f0 = log_singular_function()
+    datasets = [generate_dataset(f0, 80, 0.1, seed) for seed in (5, 6, 7)]
+    configs = [TrainConfig(iterations=120, learning_rate=0.01, seed=s) for s in (7, 8, 9)]
+    results = train_replicates(shape, datasets, prior, configs, sigma=0.1)
+    for (state, trace), data, config in zip(results, datasets, configs):
+        mu, rho, ref_trace = ref_train(shape, data, prior, config, sigma=0.1)
+        assert_same_bits(trace, ref_trace)
+        assert_same_bits(state.mu, mu)
+        assert_same_bits(state.rho, rho)
+
+
+def test_minibatch_in_several_blocks_matches_reference(monkeypatch):
+    blocks_of(monkeypatch, 100)
+    shape, data, prior = designed_problem(64, (24, 24), seed=5)
+    config = TrainConfig(iterations=150, batch_size=16, learning_rate=0.01, seed=7)
+    state, trace = train(shape, data, prior, config, sigma=0.1)
+    mu, rho, ref_trace = ref_train(shape, data, prior, config, sigma=0.1)
+    assert_same_bits(trace, ref_trace)
+    assert_same_bits(state.mu, mu)
+    assert_same_bits(state.rho, rho)
+
+
+def test_spike_coordinates_across_a_block_boundary_match_reference(monkeypatch):
+    # A spike of scale 1e-3 puts its cut near 0.04, so the first layer's
+    # biases (coordinates 24..47, starting at 0) take the two-component
+    # formulas; blocks of 30 columns split them at coordinate 30.
+    blocks_of(monkeypatch, 30)
+    spec = dz.MixturePriorSpec(log_a=math.log(0.5), eta=0.9, log_sigma1=math.log(1e-3),
+                               sigma2=1.5, pi1=0.7, pi2=0.3, B=5.0, K0=5.0)
+    prior = make_density("mixture", mixture_spec=spec)
+    shape, data, _ = designed_problem(64, (24, 24), seed=5)
+    config = TrainConfig(iterations=100, learning_rate=0.01, seed=7)
+    inside = []  # coordinates inside the cut, per gradient call (block)
+    grad = prior.grad_log_pdf
+    cut = priors._spike_cut(spec)
+
+    def counting(t):
+        inside.append(int(np.count_nonzero(np.abs(t) <= cut)))
+        return grad(t)
+
+    monkeypatch.setattr(prior, "grad_log_pdf", counting)
+    state, trace = train(shape, data, prior, config, sigma=0.1)
+    mu, rho, ref_trace = ref_train(shape, data, make_density("mixture", mixture_spec=spec),
+                                   config, sigma=0.1)
+    assert_same_bits(trace, ref_trace)
+    assert_same_bits(state.mu, mu)
+    assert_same_bits(state.rho, rho)
+    per_block = np.reshape(inside, (config.iterations, -(-shape.n_params // 30)))
+    assert np.all(per_block[:10, :2] > 0)  # both sides of the boundary at 30
+
+
+def test_train_keeps_eleven_full_length_arrays(monkeypatch):
+    # mu, rho, four Adam moments, zeta, sigma_q, sigmoid(rho), theta and the
+    # network gradient; everything else is block-sized or smaller, so with
+    # small blocks the fit needs less than one more T-vector besides
+    blocks_of(monkeypatch, 2048)
+    shape, data, prior = designed_problem(20, (200, 200, 200), seed=5)
+    T = shape.n_params
+    assert T == 81_001
+    config = TrainConfig(iterations=2, learning_rate=0.01, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train(shape, data, prior, config, sigma=0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= (11 + 1) * T * 8, f"{peak / (T * 8):.2f} T-vectors"
 
 
 def test_sigmoid_matches_two_branch_formula():

@@ -140,7 +140,6 @@ class TestElboGradient:
         for seed in (5, 6):
             fresh = elbo_gradient(state, shape, data, prior, 0.2, seed=seed)
             reused = elbo_gradient(state, shape, data, prior, 0.2, seed=seed, buffers=buffers)
-            assert reused[1] is buffers.g_mu and reused[2] is buffers.g_rho
             assert reused[0] == fresh[0]
             for got, want in zip(reused[1:], fresh[1:]):
                 assert got.tobytes() == want.tobytes()
@@ -296,6 +295,12 @@ class TestTrainReplicates:
             assert fits[r][0].mu.tobytes() == want[r][0].mu.tobytes()
             assert fits[r][0].rho.tobytes() == want[r][0].rho.tobytes()
 
+    def test_diverged_replicate_leaves_a_stack_in_several_blocks(self, monkeypatch):
+        # the kept rows carry their part of the step into the smaller stack,
+        # whose tail then runs over more than one block
+        monkeypatch.setattr(vi, "TAIL_BLOCK", 3 * 100)
+        self.test_diverged_replicate_leaves_the_stack()
+
     @pytest.mark.parametrize("other", [
         dict(iterations=6), dict(batch_size=4), dict(learning_rate=0.02)])
     def test_configs_may_differ_only_in_seed(self, other):
@@ -359,6 +364,15 @@ class TestPosteriorPredictive:
         with pytest.raises(ValueError):
             posterior_predictive(state, shape, [0.5], 1, f, data)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_unit_interval_raises_before_drawing(self, monkeypatch, alpha):
+        shape = NetworkShape(d_in=1, hidden_widths=(2,))
+        state = make_state(shape)
+        f, data = small_data(n=5)
+        monkeypatch.setattr("besovbnn.vi.forward", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="alpha"):
+            posterior_predictive(state, shape, [0.5], 4, f, data, alpha=alpha)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -377,6 +391,22 @@ class TestCheckpoint:
         assert loaded.step == 17 and loaded.seed == 5
         np.testing.assert_array_equal(loaded.mu, state.mu)
         np.testing.assert_array_equal(loaded.rho, state.rho)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bin_bytes_match_the_concatenating_writer(self, tmp_path, stacked):
+        # the file is mu then rho, as np.concatenate([mu, rho]).astype("<f8")
+        # wrote it; a stack row is written as it lies, without a copy
+        shape = NetworkShape(d_in=1, hidden_widths=(4, 3))
+        rng = np.random.default_rng(3)
+        if stacked:
+            mu, rho = rng.standard_normal((2, 3, shape.n_params))
+            state = VariationalState(mu=mu[1], rho=rho[1], step=4, seed=2)
+        else:
+            mu, rho = rng.standard_normal((2, shape.n_params))
+            state = VariationalState(mu=mu, rho=rho, step=4, seed=2)
+        save_checkpoint(tmp_path / "ckpt", state, shape)
+        old = np.concatenate([state.mu, state.rho]).astype("<f8").tobytes()
+        assert (tmp_path / "ckpt.bin").read_bytes() == old
 
     def test_rejects_unknown_layout(self, tmp_path):
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
