@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +349,58 @@ def fit_rate_slope(ns, errors) -> float:
     return float(slope)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _largest_first(tasks):
+    """The results of the zero-argument callables `tasks`, in their order.
+
+    The last task, assumed the longest, runs on the calling thread and the
+    others, last first, on a pool of threads, so that min(len(tasks),
+    usable CPUs) run at once.  An exception of the calling thread's task, or
+    else the first of the others' in task order, reaches the caller; an error
+    or interrupt cancels the tasks not yet started."""
+    workers = min(len(tasks), _usable_cpus())
+    if workers == 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        try:
+            futures = [pool.submit(task) for task in reversed(tasks[:-1])][::-1]
+            last = tasks[-1]()
+            return [f.result() for f in futures] + [last]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
+    """The posterior-mean errors of rate-study's converged replicates at n.
+
+    The replicates share everything but their seed, so they train together
+    as one stack, each as its own fit would.  Each call uses only its own
+    seeds, data and buffers, so calls at several n may run concurrently."""
+    seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
+    datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
+    fits = vi.train_replicates(shape, datasets, prior,
+                               [_train_config(n, args, s) for s in seeds],
+                               sigma=args.noise_sd)
+    errors = []
+    for seed, data, fit in zip(seeds, datasets, fits):
+        if isinstance(fit, vi.TrainingDiverged):
+            continue
+        state, _ = fit
+        fx_true = np.asarray(f0(data.x[:, 0]), dtype=float)
+        mean_fn = vi.posterior_predictive(state, shape, data.x, args.draws, f0, data,
+                                          seed=seed + 20_000).mean
+        errors.append(float(testbed.empirical_norm(mean_fn - fx_true)))
+    return errors
+
+
 def cmd_rate_study(args) -> int:
     _check_fit_args(args)
     if args.replicates < 1:
@@ -356,31 +411,17 @@ def cmd_rate_study(args) -> int:
     ns = _parse_n_list(args.n, minimum=3)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Models first, on this thread, so --full-scale warnings come in n order.
+    models = [_designed_model(spec, n, args) for n in ns]
+    errors = _largest_first([functools.partial(_rate_study_errors, f0, n, prior, shape, args)
+                             for n, (prior, shape) in zip(ns, models)])
     per_n = []
-    failures = 0
-    for n in ns:
-        # The replicates at one n share everything but their seed, so they
-        # train together as one stack, each as its own fit would.
-        prior, shape = _designed_model(spec, n, args)
-        seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
-        datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
-        fits = vi.train_replicates(shape, datasets, prior,
-                                   [_train_config(n, args, s) for s in seeds],
-                                   sigma=args.noise_sd)
-        rep_errors = []
-        for seed, data, fit in zip(seeds, datasets, fits):
-            if isinstance(fit, vi.TrainingDiverged):
-                failures += 1
-                continue
-            state, _ = fit
-            fx_true = np.asarray(f0(data.x[:, 0]), dtype=float)
-            mean_fn = vi.posterior_predictive(state, shape, data.x, args.draws, f0, data,
-                                              seed=seed + 20_000).mean
-            rep_errors.append(float(testbed.empirical_norm(mean_fn - fx_true)))
+    for n, rep_errors in zip(ns, errors):
         if not rep_errors:
             raise RuntimeError(f"all replicates diverged at n={n}")
         per_n.append({"n": n, "median_error": float(np.median(rep_errors)),
                       "replicates": len(rep_errors)})
+    failures = args.replicates * len(ns) - sum(r["replicates"] for r in per_n)
     slope = fit_rate_slope([r["n"] for r in per_n],
                            [r["median_error"] for r in per_n])
     theoretical = -spec.s / (2 * spec.s + spec.d)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -453,10 +454,12 @@ def load_checkpoint(path):
     if envelope["flatten_order"] != FLATTEN_ORDER:
         raise ValueError("checkpoint uses an unknown flatten order")
     shape = NetworkShape.from_dict(envelope["shape"])
-    raw = np.frombuffer(path.with_suffix(".bin").read_bytes(), dtype="<f8")
     T = envelope["T"]
-    if raw.size != 2 * T:
-        raise ValueError("checkpoint array length mismatch")
-    state = VariationalState(mu=raw[:T].copy(), rho=raw[T:].copy(),
-                             step=envelope["step"], seed=envelope["seed"])
+    with path.with_suffix(".bin").open("rb") as f:
+        # Checked before reading, so a wrong file allocates nothing; mu and
+        # rho are read straight into their own arrays.
+        if os.fstat(f.fileno()).st_size != 16 * T:
+            raise ValueError("checkpoint array length mismatch")
+        mu, rho = (np.fromfile(f, dtype="<f8", count=T) for _ in range(2))
+    state = VariationalState(mu=mu, rho=rho, step=envelope["step"], seed=envelope["seed"])
     return state, shape

@@ -4,12 +4,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import besovbnn
+from besovbnn import design as dz
+from besovbnn import priors, testbed, vi
 from besovbnn.cli import fit_rate_slope, main
+from besovbnn.network import NetworkShape
 
 
 def read_csv(path):
@@ -276,6 +282,166 @@ class TestRateStudy:
                    "--n", "20,40,80", "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+
+def rate_study_bytes(out_dir):
+    return {name: (out_dir / name).read_bytes()
+            for name in ("rate_study.json", "rate_study.csv")}
+
+
+def set_cpus(monkeypatch, count):
+    """Make rate-study see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def sequential_rate_study(ns, replicates, seed):
+    """rate-study's per-n median errors at FAST_FIT, one n after another."""
+    spec = dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
+    f0 = testbed.log_singular_function()
+    medians = []
+    for n in ns:
+        arch = dz.design_architecture(spec, n, 10.0)
+        prior = priors.make_density("mixture",
+                                    mixture_spec=dz.mixture_hyperparams(arch, K0=5.0))
+        shape = NetworkShape(d_in=1, hidden_widths=tuple(dz.desk_scale_widths(arch, 2, 24)))
+        seeds = [seed + 1000 * r + n for r in range(replicates)]
+        datasets = [testbed.generate_dataset(f0, n, 0.1, s) for s in seeds]
+        configs = [vi.TrainConfig(iterations=60, learning_rate=0.02, seed=s) for s in seeds]
+        errors = []
+        for s, data, (state, _) in zip(seeds, datasets,
+                                       vi.train_replicates(shape, datasets, prior, configs)):
+            mean = vi.posterior_predictive(state, shape, data.x, 20, f0, data,
+                                           seed=s + 20_000).mean
+            errors.append(float(testbed.empirical_norm(mean - f0(data.x[:, 0]))))
+        medians.append(float(np.median(errors)))
+    return medians
+
+
+class TestRateStudyConcurrency:
+    def run(self, out_dir, ns, replicates=2, seed=0):
+        return main(["rate-study", "--function", "f2", "--n", ",".join(map(str, ns)),
+                     "--replicates", str(replicates), "--seed", str(seed),
+                     "--out-dir", str(out_dir), *FAST_FIT])
+
+    def test_matches_a_sequential_loop_and_one_cpu(self, tmp_path, monkeypatch):
+        ns = [20, 40, 80]
+        threads = {}
+        train = vi.train_replicates
+
+        def spy(shape, datasets, *args, **kwargs):
+            threads[datasets[0].n] = threading.current_thread()
+            return train(shape, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(vi, "train_replicates", spy)
+        set_cpus(monkeypatch, 3)
+        assert self.run(tmp_path / "threads", ns) == 0
+        # the largest n on the calling thread, the others on the pool
+        assert threads.pop(80) is threading.main_thread()
+        assert threading.main_thread() not in threads.values()
+        obj = json.loads((tmp_path / "threads" / "rate_study.json").read_text())
+        medians = sequential_rate_study(ns, 2, 0)
+        assert [r["median_error"] for r in obj["per_n"]] == medians
+        assert [(r["n"], r["replicates"]) for r in obj["per_n"]] == [(n, 2) for n in ns]
+        assert obj["fitted_slope"] == fit_rate_slope(ns, medians)
+        assert obj["diverged_replicates"] == 0
+
+        set_cpus(monkeypatch, 1)
+        assert self.run(tmp_path / "one", ns) == 0
+        assert threads == {n: threading.main_thread() for n in ns}
+        assert rate_study_bytes(tmp_path / "one") == rate_study_bytes(tmp_path / "threads")
+
+    def test_bytes_hold_under_fast_thread_switching(self, tmp_path, monkeypatch):
+        ns = [20, 30, 40, 60, 80]
+        set_cpus(monkeypatch, 1)
+        assert self.run(tmp_path / "one", ns, seed=3) == 0
+        set_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.monotonic()
+            assert self.run(tmp_path / "threads", ns, seed=3) == 0
+            elapsed = time.monotonic() - t0
+        finally:
+            sys.setswitchinterval(interval)
+        assert rate_study_bytes(tmp_path / "threads") == rate_study_bytes(tmp_path / "one")
+        assert elapsed < 60.0
+
+    def test_all_diverged_reports_the_smallest_n(self, tmp_path, monkeypatch, capsys):
+        train = vi.train_replicates
+
+        def diverge_above_20(shape, datasets, *args, **kwargs):
+            if datasets[0].n > 20:
+                return [vi.TrainingDiverged(0, math.nan) for _ in datasets]
+            return train(shape, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(vi, "train_replicates", diverge_above_20)
+        set_cpus(monkeypatch, 3)
+        assert self.run(tmp_path, [20, 40, 80]) == 1
+        err = capsys.readouterr().err
+        assert err == "failure: all replicates diverged at n=40\n"
+        assert not (tmp_path / "rate_study.json").exists()
+
+    @pytest.mark.parametrize("failing_n", [20, 80])
+    def test_task_error_reaches_main_without_traceback(self, tmp_path, monkeypatch, capsys,
+                                                       failing_n):
+        train = vi.train_replicates
+
+        def fail_at(shape, datasets, *args, **kwargs):
+            if datasets[0].n == failing_n:
+                raise ValueError(f"bad fit at n={failing_n}")
+            return train(shape, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(vi, "train_replicates", fail_at)
+        set_cpus(monkeypatch, 3)
+        assert self.run(tmp_path, [20, 40, 80]) == 1
+        err = capsys.readouterr().err
+        assert err == f"failure: bad fit at n={failing_n}\n"
+        assert not (tmp_path / "rate_study.json").exists()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_error_cancels_tasks_not_started(self, tmp_path, monkeypatch, error):
+        # Two CPUs: n=80 on the calling thread, n=40 then n=20 on one worker.
+        # n=80 fails while n=40 still runs, so n=20 must never start.
+        started = []
+        failed = threading.Event()
+
+        def fake(shape, datasets, *args, **kwargs):
+            n = datasets[0].n
+            started.append(n)
+            if n == 80:
+                failed.set()
+                raise error("stop")
+            failed.wait(10.0)
+            time.sleep(0.5)
+            return [vi.TrainingDiverged(0, math.nan) for _ in datasets]
+
+        monkeypatch.setattr(vi, "train_replicates", fake)
+        set_cpus(monkeypatch, 2)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self.run(tmp_path, [20, 40, 80])
+        else:
+            assert self.run(tmp_path, [20, 40, 80]) == 1
+        assert sorted(started) == [40, 80]
+
+    def test_full_scale_warnings_come_in_n_order(self, tmp_path, monkeypatch, capsys):
+        designed = []
+        design_architecture = dz.design_architecture
+
+        def spy(spec, n, *args, **kwargs):
+            designed.append((n, threading.current_thread()))
+            return design_architecture(spec, n, *args, **kwargs)
+
+        monkeypatch.setattr(dz, "design_architecture", spy)
+        set_cpus(monkeypatch, 3)
+        rc = main(["rate-study", "--function", "f2", "--full-scale", "--n", "20,40,80",
+                   "--replicates", "1", "--iterations", "1", "--draws", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        warning = "warning: full-scale network has 226951 parameters; expect a long runtime"
+        assert capsys.readouterr().err.splitlines() == [warning] * 3
+        assert designed == [(n, threading.main_thread()) for n in (20, 40, 80)]
 
 
 class TestRateSlope:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -431,3 +432,32 @@ class TestCheckpoint:
         (tmp_path / "ckpt.json").write_text(json.dumps(env))
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(path)
+
+    def test_load_peaks_at_two_vectors(self, tmp_path):
+        # mu and rho are read straight into their arrays: no whole-file
+        # buffer and no copies out of it
+        shape = NetworkShape(d_in=1, hidden_widths=(200, 200, 200))
+        T = shape.n_params
+        assert T == 81_001
+        state = make_state(shape)
+        save_checkpoint(tmp_path / "ckpt", state, shape)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(tmp_path / "ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2 * 8 * T <= peak < 2.5 * 8 * T
+        np.testing.assert_array_equal(loaded.mu, state.mu)
+        np.testing.assert_array_equal(loaded.rho, state.rho)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_a_bin_of_the_wrong_length(self, tmp_path, extra):
+        shape = NetworkShape(d_in=1, hidden_widths=(4, 3))
+        state = make_state(shape)
+        save_checkpoint(tmp_path / "ckpt", state, shape)
+        bin_path = tmp_path / "ckpt.bin"
+        raw = bin_path.read_bytes()
+        bin_path.write_bytes(raw[:-8] if extra < 0 else raw + raw[:8])
+        with pytest.raises(ValueError, match="length"):
+            load_checkpoint(tmp_path / "ckpt")
