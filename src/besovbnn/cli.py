@@ -29,8 +29,6 @@ from . import priors, testbed, vi
 
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
-DESK_DEPTH = 2
-DESK_WIDTH = 24
 
 BUILTIN_FUNCTIONS = {
     "f1": {
@@ -48,8 +46,19 @@ class ArgumentError(Exception):
     """Invalid arguments; maps to exit code 2."""
 
 
+def _check_finite(flag: str, value: float, low: float, closed: bool = False) -> None:
+    """Reject a flag value that is not finite or not above `low` (not at
+    least `low` when `closed`); NaN fails every comparison."""
+    if not (math.isfinite(value) and (value >= low if closed else value > low)):
+        bound = f"at least {low:g}" if closed else f"above {low:g}"
+        raise ArgumentError(f"{flag} must be finite and {bound}, got {value}")
+
+
 def _smoothness_from_args(args) -> tuple[dz.SmoothnessSpec, object | None]:
-    """Resolve a SmoothnessSpec (and the true function, when built-in)."""
+    """Check the design flags and resolve a SmoothnessSpec (and the true
+    function, when built-in)."""
+    _check_finite("--cB", args.cB, 0.0)
+    _check_finite("--K0", args.K0, 4.0)
     if getattr(args, "function", None):
         if args.function not in BUILTIN_FUNCTIONS:
             raise ArgumentError(f"unknown function {args.function!r}; choose f1 or f2")
@@ -176,8 +185,7 @@ def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
                 file=sys.stderr,
             )
         return NetworkShape(d_in=spec.d, hidden_widths=tuple([arch.W] * arch.L))
-    widths = dz.desk_scale_widths(arch, max_depth=DESK_DEPTH, max_width=DESK_WIDTH)
-    return NetworkShape(d_in=spec.d, hidden_widths=tuple(widths))
+    return NetworkShape(d_in=spec.d, hidden_widths=tuple(dz.desk_scale_widths(arch)))
 
 
 def _designed_model(spec, n, args):
@@ -195,15 +203,6 @@ def _train_config(n, args, seed: int) -> vi.TrainConfig:
         learning_rate=args.learning_rate,
         seed=seed,
     )
-
-
-def _run_fit(spec, f0, n, args):
-    """Shared generate -> train pipeline."""
-    prior, shape = _designed_model(spec, n, args)
-    data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
-    state, trace = vi.train(shape, data, prior, _train_config(n, args, args.seed),
-                            sigma=args.noise_sd)
-    return shape, data, state, trace
 
 
 def _write_predictive(out_dir: Path, state, shape, f0, data, args):
@@ -232,6 +231,7 @@ def cmd_fit(args) -> int:
     if len(ns) != 1:
         raise ArgumentError("fit takes a single sample size")
     n = ns[0]
+    prior, shape = _designed_model(spec, n, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -258,8 +258,10 @@ def cmd_fit(args) -> int:
         "status": "pending",
     }
     t0 = time.monotonic()
+    data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     try:
-        shape, data, state, trace = _run_fit(spec, f0, n, args)
+        state, trace = vi.train(shape, data, prior, _train_config(n, args, args.seed),
+                                sigma=args.noise_sd)
     except vi.TrainingDiverged as exc:
         manifest["status"] = f"diverged: {exc}"
         _write_json(out_dir / "manifest.json", manifest)
@@ -292,13 +294,13 @@ def cmd_predict(args) -> int:
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")
-    state, shape = vi.load_checkpoint(checkpoint)
     spec, f0 = _smoothness_from_args(args)
     if f0 is None:
         raise ArgumentError("predict requires a built-in --function")
     ns = _parse_n_list(args.n)
     if len(ns) != 1:
         raise ArgumentError("predict takes a single sample size")
+    state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, ns[0], args.noise_sd, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,13 +320,8 @@ def cmd_check_prior(args) -> int:
     all_pass = True
     for n in ns:
         arch = dz.design_architecture(spec, n, args.cB)
-        if args.density == "mixture":
-            mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
-            g = priors.make_density("mixture", mixture_spec=mix)
-        elif args.density == "uniform-slab":
-            g = priors.make_density("uniform-slab", B=arch.B)
-        else:
-            g = priors.make_density(args.density)
+        mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
+        g = priors.make_density(args.density, mixture_spec=mix, B=arch.B)
         report = dz.check_shrinkage_conditions(
             g, arch, K=args.K0, K0=args.K0, counting=args.counting
         )
@@ -409,10 +406,10 @@ def cmd_rate_study(args) -> int:
     if f0 is None:
         raise ArgumentError("rate-study requires a built-in --function")
     ns = _parse_n_list(args.n, minimum=3)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Models first, on this thread, so --full-scale warnings come in n order.
     models = [_designed_model(spec, n, args) for n in ns]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     errors = _largest_first([functools.partial(_rate_study_errors, f0, n, prior, shape, args)
                              for n, (prior, shape) in zip(ns, models)])
     per_n = []
@@ -442,6 +439,11 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    for flag, value in (("--B", args.B), ("--delta", args.delta)):
+        if value is not None:
+            _check_finite(flag, value, 0.0)
+    if args.a is not None:
+        _check_finite("--a", args.a, 0.0, closed=True)
     if args.function or args.s is not None:
         spec, _ = _smoothness_from_args(args)
         ns = _parse_n_list(args.n)
@@ -456,8 +458,6 @@ def cmd_covering(args) -> int:
             raise ArgumentError("give --function/--n or all of --L --W --S --B --delta")
         L, W, S, B, delta = args.L, args.W, args.S, args.B, args.delta
         n_eps_sq = None
-    if delta <= 0:
-        raise ArgumentError("delta must be positive")
     bound = dz.covering_bound(L, W, S, B, delta)
     print(f"covering bound: {bound:.6g}")
     if n_eps_sq is not None:

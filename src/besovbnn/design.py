@@ -10,11 +10,14 @@ sigma_1 underflow symmetrically.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri
+
+from .network import NetworkShape
 
 __all__ = [
     "SmoothnessSpec",
@@ -31,7 +34,14 @@ __all__ = [
     "TruncationThresholdError",
 ]
 
-_LOG10E = math.log10(math.e)
+DESK_DEPTH, DESK_WIDTH = 2, 24  # caps of the reduced network trained at desk scale
+
+# Constants of the shrinkage-condition check: the tail budget is
+# TAIL_BUDGET * n eps^2, the support bound SUPPORT_FACTOR * exp(-K0 n eps^2),
+# and the strict spike inequality has relative slack SPIKE_SLACK.
+TAIL_BUDGET = 10.0
+SUPPORT_FACTOR = 1.0
+SPIKE_SLACK = 1e-9
 
 
 def _log_q(z: float) -> float:
@@ -58,7 +68,7 @@ class SmoothnessSpec:
     m: int
 
     def __post_init__(self):
-        if self.s <= 0 or self.p <= 0 or self.q <= 0:
+        if not (self.s > 0 and self.p > 0 and self.q > 0):
             raise ValueError("need s, p, q > 0")
         if self.d < 1 or self.m < 1:
             raise ValueError("need d, m >= 1")
@@ -94,12 +104,6 @@ def base_width(d: int, m: int) -> int:
     if d < 1 or m < 1:
         raise ValueError("need d, m >= 1")
     return 6 * d * m * (m + 2) + 2 * d
-
-
-def _dense_param_count(d: int, L: int, W: int) -> int:
-    """Weights plus biases of a dense net with layer widths (d, W, ..., W, 1)."""
-    widths = [d] + [W] * L + [1]
-    return sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(L + 1))
 
 
 def _weight_only_count(d: int, L: int, W: int) -> int:
@@ -168,31 +172,37 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if cB <= 0:
-        raise ValueError("need cB > 0")
+    if not 0 < cB < math.inf:
+        raise ValueError(f"need finite cB > 0, got {cB}")
     s, d, m = spec.s, spec.d, spec.m
-    N = math.ceil(n ** (d / (2 * s + d)))
     W0 = base_width(d, m)
-    tau = N ** (-s / d) / math.log(N) if N > 1 else 1.0
-    c_dm = 1.0 + 2.0 * d * math.e * (2.0 * math.e) ** m / math.sqrt(m)
     dm = max(d, m)
-    L = 3 + 2 * math.ceil(math.log2(3**dm / (tau * c_dm)) + 5) * math.ceil(math.log2(dm))
+    try:
+        N = math.ceil(n ** (d / (2 * s + d)))
+        tau = N ** (-s / d) / math.log(N) if N > 1 else 1.0
+        c_dm = 1.0 + 2.0 * d * math.e * (2.0 * math.e) ** m / math.sqrt(m)
+        L = 3 + 2 * math.ceil(math.log2(3**dm / (tau * c_dm)) + 5) * math.ceil(math.log2(dm))
+        eps = n ** (-s / (2 * s + d)) * math.log(n) ** 1.5
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"the design rules overflow doubles at n={n}, s={s}, d={d}, m={m}"
+        ) from exc
     W = N * W0
     S = (L - 1) * W0**2 * N + N
     B = cB * N**spec.xi
-    eps = n ** (-s / (2 * s + d)) * math.log(n) ** 1.5
-    T = _dense_param_count(d, L, W)
+    if math.isinf(B):
+        raise ValueError(f"B = cB N^xi overflows doubles at cB={cB}, n={n}")
+    T = NetworkShape(d, (W,) * L).n_params
     return ArchSpec(
         n=n, N=N, W0=W0, L=L, W=W, S=S, B=B, T=T, eps=eps,
         tau=tau, c_dm=c_dm, xi=spec.xi, nu=spec.nu, d=d,
     )
 
 
-def desk_scale_widths(arch: ArchSpec, max_depth: int = 2, max_width: int = 32) -> list[int]:
-    """Hidden widths of a reduced network for workstation-scale training."""
-    depth = min(arch.L, max_depth)
-    width = min(arch.W, max_width)
-    return [width] * depth
+def desk_scale_widths(arch: ArchSpec) -> list[int]:
+    """Hidden widths of a reduced network for workstation-scale training:
+    the designed geometry capped at DESK_DEPTH layers of DESK_WIDTH units."""
+    return [min(arch.W, DESK_WIDTH)] * min(arch.L, DESK_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -242,19 +252,25 @@ def mixture_hyperparams(
     of about 8.1 matches the reported spike scales.  This is documented as an
     order-of-magnitude quantity only.
     """
-    if K0 <= 4:
-        raise ValueError("need K0 > 4")
+    if not 4 < K0 < math.inf:
+        raise ValueError(f"need finite K0 > 4, got {K0}")
     pi2 = arch.sparsity_fraction(counting)
     pi1 = 1.0 - pi2
     n_eps_sq = arch.n_eps_sq
     eta = math.exp(-K0 * n_eps_sq / arch.S)
     if sigma2_divisor == "K0_plus_1":
-        sigma2_sq = arch.B**2 / (2.0 * (K0 + 1.0) * n_eps_sq)
+        divisor = 2.0 * (K0 + 1.0) * n_eps_sq
     elif sigma2_divisor == "K0":
-        sigma2_sq = arch.B**2 / (2.0 * K0 * n_eps_sq)
+        divisor = 2.0 * K0 * n_eps_sq
     else:
         raise ValueError(f"unknown sigma2_divisor {sigma2_divisor!r}")
-    sigma2 = math.sqrt(sigma2_sq)
+    try:
+        sigma2 = math.sqrt(arch.B**2 / divisor)
+    except OverflowError as exc:
+        raise ValueError(
+            f"the slab variance overflows doubles at B={arch.B:.6g}; lower cB") from exc
+    if sigma2 == 0.0:
+        raise ValueError(f"the slab scale sigma2 underflows to 0 at B={arch.B:.6g}; raise cB")
     log_a = arch.log_a
     a_lin = math.exp(log_a)  # may be 0.0 for extreme geometries; Q(0) = 1/2
     q_a = math.exp(_log_q(a_lin / sigma2))
@@ -301,23 +317,7 @@ class ConditionReport:
         return self.pass_spike and self.pass_tail and self.pass_support
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "log_one_minus_u": self.log_one_minus_u,
-            "log_v": self.log_v,
-            "spike_lhs": self.spike_lhs,
-            "spike_mid": self.spike_mid,
-            "spike_rhs": self.spike_rhs,
-            "tail_lhs": self.tail_lhs,
-            "tail_rhs": self.tail_rhs,
-            "tail_rhs_logsq": self.tail_rhs_logsq,
-            "support_lhs_log": self.support_lhs_log,
-            "support_rhs_log": self.support_rhs_log,
-            "pass_spike": self.pass_spike,
-            "pass_tail": self.pass_tail,
-            "pass_support": self.pass_support,
-            "all_pass": self.all_pass,
-        }
+        return {**dataclasses.asdict(self), "all_pass": self.all_pass}
 
 
 def _spot_check_symmetry(g, scale: float) -> None:
@@ -333,20 +333,17 @@ def check_shrinkage_conditions(
     arch: ArchSpec,
     K: float = 5.0,
     K0: float = 5.0,
-    tail_constant: float = 10.0,
-    support_tol: float = 1.0,
     counting: str = "canonical",
-    spike_rtol: float = 1e-9,
 ) -> ConditionReport:
     """Evaluate the three shrinkage-prior conditions for a density handle g.
 
     The strict spike inequality S/T > 1 - u is tested with relative slack
-    `spike_rtol`: the designed mixture saturates it at machine precision
+    SPIKE_SLACK: the designed mixture saturates it at machine precision
     (1 - u exceeds S/T by a few ulps), so an exact strict comparison would
     reject the very prior the conditions were built for.
 
-    The tail budget is tail_constant * n eps^2.  The literal reading
-    tail_constant * (log n)^2 is reported in `tail_rhs_logsq` but not used for
+    The tail budget is TAIL_BUDGET * n eps^2.  The literal reading
+    TAIL_BUDGET * (log n)^2 is reported in `tail_rhs_logsq` but not used for
     the pass flag: the designed mixture has -log g(B) = (K0+1) n eps^2, which
     exceeds any fixed multiple of (log n)^2 at table-sized geometry.
     """
@@ -361,17 +358,17 @@ def check_shrinkage_conditions(
     log_one_minus_u = g.log_tail_mass(a)
     one_minus_u = math.exp(log_one_minus_u)
     u = 1.0 - one_minus_u
-    pass_spike = (one_minus_u <= ratio * (1.0 + spike_rtol)) and (
-        one_minus_u >= ratio * eta * (1.0 - spike_rtol)
+    pass_spike = (one_minus_u <= ratio * (1.0 + SPIKE_SLACK)) and (
+        one_minus_u >= ratio * eta * (1.0 - SPIKE_SLACK)
     )
 
     tail_lhs = -float(g.log_pdf(arch.B))
-    tail_rhs = tail_constant * n_eps_sq
-    tail_rhs_logsq = tail_constant * math.log(arch.n) ** 2
+    tail_rhs = TAIL_BUDGET * n_eps_sq
+    tail_rhs_logsq = TAIL_BUDGET * math.log(arch.n) ** 2
     pass_tail = tail_lhs <= tail_rhs
 
     log_v = g.log_tail_mass(arch.B)
-    support_rhs_log = math.log(support_tol) - K0 * n_eps_sq
+    support_rhs_log = math.log(SUPPORT_FACTOR) - K0 * n_eps_sq
     pass_support = log_v <= support_rhs_log
 
     return ConditionReport(
@@ -394,10 +391,10 @@ def check_shrinkage_conditions(
 
 def covering_bound(L: int, W: int, S: int, B: float, delta: float) -> float:
     """(S+1) log(2 delta^-1 L (B v 1)^L (W+1)^(2L)), in log space."""
-    if L < 1 or W < 1 or S < 1 or B <= 0:
-        raise ValueError("need positive L, W, S, B")
-    if delta <= 0:
-        raise ValueError("need delta > 0")
+    if L < 1 or W < 1 or S < 1 or not 0 < B < math.inf:
+        raise ValueError("need positive L, W, S and finite B > 0")
+    if not 0 < delta < math.inf:
+        raise ValueError("need finite delta > 0")
     inner = (
         math.log(2.0)
         - math.log(delta)
@@ -424,10 +421,10 @@ def covering_bound_truncated(
 ) -> float:
     """Covering bound for thresholded networks; requires
     delta >= 2 a L (B v 1)^(L-1) (W+1)^L, checked in log space."""
-    if a < 0:
-        raise ValueError("need a >= 0")
-    if delta <= 0:
-        raise ValueError("need delta > 0")
+    if not 0 <= a < math.inf:
+        raise ValueError("need finite a >= 0")
+    if not 0 < delta < math.inf:
+        raise ValueError("need finite delta > 0")
     if a > 0:
         log_min_delta = (
             math.log(2.0 * a)

@@ -35,7 +35,7 @@ class MHConfig:
     def __post_init__(self):
         if not self.steps > self.burn_in >= 0:
             raise ValueError("need steps > burn_in >= 0")
-        if self.proposal_sd <= 0 or self.thin < 1:
+        if not self.proposal_sd > 0 or self.thin < 1:
             raise ValueError("need proposal_sd > 0 and thin >= 1")
 
 
@@ -72,7 +72,7 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     # Network views of the two points; they swap with the buffers on accept.
     params = NetworkParams.from_flat(shape, theta)
     prop_params = NetworkParams.from_flat(shape, prop)
-    buffers = None if data is None or data.n == 0 else PassBuffers(shape, data.n)
+    buffers = None if data is None else PassBuffers(shape, data.n)
     log_p = _log_target(theta, params, data, prior, sigma, buffers)
     if not math.isfinite(log_p):
         raise ValueError("non-finite target at the initial point")

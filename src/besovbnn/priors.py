@@ -26,7 +26,6 @@ __all__ = [
     "spike_slab_sample",
     "mixture_log_density",
     "mixture_sample",
-    "shrinkage_log_prior",
     "arch_prior_log_pmf",
     "arch_prior_sample",
     "DensityHandle",
@@ -210,11 +209,6 @@ def mixture_sample(spec: MixturePriorSpec, count: int, seed: int) -> np.ndarray:
     z = rng.standard_normal(count)
     scales = np.where(slab, spec.sigma2, math.exp(spec.log_sigma1))
     return z * scales
-
-
-def shrinkage_log_prior(theta_vec, g) -> float:
-    """Product prior: sum of log g over coordinates."""
-    return float(np.sum(g.log_pdf(np.asarray(theta_vec, dtype=float))))
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,6 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if self.x.shape[0] == 1 and self.x.shape[1] > 1 and np.ndim(self.y) == 1 \
-                and len(np.asarray(self.y)) == self.x.shape[1]:
-            self.x = self.x.T
         self.y = np.asarray(self.y, dtype=float)
         if self.x.shape[0] != self.y.shape[0] or self.y.shape[0] == 0:
             raise ValueError("x and y must be nonempty and the same length")

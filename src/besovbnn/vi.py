@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik_and_grad
+from .network import (NetworkParams, NetworkShape, PassBuffers, _layer_views, forward,
+                      loglik_and_grad)
 from .testbed import Dataset, empirical_norm
 
 __all__ = [
@@ -107,7 +108,7 @@ class TrainConfig:
             raise ValueError("iterations must be positive")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 means full batch)")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
 
 
@@ -138,16 +139,6 @@ class StepBuffers:
         """The column slices of the tail's blocks, in order."""
         T = self.theta.shape[-1]
         return [slice(a, min(a + self.width, T)) for a in range(0, T, self.width)]
-
-    def rows(self, keep) -> "StepBuffers":
-        """A set for the stack rows `keep` that holds their part of the step
-        this set last ran, up to the tail."""
-        shape, n = self.network.shape, self.network.n
-        kept = StepBuffers(shape, n, len(keep))
-        for name in ("zeta", "sq", "theta"):
-            getattr(kept, name)[...] = getattr(self, name)[keep]
-        kept.network.grad[...] = self.network.grad[keep]
-        return kept
 
 
 class TrainingDiverged(RuntimeError):
@@ -256,14 +247,10 @@ def _init_state(shape: NetworkShape, config: TrainConfig, mu=None, rho=None) -> 
     mu = np.empty(shape.n_params) if mu is None else mu
     rho = np.empty(shape.n_params) if rho is None else rho
     rng = np.random.default_rng(config.seed)
-    p = shape.layer_widths
-    pos = 0
-    for l in range(len(p) - 1):
-        w = rng.standard_normal(out=mu[pos : pos + p[l] * p[l + 1]])
-        w /= math.sqrt(p[l])  # fan-in
-        pos += w.size
-        mu[pos : pos + p[l + 1]] = 0.0
-        pos += p[l + 1]
+    for w, b in zip(*_layer_views(shape, mu)):
+        rng.standard_normal(out=w)
+        w /= math.sqrt(w.shape[0])  # fan-in
+        b.fill(0.0)
     rho.fill(float(_inv_softplus(INIT_SIGMA_Q)))
     return VariationalState(mu=mu, rho=rho, step=0, seed=config.seed)
 
@@ -326,23 +313,26 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
                 idx = rngs[k].choice(n, size=batch, replace=False)
                 xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
             seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
-        obj, _, _ = elbo_gradient(
-            state, shape, None, prior, sigma, seeds, x=xb, y=yb, n_weight=n_weight,
-            buffers=buffers, gradients=False,
-        )
-        finite = np.isfinite(obj)
-        if not finite.all():
+        while True:
+            obj, _, _ = elbo_gradient(
+                state, shape, None, prior, sigma, seeds, x=xb, y=yb, n_weight=n_weight,
+                buffers=buffers, gradients=False,
+            )
+            finite = np.isfinite(obj)
+            if finite.all():
+                break
+            # The diverged rows leave the stack and the step reruns on the
+            # rest; a row's values do not depend on the stack around it.
             for r in np.flatnonzero(~finite):
                 results[rows[r]] = TrainingDiverged(it, float(obj[r]))
             keep = np.flatnonzero(finite)
             if keep.size == 0:
                 return results
-            rows = [rows[r] for r in keep]
-            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb, obj = (
-                a[keep] for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace,
-                                  xb, yb, obj))
+            rows, seeds = [rows[r] for r in keep], [seeds[r] for r in keep]
+            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb = (
+                a[keep] for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb))
             state = VariationalState(mu=mu, rho=rho)
-            buffers = buffers.rows(keep)
+            buffers = StepBuffers(shape, batch, len(keep))
         trace[:, it] = obj
         for cols in buffers.blocks():
             g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)

@@ -44,7 +44,7 @@ from besovbnn.testbed import (
     log_singular_function,
     tabulated_function,
 )
-from besovbnn.vi import TrainConfig, elbo_gradient, frozen_elbo, train
+from besovbnn.vi import TrainConfig, elbo_gradient, frozen_elbo, posterior_predictive, train
 
 F1 = SmoothnessSpec(s=math.log(2) / math.log(3), p=math.inf, q=math.inf, d=1, m=2)
 F2 = SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
@@ -68,13 +68,8 @@ def read_csv(path):
 
 
 def posterior_mean_error(state, shape, data, f0, draws, seed):
-    rng = np.random.default_rng(seed)
-    sq = state.sigma_q
-    acc = np.zeros(data.n)
-    for _ in range(draws):
-        theta = state.mu + sq * rng.standard_normal(state.T)
-        acc += forward(NetworkParams.from_flat(shape, theta), data.x)
-    return empirical_norm(acc / draws - f0(data.x[:, 0]))
+    mean = posterior_predictive(state, shape, data.x, draws, f0, data, seed=seed).mean
+    return empirical_norm(mean - f0(data.x[:, 0]))
 
 
 def test_criterion_1_table_reproduction(tmp_path):
@@ -287,13 +282,7 @@ def test_criterion_8_vi_mh_crosscheck():
             TrainConfig(iterations=2000, learning_rate=0.01, seed=0), sigma=0.1,
         )
         grid = np.linspace(0.0, 1.0, 101)
-        rng = np.random.default_rng(1)
-        sq = state.sigma_q
-        acc = np.zeros(101)
-        for _ in range(400):
-            theta = state.mu + sq * rng.standard_normal(state.T)
-            acc += forward(NetworkParams.from_flat(tiny, theta), grid[:, None])
-        vi_mean = acc / 400
+        vi_mean = posterior_predictive(state, tiny, grid, 400, f0, data, seed=1).mean
         res = mh_sample(
             tiny, data, prior, 0.1,
             MHConfig(steps=30_000, burn_in=10_000, proposal_sd=0.05, seed=2),

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 import besovbnn
 from besovbnn import design as dz
 from besovbnn import priors, testbed, vi
-from besovbnn.cli import fit_rate_slope, main
+from besovbnn.cli import build_parser, fit_rate_slope, main
 from besovbnn.network import NetworkShape
 
 
@@ -244,6 +245,90 @@ class TestCovering:
         assert "truncated covering bound" in capsys.readouterr().out
 
 
+class TestNumericFlags:
+    """A non-finite or out-of-range numeric flag exits 2 and a design that
+    over- or underflows doubles exits 1, each with one stderr line, before
+    any output directory is made."""
+
+    def run(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert err.count("\n") == 1, err
+        return rc, err
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--function", "f1", "--cB", "1e-320"],
+        ["check-prior", "--function", "f1", "--cB", "1e-320"],
+        ["fit", "--function", "f1", "--cB", "1e-320", *FAST_FIT],
+        ["design", "--s", "1.5", "--p", "1", "--q", "1", "--m", "100000"],
+        ["design", "--function", "f1", "--cB", "1e200"],
+        ["design", "--function", "f1", "--cB", "1e308"],
+    ])
+    def test_design_overflow_exits_1(self, tmp_path, capsys, argv):
+        rc, err = self.run(tmp_path, capsys, argv)
+        assert rc == 1 and err.startswith("failure: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--function", "f1", "--K0", "inf"],
+        ["check-prior", "--function", "f1", "--K0", "inf"],
+        ["fit", "--function", "f1", "--K0", "inf", *FAST_FIT],
+        ["design", "--function", "f1", "--cB", "nan"],
+        ["design", "--function", "f1", "--K0", "nan"],
+        ["design", "--s", "1.5", "--p", "nan", "--q", "1"],
+        ["design", "--s", "nan", "--p", "1", "--q", "1"],
+    ])
+    def test_rejected_flag_exits_2(self, tmp_path, capsys, argv):
+        rc, err = self.run(tmp_path, capsys, argv)
+        assert rc == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--B", "--delta", "--a"])
+    def test_covering_rejects_nan(self, capsys, flag):
+        argv = ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
+                "--a", "1e-9", "--delta", "0.5"]
+        assert main([*argv, flag, "nan"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+CONTRACT_ARGS = {
+    "design": ["design", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
+    "check-prior": ["check-prior", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
+    "covering": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
+                 "--a", "1e-9", "--delta", "0.5"],
+}
+
+
+def numeric_options(command):
+    """(flag, type) of each int or float option of a subcommand's parser."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(a.option_strings[0], a.type) for a in subparsers.choices[command]._actions
+            if a.type in (int, float)]
+
+
+def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
+    # Every numeric option of the closed-form commands, at edge values: main
+    # returns 0, 1 or 2 and writes at most one stderr line, never a traceback.
+    values = {float: ["nan", "inf", "-inf", "0", "-1", "1e-320"], int: ["0", "-1"]}
+    cases = [(command, flag, value) for command in CONTRACT_ARGS
+             for flag, kind in numeric_options(command) for value in values[kind]]
+    assert {command for command, _, _ in cases} == set(CONTRACT_ARGS)
+    broken = []
+    for i, (command, flag, value) in enumerate(cases):
+        argv = [*CONTRACT_ARGS[command], f"{flag}={value}"]
+        if command != "covering":
+            argv += ["--out-dir", str(tmp_path / str(i))]
+        try:
+            rc = main(argv)
+        except (Exception, SystemExit) as exc:  # any escape breaks the contract
+            rc = repr(exc)
+        err = capsys.readouterr().err
+        if rc not in (0, 1, 2) or err.count("\n") > 1:
+            broken.append((argv, rc, err))
+    assert not broken, broken
+
+
 class TestRateStudy:
     def test_requires_three_sizes(self, tmp_path):
         rc = main(["rate-study", "--function", "f2", "--n", "100,200",
@@ -304,7 +389,7 @@ def sequential_rate_study(ns, replicates, seed):
         arch = dz.design_architecture(spec, n, 10.0)
         prior = priors.make_density("mixture",
                                     mixture_spec=dz.mixture_hyperparams(arch, K0=5.0))
-        shape = NetworkShape(d_in=1, hidden_widths=tuple(dz.desk_scale_widths(arch, 2, 24)))
+        shape = NetworkShape(d_in=1, hidden_widths=tuple(dz.desk_scale_widths(arch)))
         seeds = [seed + 1000 * r + n for r in range(replicates)]
         datasets = [testbed.generate_dataset(f0, n, 0.1, s) for s in seeds]
         configs = [vi.TrainConfig(iterations=60, learning_rate=0.02, seed=s) for s in seeds]

@@ -37,6 +37,12 @@ class TestSmoothnessSpec:
         with pytest.raises(ValueError):
             SmoothnessSpec(s=2.5, p=math.inf, q=math.inf, d=1, m=2)
 
+    @pytest.mark.parametrize("field", ["s", "p", "q"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 0.0])
+    def test_nan_and_nonpositive_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SmoothnessSpec(**{**dict(s=1.5, p=1.0, q=1.0, d=1, m=2), field: value})
+
 
 class TestBaseWidth:
     @pytest.mark.parametrize("d,m,expected", [(1, 2, 50), (1, 1, 20), (2, 2, 100)])
@@ -85,6 +91,21 @@ class TestDesignArchitecture:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             design_architecture(F1_SPEC, 1)
+
+    @pytest.mark.parametrize("cB", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_cB(self, cB):
+        with pytest.raises(ValueError, match="cB"):
+            design_architecture(F1_SPEC, 100, cB)
+
+    def test_overflow_names_the_input(self):
+        # c_dm = 1 + 2 d e (2e)^m / sqrt(m) overflows doubles at large m
+        spec = SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=100_000)
+        with pytest.raises(ValueError, match="m=100000"):
+            design_architecture(spec, 100)
+
+    def test_B_overflow_names_cB(self):
+        with pytest.raises(ValueError, match="cB=1e"):
+            design_architecture(F1_SPEC, 100, 1e308)
 
 
 class TestMixtureHyperparams:
@@ -139,6 +160,17 @@ class TestMixtureHyperparams:
         a = design_architecture(F2_SPEC, 1000)
         mix = mixture_hyperparams(a, K0=5.0)
         assert mix.sigma2**2 * 2 * 6.0 * a.n_eps_sq == pytest.approx(a.B**2, rel=1e-14)
+
+    @pytest.mark.parametrize("K0", [math.inf, math.nan, 4.0])
+    def test_invalid_K0(self, K0):
+        with pytest.raises(ValueError, match="K0"):
+            mixture_hyperparams(design_architecture(F1_SPEC, 100), K0=K0)
+
+    def test_sigma2_underflow_names_B(self):
+        # B = 8e-320 squares to 0, so the slab scale underflows
+        a = design_architecture(F1_SPEC, 100, 1e-320)
+        with pytest.raises(ValueError, match="sigma2 underflows to 0 at B="):
+            mixture_hyperparams(a)
 
     def test_sigma2_example_variant(self):
         a = design_architecture(F2_SPEC, 1000)
@@ -216,6 +248,13 @@ class TestCoveringBound:
         with pytest.raises(ValueError):
             covering_bound(1, 1, 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_B_and_delta(self, value):
+        with pytest.raises(ValueError):
+            covering_bound(1, 1, 1, value, 2.0)
+        with pytest.raises(ValueError):
+            covering_bound(1, 1, 1, 1.0, value)
+
 
 class TestCoveringBoundTruncated:
     def test_zero_threshold_matches_plain(self):
@@ -230,6 +269,11 @@ class TestCoveringBoundTruncated:
             a.L, a.W, a.S, a.B, math.exp(a.log_a), a.eps / 36.0
         )
         assert math.isfinite(bound)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
+    def test_invalid_threshold(self, a):
+        with pytest.raises(ValueError, match="a >= 0"):
+            covering_bound_truncated(3, 8, 10, 2.0, a, 0.5)
 
     def test_threshold_violation_reports_minimum(self):
         with pytest.raises(TruncationThresholdError) as err:

@@ -28,6 +28,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             MHConfig(steps=10, burn_in=0, proposal_sd=0.0)
         with pytest.raises(ValueError):
+            MHConfig(steps=10, burn_in=0, proposal_sd=math.nan)
+        with pytest.raises(ValueError):
             MHConfig(steps=10, burn_in=0, thin=0)
 
 

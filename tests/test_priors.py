@@ -23,7 +23,6 @@ from besovbnn.priors import (
     make_density,
     mixture_log_density,
     mixture_sample,
-    shrinkage_log_prior,
     spike_slab_log_density,
     spike_slab_sample,
 )
@@ -181,13 +180,13 @@ class TestMixtureDensity:
                 math.log(2 * numeric), abs=1e-8
             )
 
-    def test_shrinkage_log_prior_sums(self):
+    def test_log_density_sum_sums_coordinates(self):
         g = FlatDensity()
-        assert shrinkage_log_prior(np.ones(7), g) == 0.0
+        assert g.log_density_sum(np.ones(7)) == 0.0
         gauss = make_density("gauss", sigma=2.0)
         theta = np.array([0.5, -1.0])
         expected = float(np.sum(gauss.log_pdf(theta)))
-        assert shrinkage_log_prior(theta, gauss) == pytest.approx(expected)
+        assert gauss.log_density_sum(theta) == pytest.approx(expected)
 
 
 # Reference copy of the mixture log-density and gradient as logsumexp over

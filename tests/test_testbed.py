@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from besovbnn.testbed import (
+    Dataset,
     ModulusGrid,
     besov_norm_estimate,
     cantor_function,
@@ -92,6 +93,12 @@ class TestDataset:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             generate_dataset(cantor_function(), 0, 0.1, seed=0)
+
+    def test_row_of_x_is_not_a_column(self):
+        # x is (n, d): a (1, 3) x is one point in three dimensions, not
+        # three points, so three values of y do not match it
+        with pytest.raises(ValueError):
+            Dataset(x=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0], noise_sd=0.0, seed=0)
 
 
 class TestEmpiricalNorm:

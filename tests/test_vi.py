@@ -211,6 +211,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=-3)
 
+    @pytest.mark.parametrize("learning_rate", [math.nan, 0.0])
+    def test_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=learning_rate)
+
     def test_divergence_raises(self):
         f = tabulated_function([0.0, 1.0], [0.5, 0.5])
         data = Dataset(x=[[0.2], [0.8]], y=[math.inf, 0.0], noise_sd=0.0, seed=0)
@@ -225,7 +230,7 @@ def designed_f2(n):
     arch = dz.design_architecture(spec, n, 10.0)
     prior = make_density("mixture",
                          mixture_spec=dz.mixture_hyperparams(arch, K0=5.0, counting="canonical"))
-    shape = NetworkShape(1, tuple(dz.desk_scale_widths(arch, max_depth=2, max_width=24)))
+    shape = NetworkShape(1, tuple(dz.desk_scale_widths(arch)))
     return prior, shape
 
 
@@ -297,8 +302,8 @@ class TestTrainReplicates:
             assert fits[r][0].rho.tobytes() == want[r][0].rho.tobytes()
 
     def test_diverged_replicate_leaves_a_stack_in_several_blocks(self, monkeypatch):
-        # the kept rows carry their part of the step into the smaller stack,
-        # whose tail then runs over more than one block
+        # the kept rows' step reruns in the smaller stack, whose tail then
+        # runs over more than one block
         monkeypatch.setattr(vi, "TAIL_BLOCK", 3 * 100)
         self.test_diverged_replicate_leaves_the_stack()
 
