@@ -60,8 +60,6 @@ def _smoothness_from_args(args) -> tuple[dz.SmoothnessSpec, object | None]:
     _check_finite("--cB", args.cB, 0.0)
     _check_finite("--K0", args.K0, 4.0)
     if getattr(args, "function", None):
-        if args.function not in BUILTIN_FUNCTIONS:
-            raise ArgumentError(f"unknown function {args.function!r}; choose f1 or f2")
         entry = BUILTIN_FUNCTIONS[args.function]
         return dz.SmoothnessSpec(**entry["spec"]), entry["function"]()
     if args.s is None:
@@ -96,12 +94,14 @@ def _check_fit_args(args) -> None:
         raise ArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
     if args.iterations < 1:
         raise ArgumentError(f"--iterations must be at least 1, got {args.iterations}")
-    if not args.learning_rate > 0.0:
-        raise ArgumentError(f"--learning-rate must be positive, got {args.learning_rate}")
+    _check_finite("--learning-rate", args.learning_rate, 0.0)
     if args.batch_size < 0:
         raise ArgumentError(f"--batch-size must be >= 0, got {args.batch_size}")
-    if not args.noise_sd > 0.0:
-        raise ArgumentError(f"--noise-sd must be positive, got {args.noise_sd}")
+    if not (args.noise_sd > 0.0 and 0.0 < args.noise_sd * args.noise_sd < math.inf):
+        raise ArgumentError(
+            f"--noise-sd must be positive with a positive finite square, got {args.noise_sd}")
+    if args.seed < 0:
+        raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -117,10 +117,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _design_record(spec: dz.SmoothnessSpec, n: int, cB: float, K0: float,
-                   counting: str):
-    arch = dz.design_architecture(spec, n, cB)
-    mix = dz.mixture_hyperparams(arch, K0=K0, counting=counting)
+def _design(spec: dz.SmoothnessSpec, n: int, args):
+    """The designed architecture and its mixture hyperparameters at sample
+    size n, from the --cB, --K0 and --counting flags."""
+    arch = dz.design_architecture(spec, n, args.cB)
+    return arch, dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
+
+
+def _design_record(spec: dz.SmoothnessSpec, n: int, args):
+    arch, mix = _design(spec, n, args)
     record = {
         "schema_version": SCHEMA_VERSION,
         "n": n,
@@ -144,7 +149,7 @@ def _design_record(spec: dz.SmoothnessSpec, n: int, cB: float, K0: float,
         "pi1": mix.pi1,
         "pi2": mix.pi2,
     }
-    return arch, mix, record
+    return mix, record
 
 
 def cmd_design(args) -> int:
@@ -153,7 +158,7 @@ def cmd_design(args) -> int:
     records = []
     csv_rows = []
     for n in ns:
-        _, mix, record = _design_record(spec, n, args.cB, args.K0, args.counting)
+        mix, record = _design_record(spec, n, args)
         records.append(record)
         log10_s1 = mix.log_sigma1 / math.log(10.0)
         sigma1_linear = math.exp(mix.log_sigma1) if mix.log_sigma1 > -700 else 0.0
@@ -190,8 +195,7 @@ def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
 
 def _designed_model(spec, n, args):
     """The designed mixture prior and network shape for sample size n."""
-    arch = dz.design_architecture(spec, n, args.cB)
-    mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
+    arch, mix = _design(spec, n, args)
     prior = priors.make_density("mixture", mixture_spec=mix)
     return prior, _desk_shape(spec, arch, args.full_scale)
 
@@ -319,12 +323,9 @@ def cmd_check_prior(args) -> int:
     reports = []
     all_pass = True
     for n in ns:
-        arch = dz.design_architecture(spec, n, args.cB)
-        mix = dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
+        arch, mix = _design(spec, n, args)
         g = priors.make_density(args.density, mixture_spec=mix, B=arch.B)
-        report = dz.check_shrinkage_conditions(
-            g, arch, K=args.K0, K0=args.K0, counting=args.counting
-        )
+        report = dz.check_shrinkage_conditions(g, arch, K0=args.K0, counting=args.counting)
         reports.append({"n": n, **report.to_dict()})
         all_pass &= report.all_pass
     out = {"schema_version": SCHEMA_VERSION, "density": args.density,
@@ -439,6 +440,9 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    for flag, value in (("--L", args.L), ("--W", args.W), ("--S", args.S)):
+        if value is not None and value < 1:
+            raise ArgumentError(f"{flag} must be at least 1, got {value}")
     for flag, value in (("--B", args.B), ("--delta", args.delta)):
         if value is not None:
             _check_finite(flag, value, 0.0)

@@ -44,16 +44,6 @@ SUPPORT_FACTOR = 1.0
 SPIKE_SLACK = 1e-9
 
 
-def _log_q(z: float) -> float:
-    """log of the standard normal survival function, safe for huge z."""
-    return float(log_ndtr(-z))
-
-
-def _q_inv(u: float) -> float:
-    """Inverse survival function of the standard normal."""
-    return float(-ndtri(u))
-
-
 @dataclass(frozen=True)
 class SmoothnessSpec:
     """Smoothness and problem-dimension parameters (s, p, q, d, m).
@@ -106,11 +96,6 @@ def base_width(d: int, m: int) -> int:
     return 6 * d * m * (m + 2) + 2 * d
 
 
-def _weight_only_count(d: int, L: int, W: int) -> int:
-    widths = [d] + [W] * L + [1]
-    return sum(widths[i] * widths[i + 1] for i in range(L + 1))
-
-
 @dataclass(frozen=True)
 class ArchSpec:
     """Derived network geometry and rate quantities for a sample size n."""
@@ -124,11 +109,6 @@ class ArchSpec:
     B: float
     T: int
     eps: float
-    tau: float
-    c_dm: float
-    xi: float
-    nu: float
-    d: int = 1
 
     @property
     def n_eps_sq(self) -> float:
@@ -141,8 +121,8 @@ class ArchSpec:
 
     @property
     def T_compat(self) -> int:
-        """Alternate total count: weights only, no biases."""
-        return _weight_only_count(self.d, self.L, self.W)
+        """Alternate total count: weights only, without the L*W + 1 biases."""
+        return self.T - self.L * self.W - 1
 
     def sparsity_fraction(self, counting: str = "canonical") -> float:
         if counting == "canonical":
@@ -180,8 +160,8 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
     try:
         N = math.ceil(n ** (d / (2 * s + d)))
         tau = N ** (-s / d) / math.log(N) if N > 1 else 1.0
-        c_dm = 1.0 + 2.0 * d * math.e * (2.0 * math.e) ** m / math.sqrt(m)
-        L = 3 + 2 * math.ceil(math.log2(3**dm / (tau * c_dm)) + 5) * math.ceil(math.log2(dm))
+        c = 1.0 + 2.0 * d * math.e * (2.0 * math.e) ** m / math.sqrt(m)
+        L = 3 + 2 * math.ceil(math.log2(3**dm / (tau * c)) + 5) * math.ceil(math.log2(dm))
         eps = n ** (-s / (2 * s + d)) * math.log(n) ** 1.5
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(
@@ -193,10 +173,7 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
     if math.isinf(B):
         raise ValueError(f"B = cB N^xi overflows doubles at cB={cB}, n={n}")
     T = NetworkShape(d, (W,) * L).n_params
-    return ArchSpec(
-        n=n, N=N, W0=W0, L=L, W=W, S=S, B=B, T=T, eps=eps,
-        tau=tau, c_dm=c_dm, xi=spec.xi, nu=spec.nu, d=d,
-    )
+    return ArchSpec(n=n, N=N, W0=W0, L=L, W=W, S=S, B=B, T=T, eps=eps)
 
 
 def desk_scale_widths(arch: ArchSpec) -> list[int]:
@@ -237,13 +214,11 @@ def mixture_hyperparams(
     arch: ArchSpec,
     K0: float = 5.0,
     counting: str = "canonical",
-    sigma2_divisor: str = "K0_plus_1",
 ) -> MixturePriorSpec:
     """Gaussian-mixture hyperparameters for a designed architecture.
 
-    sigma2_divisor selects the slab variance denominator: "K0_plus_1" gives
-    B^2 / (2 (K0+1) n eps^2) (the experiment setting, which reproduces the
-    reported slab scales to four digits), "K0" gives B^2 / (2 K0 n eps^2).
+    The slab variance is B^2 / (2 (K0+1) n eps^2), the experiment setting,
+    which reproduces the reported slab scales to four digits.
 
     The spike scale comes from a / Qinv(w) with
     w = (pi2/pi1) (eta/2 - Q(a/sigma2)) evaluated in double precision.  For
@@ -258,14 +233,8 @@ def mixture_hyperparams(
     pi1 = 1.0 - pi2
     n_eps_sq = arch.n_eps_sq
     eta = math.exp(-K0 * n_eps_sq / arch.S)
-    if sigma2_divisor == "K0_plus_1":
-        divisor = 2.0 * (K0 + 1.0) * n_eps_sq
-    elif sigma2_divisor == "K0":
-        divisor = 2.0 * K0 * n_eps_sq
-    else:
-        raise ValueError(f"unknown sigma2_divisor {sigma2_divisor!r}")
     try:
-        sigma2 = math.sqrt(arch.B**2 / divisor)
+        sigma2 = math.sqrt(arch.B**2 / (2.0 * (K0 + 1.0) * n_eps_sq))
     except OverflowError as exc:
         raise ValueError(
             f"the slab variance overflows doubles at B={arch.B:.6g}; lower cB") from exc
@@ -273,10 +242,10 @@ def mixture_hyperparams(
         raise ValueError(f"the slab scale sigma2 underflows to 0 at B={arch.B:.6g}; raise cB")
     log_a = arch.log_a
     a_lin = math.exp(log_a)  # may be 0.0 for extreme geometries; Q(0) = 1/2
-    q_a = math.exp(_log_q(a_lin / sigma2))
+    q_a = math.exp(float(log_ndtr(-(a_lin / sigma2))))
     w = (pi2 / pi1) * (0.5 * eta - q_a)
     w = min(max(w, np.finfo(float).eps), 1.0 - np.finfo(float).eps)
-    log_sigma1 = log_a - math.log(_q_inv(w))
+    log_sigma1 = log_a - math.log(float(-ndtri(w)))
     return MixturePriorSpec(
         log_a=log_a, eta=eta, log_sigma1=log_sigma1, sigma2=sigma2,
         pi1=pi1, pi2=pi2, B=arch.B, K0=K0,
@@ -309,10 +278,6 @@ class ConditionReport:
     pass_support: bool
 
     @property
-    def v(self) -> float:
-        return math.exp(self.log_v)
-
-    @property
     def all_pass(self) -> bool:
         return self.pass_spike and self.pass_tail and self.pass_support
 
@@ -331,7 +296,6 @@ def _spot_check_symmetry(g, scale: float) -> None:
 def check_shrinkage_conditions(
     g,
     arch: ArchSpec,
-    K: float = 5.0,
     K0: float = 5.0,
     counting: str = "canonical",
 ) -> ConditionReport:
@@ -347,12 +311,12 @@ def check_shrinkage_conditions(
     the pass flag: the designed mixture has -log g(B) = (K0+1) n eps^2, which
     exceeds any fixed multiple of (log n)^2 at table-sized geometry.
     """
-    if K <= 4 or K0 <= 4:
-        raise ValueError("need K, K0 > 4")
+    if not 4 < K0 < math.inf:
+        raise ValueError(f"need finite K0 > 4, got {K0}")
     _spot_check_symmetry(g, max(arch.B, 1.0) / 10.0)
     ratio = arch.sparsity_fraction(counting)
     n_eps_sq = arch.n_eps_sq
-    eta = math.exp(-K * n_eps_sq / arch.S)
+    eta = math.exp(-K0 * n_eps_sq / arch.S)
     a = math.exp(arch.log_a)
 
     log_one_minus_u = g.log_tail_mass(a)

@@ -8,6 +8,7 @@ weights before biases within a layer, weight matrices in row-major order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,6 @@ class NetworkParams:
             self.weights.append(w)
             self.biases.append(b)
 
-    @property
-    def n_params(self) -> int:
-        return self.shape.n_params
-
     def flatten(self) -> np.ndarray:
         parts = []
         for w, b in zip(self.weights, self.biases):
@@ -154,16 +151,23 @@ def forward(params: NetworkParams, x) -> np.ndarray | float:
     h = np.atleast_2d(x)
     if h.shape[-1] != params.shape.d_in:
         raise ValueError(f"input dimension {h.shape[-1]} != d_in {params.shape.d_in}")
-    n_layers = len(params.weights)
-    for l in range(n_layers):
-        h = h @ params.weights[l]  # the layer's one new array
-        h += params.biases[l][..., None, :]
-        if l < n_layers - 1:
-            np.maximum(h, 0.0, out=h)
-    out = h[..., 0]
+    out = _layers(params, h)[..., 0]
     if not single:
         return out
     return float(out[0]) if params.stack is None else out[..., 0]
+
+
+def _layers(params: NetworkParams, h, outs=None) -> np.ndarray:
+    """The layer loop: h @ W + b on every layer, ReLU on all but the last,
+    each layer's output written into outs[l] when outs is given and a new
+    array otherwise.  Returns the output layer's (..., n, 1) values."""
+    n_layers = len(params.weights)
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = np.matmul(h, w, out=None if outs is None else outs[l])
+        h += b[..., None, :]
+        if l < n_layers - 1:
+            np.maximum(h, 0.0, out=h)
+    return h
 
 
 def membership(params: NetworkParams, L: int, W: int, S: int, B: float) -> bool:
@@ -222,8 +226,8 @@ def _forward_loglik(params: NetworkParams, x, y, sigma: float,
     """Checked forward pass shared by `loglik` and `loglik_and_grad`: the
     log-likelihood, the residuals y - f, the layer inputs (x, then the hidden
     post-activations) and the buffer set the pass ran in."""
-    if sigma <= 0:
-        raise ValueError("need sigma > 0")
+    if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
+        raise ValueError(f"need sigma > 0 whose square is a positive finite double, got {sigma}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
@@ -235,24 +239,15 @@ def _forward_loglik(params: NetworkParams, x, y, sigma: float,
         buffers = PassBuffers(params.shape, n, params.stack)
     else:
         buffers.check(params.shape, n, params.stack)
-    weights, biases = params.weights, params.biases
-
-    # Forward pass, keeping post-activation values per layer.
-    acts = [x, *buffers.acts]
-    for l, h in enumerate(buffers.acts):
-        np.matmul(acts[l], weights[l], out=h)
-        h += biases[l][..., None, :]
-        np.maximum(h, 0.0, out=h)
-    np.matmul(acts[-1], weights[-1], out=buffers.out)
-    buffers.out += biases[-1][..., None, :]
-    f = buffers.out[..., 0]
+    # The hidden post-activations stay in the buffers for the backward pass.
+    f = _layers(params, x, [*buffers.acts, buffers.out])[..., 0]
 
     resid = y - f
     ll = (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
           - 0.5 * (resid**2).sum(axis=-1) / sigma**2)
     if params.stack is None:
         ll = float(ll)
-    return ll, resid, acts, buffers
+    return ll, resid, [x, *buffers.acts], buffers
 
 
 def loglik(params: NetworkParams, x, y, sigma: float, buffers: PassBuffers | None = None):

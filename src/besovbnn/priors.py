@@ -413,9 +413,6 @@ class MixtureDensity(DensityHandle):
         term2 = math.log(self.spec.pi2) + float(log_ndtr(-c / self.spec.sigma2))
         return math.log(2.0) + float(logsumexp([term1, term2]))
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        return mixture_sample(self.spec, count, seed)
-
 
 class FlatDensity(DensityHandle):
     """Improper constant density (log g = 0); for oracle comparisons only."""

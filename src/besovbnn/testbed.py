@@ -73,10 +73,9 @@ def eval_log_singular(x: float) -> float:
 
 @dataclass(frozen=True)
 class TrueFunction:
-    """A scalar target function on [0, 1]^d (d = 1 for the built-ins)."""
+    """A scalar target function on [0, 1]."""
 
     kind: str
-    d: int = 1
     table: tuple | None = None  # (x grid, values) for tabulated functions
 
     def __call__(self, x):
@@ -132,15 +131,14 @@ class Dataset:
 
 
 def generate_dataset(f: TrueFunction, n: int, noise_sd: float, seed: int) -> Dataset:
-    """Uniform design on [0,1]^d with y = f(x) + N(0, noise_sd^2) noise."""
+    """Uniform design on [0, 1] with y = f(x) + N(0, noise_sd^2) noise."""
     if n < 1:
         raise ValueError("need n >= 1")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
     rng = np.random.default_rng(seed)
-    d = f.d
-    x = rng.uniform(0.0, 1.0, size=(n, d))
-    fx = f(x[:, 0] if d == 1 else x)
+    x = rng.uniform(0.0, 1.0, size=(n, 1))
+    fx = f(x[:, 0])
     y = fx + noise_sd * rng.standard_normal(n) if noise_sd > 0 else fx.copy()
     return Dataset(x=x, y=y, noise_sd=noise_sd, seed=seed)
 

@@ -108,8 +108,8 @@ class TrainConfig:
             raise ValueError("iterations must be positive")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 means full batch)")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 class StepBuffers:
@@ -177,17 +177,16 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
     return _elbo(ll, theta, zeta, sq, prior, n_weight)
 
 
-def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
-                  prior, sigma: float, seed, x=None, y=None,
-                  n_weight: float = 1.0, buffers: StepBuffers | None = None,
-                  gradients: bool = True):
+def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
+                  sigma: float, seed, n_weight: float = 1.0,
+                  buffers: StepBuffers | None = None, gradients: bool = True):
     """Pathwise gradient of the single-sample ELBO with respect to (mu, rho)
     for the noise draw of `seed`.
 
     Returns (objective, g_mu, g_rho), where objective is the frozen ELBO of
-    that draw, taken from the same network pass as its gradient.  Optionally
-    evaluates on an explicit (x, y) minibatch with the data term reweighted
-    by n_weight to stay unbiased.  For a stacked state (mu and rho of shape
+    that draw, taken from the same network pass as its gradient.  On a
+    minibatch (x, y) the data term is reweighted by n_weight to stay
+    unbiased.  For a stacked state (mu and rho of shape
     (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
@@ -196,8 +195,6 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, data: Dataset,
     With gradients=False they are None: the step stops before the tail,
     which the caller runs on `buffers` block by block.
     """
-    if x is None:
-        x, y = data.x, data.y
     stack = None if state.mu.ndim == 1 else state.mu.shape[0]
     n = np.shape(y)[-1]
     b = StepBuffers(shape, n, stack) if buffers is None else buffers
@@ -315,7 +312,7 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
         while True:
             obj, _, _ = elbo_gradient(
-                state, shape, None, prior, sigma, seeds, x=xb, y=yb, n_weight=n_weight,
+                state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
                 buffers=buffers, gradients=False,
             )
             finite = np.isfinite(obj)
@@ -375,7 +372,6 @@ class PredictiveSummary:
     lower: np.ndarray
     upper: np.ndarray
     errors: np.ndarray
-    alpha: float
 
     def median_error(self) -> float:
         return float(np.median(self.errors))
@@ -409,7 +405,7 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
     lower = np.quantile(fvals, alpha / 2.0, axis=0)
     upper = np.quantile(fvals, 1.0 - alpha / 2.0, axis=0)
     return PredictiveSummary(grid=grid, mean=mean, lower=lower, upper=upper,
-                             errors=errors, alpha=alpha)
+                             errors=errors)
 
 
 def save_checkpoint(path, state: VariationalState, shape: NetworkShape) -> None:
@@ -436,15 +432,25 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (state, shape)."""
     path = Path(path)
     envelope = json.loads(path.with_suffix(".json").read_text())
+    if not isinstance(envelope, dict):
+        raise ValueError("checkpoint envelope is not a JSON object")
     if envelope.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(
             f"checkpoint schema_version {envelope.get('schema_version')!r} is not "
             f"{CHECKPOINT_SCHEMA_VERSION}"
         )
+    missing = [k for k in ("flatten_order", "shape", "T", "seed", "step") if k not in envelope]
+    if missing:
+        raise ValueError(f"checkpoint envelope lacks {', '.join(missing)}")
     if envelope["flatten_order"] != FLATTEN_ORDER:
         raise ValueError("checkpoint uses an unknown flatten order")
-    shape = NetworkShape.from_dict(envelope["shape"])
+    try:
+        shape = NetworkShape.from_dict(envelope["shape"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"checkpoint shape is malformed: {exc!r}") from exc
     T = envelope["T"]
+    if not isinstance(T, int) or T < 0:
+        raise ValueError(f"checkpoint T must be a nonnegative integer, got {T!r}")
     with path.with_suffix(".bin").open("rb") as f:
         # Checked before reading, so a wrong file allocates nothing; mu and
         # rho are read straight into their own arrays.

@@ -139,16 +139,14 @@ def test_criterion_3_gradient_correctness():
                 assert abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), 1e-6) < 1e-5
 
             # frozen-noise ELBO gradient in the variational parameters
-            from besovbnn.testbed import Dataset
             from besovbnn.vi import VariationalState
 
-            data = Dataset(x=x, y=y, noise_sd=0.3, seed=0)
             state = VariationalState(
                 mu=theta.copy(), rho=np.full(shape.n_params, -2.0)
             )
             prior = make_density("gauss")
             seed = 42
-            _, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.3, seed=seed)
+            _, g_mu, g_rho = elbo_gradient(state, shape, x, y, prior, 0.3, seed=seed)
             zeta = np.random.default_rng(seed).standard_normal((1, state.T))[0]
 
             def obj(mu, rho):

@@ -132,8 +132,11 @@ BAD_FLAGS = [
     ("--grid-points", "0"),
     ("--iterations", "0"),
     ("--learning-rate", "0"), ("--learning-rate", "-0.01"), ("--learning-rate", "nan"),
+    ("--learning-rate", "inf"),
     ("--batch-size", "-1"),
-    ("--noise-sd", "0"), ("--noise-sd", "nan"),
+    ("--noise-sd", "0"), ("--noise-sd", "nan"), ("--noise-sd", "inf"),
+    ("--noise-sd", "1e200"), ("--noise-sd", "1e-200"),  # squares overflow and underflow
+    ("--seed", "-1"),
 ]
 
 
@@ -193,6 +196,28 @@ class TestPredict:
                    "--checkpoint", str(fit_dir / "checkpoint"),
                    "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
         assert rc == 1
+
+    @pytest.mark.parametrize("malform, field", [
+        (lambda env: {k: v for k, v in env.items() if k != "flatten_order"}, "flatten_order"),
+        (lambda env: {k: v for k, v in env.items() if k != "T"}, "T"),
+        (lambda env: [env], "JSON object"),
+        (lambda env: {**env, "shape": 5}, "shape"),
+        (lambda env: {**env, "T": 2.5}, "T"),
+    ], ids=["no-flatten_order", "no-T", "list", "int-shape", "float-T"])
+    def test_malformed_envelope_exits_1(self, tmp_path, capsys, malform, field):
+        shape = NetworkShape(d_in=1, hidden_widths=(2,))
+        T = shape.n_params
+        vi.save_checkpoint(tmp_path / "checkpoint",
+                           vi.VariationalState(mu=np.zeros(T), rho=np.zeros(T)), shape)
+        envelope = json.loads((tmp_path / "checkpoint.json").read_text())
+        (tmp_path / "checkpoint.json").write_text(json.dumps(malform(envelope)))
+        rc = main(["predict", "--function", "f2", "--n", "50",
+                   "--checkpoint", str(tmp_path / "checkpoint"),
+                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("failure: ")
+        assert field in err
+        assert not (tmp_path / "pred").exists()
 
 
 class TestCheckPrior:
@@ -290,13 +315,27 @@ class TestNumericFlags:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--L", "--W", "--S"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_covering_rejects_a_nonpositive_geometry(self, capsys, flag, value):
+        argv = ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
+                "--delta", "0.5"]
+        assert main([*argv, flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag} must")
 
+
+TINY_FIT = ["--function", "f2", "--iterations", "1", "--draws", "2", "--grid-points", "2"]
 CONTRACT_ARGS = {
     "design": ["design", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
     "check-prior": ["check-prior", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
     "covering": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
                  "--a", "1e-9", "--delta", "0.5"],
+    "fit": ["fit", "--n", "4", *TINY_FIT],
+    "predict": ["predict", "--n", "4", *TINY_FIT],
+    "rate-study": ["rate-study", "--n", "4,5,6", "--replicates", "1", *TINY_FIT],
 }
+FIT_COMMANDS = {"fit", "predict", "rate-study"}
 
 
 def numeric_options(command):
@@ -308,23 +347,35 @@ def numeric_options(command):
 
 
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
-    # Every numeric option of the closed-form commands, at edge values: main
-    # returns 0, 1 or 2 and writes at most one stderr line, never a traceback.
-    values = {float: ["nan", "inf", "-inf", "0", "-1", "1e-320"], int: ["0", "-1"]}
+    # Every numeric option of every command, at edge values: main returns 0,
+    # 1 or 2 and never raises or prints a traceback.  The closed-form
+    # commands write at most one stderr line; a fit command that exits 2
+    # writes one error: line and makes no output directory.
+    checkpoint = tmp_path / "fit" / "checkpoint"
+    assert main([*CONTRACT_ARGS["fit"], "--out-dir", str(checkpoint.parent)]) == 0
+    values = {float: ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e200"], int: ["0", "-1"]}
     cases = [(command, flag, value) for command in CONTRACT_ARGS
              for flag, kind in numeric_options(command) for value in values[kind]]
     assert {command for command, _, _ in cases} == set(CONTRACT_ARGS)
     broken = []
     for i, (command, flag, value) in enumerate(cases):
+        out_dir = tmp_path / str(i)
         argv = [*CONTRACT_ARGS[command], f"{flag}={value}"]
         if command != "covering":
-            argv += ["--out-dir", str(tmp_path / str(i))]
+            argv += ["--out-dir", str(out_dir)]
+        if command == "predict":
+            argv += ["--checkpoint", str(checkpoint)]
         try:
             rc = main(argv)
         except (Exception, SystemExit) as exc:  # any escape breaks the contract
             rc = repr(exc)
         err = capsys.readouterr().err
-        if rc not in (0, 1, 2) or err.count("\n") > 1:
+        if command in FIT_COMMANDS:
+            ok = rc in (0, 1, 2) and "Traceback" not in err and (rc != 2 or (
+                err.count("\n") == 1 and err.startswith("error: ") and not out_dir.exists()))
+        else:
+            ok = rc in (0, 1, 2) and err.count("\n") <= 1
+        if not ok:
             broken.append((argv, rc, err))
     assert not broken, broken
 

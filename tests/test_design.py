@@ -76,6 +76,12 @@ class TestDesignArchitecture:
         assert a.T == T
         assert a.S <= a.T
 
+    def test_compat_count_is_the_weights_alone(self):
+        for spec in (F1_SPEC, F2_SPEC):
+            a = design_architecture(spec, 1000)
+            widths = [spec.d] + [a.W] * a.L + [1]
+            assert a.T_compat == sum(p * q for p, q in zip(widths, widths[1:]))
+
     def test_rate_identity(self):
         for n in (100, 777, 5000):
             a = design_architecture(F2_SPEC, n)
@@ -172,11 +178,6 @@ class TestMixtureHyperparams:
         with pytest.raises(ValueError, match="sigma2 underflows to 0 at B="):
             mixture_hyperparams(a)
 
-    def test_sigma2_example_variant(self):
-        a = design_architecture(F2_SPEC, 1000)
-        mix = mixture_hyperparams(a, K0=5.0, sigma2_divisor="K0")
-        assert mix.sigma2**2 * 2 * 5.0 * a.n_eps_sq == pytest.approx(a.B**2, rel=1e-14)
-
     def test_log_a_identity(self):
         a = design_architecture(F1_SPEC, 1000)
         lhs = (
@@ -217,7 +218,7 @@ class TestShrinkageConditions:
     def test_invalid_constants(self):
         a = design_architecture(F2_SPEC, 100)
         with pytest.raises(ValueError):
-            check_shrinkage_conditions(make_density("gauss"), a, K=3.0)
+            check_shrinkage_conditions(make_density("gauss"), a, K0=3.0)
 
 
 class TestCoveringBound:

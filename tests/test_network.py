@@ -234,6 +234,15 @@ class TestLoglikGrad:
         with pytest.raises(ValueError):
             loglik_and_grad(p, [[0.0]], [0.0], sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.5, 1e200, 1e-200])
+    def test_sigma_needs_a_positive_finite_square(self, sigma):
+        # 1e200 squares past the largest double and 1e-200 to 0: a
+        # ValueError, not an OverflowError or a NaN log-likelihood
+        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
+        for evaluate in (loglik, loglik_and_grad):
+            with pytest.raises(ValueError, match="sigma"):
+                evaluate(p, [[0.0]], [0.0], sigma)
+
 
 # Random geometries: 1-3 inputs, 1-3 hidden layers of width 1-6.
 shapes = st.builds(

@@ -100,7 +100,7 @@ class TestElboGradient:
         )
         prior = FlatDensity() if prior_name == "flat" else make_density("gauss")
         seed = 77
-        objective, g_mu, g_rho = elbo_gradient(state, shape, data, prior, 0.2, seed=seed)
+        objective, g_mu, g_rho = elbo_gradient(state, shape, data.x, data.y, prior, 0.2, seed=seed)
         zeta = np.random.default_rng(seed).standard_normal((1, state.T))[0]
 
         def obj(mu, rho):
@@ -126,7 +126,7 @@ class TestElboGradient:
         _, data = small_data(n=5)
         state = make_state(shape, mu_val=0.2, sigma_q=0.3)
         _, g_mu, g_rho = elbo_gradient(
-            state, shape, data, FlatDensity(), sigma=1e8, seed=4
+            state, shape, data.x, data.y, FlatDensity(), sigma=1e8, seed=4
         )
         sig = 1.0 / (1.0 + math.exp(-inv_softplus(0.3)))
         np.testing.assert_allclose(g_rho, sig / 0.3, atol=1e-8)
@@ -139,14 +139,14 @@ class TestElboGradient:
         prior = make_density("gauss")
         buffers = StepBuffers(shape, 12)
         for seed in (5, 6):
-            fresh = elbo_gradient(state, shape, data, prior, 0.2, seed=seed)
-            reused = elbo_gradient(state, shape, data, prior, 0.2, seed=seed, buffers=buffers)
+            fresh = elbo_gradient(state, shape, data.x, data.y, prior, 0.2, seed=seed)
+            reused = elbo_gradient(state, shape, data.x, data.y, prior, 0.2, seed=seed, buffers=buffers)
             assert reused[0] == fresh[0]
             for got, want in zip(reused[1:], fresh[1:]):
                 assert got.tobytes() == want.tobytes()
         for wrong in (StepBuffers(shape, 11), StepBuffers(NetworkShape(1, (4,)), 12)):
             with pytest.raises(ValueError, match="buffers built for"):
-                elbo_gradient(state, shape, data, prior, 0.2, seed=5, buffers=wrong)
+                elbo_gradient(state, shape, data.x, data.y, prior, 0.2, seed=5, buffers=wrong)
 
 
 class TestTrain:
@@ -211,7 +211,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=-3)
 
-    @pytest.mark.parametrize("learning_rate", [math.nan, 0.0])
+    @pytest.mark.parametrize("learning_rate", [math.nan, 0.0, math.inf])
     def test_learning_rate_rejected(self, learning_rate):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=learning_rate)
