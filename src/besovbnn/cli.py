@@ -2,7 +2,9 @@
 condition checks, covering bounds, and contraction-rate studies.
 
 Subcommands: design, fit, predict, check-prior, rate-study, covering.
-Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  Every command
+Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  Each option
+declares its range at its add_argument, so --config values get the same
+checks; every rejection is one 'error:' line and exit 2.  Every command
 is deterministic; fit, predict and rate-study draw their randomness from
 --seed, and fit records the derived seeds in its manifest.
 Plot emission is data-only (CSV); figures are left to external tooling.
@@ -46,22 +48,83 @@ class ArgumentError(Exception):
     """Invalid arguments; maps to exit code 2."""
 
 
-def _check_finite(flag: str, value: float, low: float, closed: bool = False) -> None:
-    """Reject a flag value that is not finite or not above `low` (not at
-    least `low` when `closed`); NaN fails every comparison."""
-    if not (math.isfinite(value) and (value >= low if closed else value > low)):
-        bound = f"at least {low:g}" if closed else f"above {low:g}"
-        raise ArgumentError(f"{flag} must be finite and {bound}, got {value}")
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises ArgumentError in place of printing its
+    usage and exiting.  A value that a flag's type or choices reject reads
+    '<flag> <what is wrong>', such as '--alpha must lie in (0, 1), got 2.0'."""
+
+    def __init__(self, **kwargs):
+        super().__init__(exit_on_error=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except argparse.ArgumentError as exc:
+            raise ArgumentError(f"{exc.argument_name} {exc.message}") from None
+
+    def error(self, message):
+        raise ArgumentError(message)
 
 
-def _smoothness_from_args(args) -> tuple[dz.SmoothnessSpec, object | None]:
-    """Check the design flags and resolve a SmoothnessSpec (and the true
-    function, when built-in)."""
-    _check_finite("--cB", args.cB, 0.0)
-    _check_finite("--K0", args.K0, 4.0)
-    if getattr(args, "function", None):
+def _flag_type(convert, rule: str, ok, low, high=math.inf):
+    """A flag type: `convert` the text, then reject a value that fails `ok`
+    with 'must <rule>, got <value>'.  The type keeps its range's bounds as
+    `low` and `high` for tests that probe them."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's 'invalid float value' names it
+    parse.low, parse.high = low, high
+    return parse
+
+
+def _real(low: float, closed: bool = False, high: float = math.inf):
+    """A float above `low` (at least `low` when `closed`) and below `high`,
+    so finite; NaN fails every comparison."""
+    if high == math.inf:
+        rule = f"be finite and {'at least' if closed else 'above'} {low:g}"
+    else:
+        rule = f"lie in {'[' if closed else '('}{low:g}, {high:g})"
+    return _flag_type(float, rule, lambda v: (v >= low if closed else v > low) and v < high,
+                      low, high)
+
+
+def _count(low: int):
+    """An integer of at least `low`."""
+    return _flag_type(int, f"be at least {low}", lambda v: v >= low, low)
+
+
+def _sizes(text: str) -> list[int]:
+    """The --n type: comma-separated sample sizes, each at least 2, in
+    strictly increasing order.  How many of them a command takes is that
+    command's rule."""
+    try:
+        ns = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        ns = []
+    if not ns or ns[0] < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise argparse.ArgumentTypeError(
+            f"must list sample sizes of at least 2 in increasing order, got {text!r}")
+    return ns
+
+
+def _single_n(args) -> int:
+    if len(args.n) != 1:
+        raise ArgumentError(f"{args.command} takes a single sample size")
+    return args.n[0]
+
+
+def _smoothness_from_args(args, builtin: bool = False) -> tuple[dz.SmoothnessSpec, object | None]:
+    """Resolve a SmoothnessSpec and, for a built-in --function, the true
+    function, which `builtin` requires."""
+    if args.function:
         entry = BUILTIN_FUNCTIONS[args.function]
         return dz.SmoothnessSpec(**entry["spec"]), entry["function"]()
+    if builtin:
+        raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
     if args.s is None:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
     try:
@@ -69,39 +132,6 @@ def _smoothness_from_args(args) -> tuple[dz.SmoothnessSpec, object | None]:
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
     return spec, None
-
-
-def _parse_n_list(text: str, minimum: int = 1) -> list[int]:
-    try:
-        ns = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ArgumentError(f"bad n list {text!r}") from exc
-    if len(ns) < minimum or any(n < 2 for n in ns):
-        raise ArgumentError(f"need at least {minimum} sample sizes, each >= 2")
-    if sorted(ns) != ns or len(set(ns)) != len(ns):
-        raise ArgumentError("n list must be strictly increasing")
-    return ns
-
-
-def _check_fit_args(args) -> None:
-    """Reject fit, predict and rate-study flags that no run can use (NaN
-    included) before any data generation or training."""
-    if args.draws < 2:
-        raise ArgumentError(f"--draws must be at least 2, got {args.draws}")
-    if not 0.0 < args.alpha < 1.0:
-        raise ArgumentError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.grid_points < 1:
-        raise ArgumentError(f"--grid-points must be at least 1, got {args.grid_points}")
-    if args.iterations < 1:
-        raise ArgumentError(f"--iterations must be at least 1, got {args.iterations}")
-    _check_finite("--learning-rate", args.learning_rate, 0.0)
-    if args.batch_size < 0:
-        raise ArgumentError(f"--batch-size must be >= 0, got {args.batch_size}")
-    if not (args.noise_sd > 0.0 and 0.0 < args.noise_sd * args.noise_sd < math.inf):
-        raise ArgumentError(
-            f"--noise-sd must be positive with a positive finite square, got {args.noise_sd}")
-    if args.seed < 0:
-        raise ArgumentError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -154,10 +184,9 @@ def _design_record(spec: dz.SmoothnessSpec, n: int, args):
 
 def cmd_design(args) -> int:
     spec, _ = _smoothness_from_args(args)
-    ns = _parse_n_list(args.n)
     records = []
     csv_rows = []
-    for n in ns:
+    for n in args.n:
         mix, record = _design_record(spec, n, args)
         records.append(record)
         log10_s1 = mix.log_sigma1 / math.log(10.0)
@@ -227,14 +256,8 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
 
 
 def cmd_fit(args) -> int:
-    _check_fit_args(args)
-    spec, f0 = _smoothness_from_args(args)
-    if f0 is None:
-        raise ArgumentError("fit requires a built-in --function (f1 or f2)")
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise ArgumentError("fit takes a single sample size")
-    n = ns[0]
+    spec, f0 = _smoothness_from_args(args, builtin=True)
+    n = _single_n(args)
     prior, shape = _designed_model(spec, n, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,19 +316,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_fit_args(args)
     checkpoint = Path(args.checkpoint)
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")
-    spec, f0 = _smoothness_from_args(args)
-    if f0 is None:
-        raise ArgumentError("predict requires a built-in --function")
-    ns = _parse_n_list(args.n)
-    if len(ns) != 1:
-        raise ArgumentError("predict takes a single sample size")
+    _, f0 = _smoothness_from_args(args, builtin=True)
+    n = _single_n(args)
     state, shape = vi.load_checkpoint(checkpoint)
-    data = testbed.generate_dataset(f0, ns[0], args.noise_sd, args.seed)
+    data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = _write_predictive(out_dir, state, shape, f0, data, args)
@@ -315,14 +333,9 @@ def cmd_predict(args) -> int:
 
 def cmd_check_prior(args) -> int:
     spec, _ = _smoothness_from_args(args)
-    ns = _parse_n_list(args.n)
-    if args.density not in priors.DENSITY_NAMES:
-        raise ArgumentError(
-            f"unknown density {args.density!r}; known: {priors.DENSITY_NAMES}"
-        )
     reports = []
     all_pass = True
-    for n in ns:
+    for n in args.n:
         arch, mix = _design(spec, n, args)
         g = priors.make_density(args.density, mixture_spec=mix, B=arch.B)
         report = dz.check_shrinkage_conditions(g, arch, K0=args.K0, counting=args.counting)
@@ -400,26 +413,22 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
 
 
 def cmd_rate_study(args) -> int:
-    _check_fit_args(args)
-    if args.replicates < 1:
-        raise ArgumentError(f"--replicates must be at least 1, got {args.replicates}")
-    spec, f0 = _smoothness_from_args(args)
-    if f0 is None:
-        raise ArgumentError("rate-study requires a built-in --function")
-    ns = _parse_n_list(args.n, minimum=3)
+    spec, f0 = _smoothness_from_args(args, builtin=True)
+    if len(args.n) < 3:
+        raise ArgumentError("rate-study needs at least 3 sample sizes")
     # Models first, on this thread, so --full-scale warnings come in n order.
-    models = [_designed_model(spec, n, args) for n in ns]
+    models = [_designed_model(spec, n, args) for n in args.n]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     errors = _largest_first([functools.partial(_rate_study_errors, f0, n, prior, shape, args)
-                             for n, (prior, shape) in zip(ns, models)])
+                             for n, (prior, shape) in zip(args.n, models)])
     per_n = []
-    for n, rep_errors in zip(ns, errors):
+    for n, rep_errors in zip(args.n, errors):
         if not rep_errors:
             raise RuntimeError(f"all replicates diverged at n={n}")
         per_n.append({"n": n, "median_error": float(np.median(rep_errors)),
                       "replicates": len(rep_errors)})
-    failures = args.replicates * len(ns) - sum(r["replicates"] for r in per_n)
+    failures = args.replicates * len(args.n) - sum(r["replicates"] for r in per_n)
     slope = fit_rate_slope([r["n"] for r in per_n],
                            [r["median_error"] for r in per_n])
     theoretical = -spec.s / (2 * spec.s + spec.d)
@@ -440,20 +449,9 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    for flag, value in (("--L", args.L), ("--W", args.W), ("--S", args.S)):
-        if value is not None and value < 1:
-            raise ArgumentError(f"{flag} must be at least 1, got {value}")
-    for flag, value in (("--B", args.B), ("--delta", args.delta)):
-        if value is not None:
-            _check_finite(flag, value, 0.0)
-    if args.a is not None:
-        _check_finite("--a", args.a, 0.0, closed=True)
     if args.function or args.s is not None:
         spec, _ = _smoothness_from_args(args)
-        ns = _parse_n_list(args.n)
-        if len(ns) != 1:
-            raise ArgumentError("covering takes a single sample size")
-        arch = dz.design_architecture(spec, ns[0], args.cB)
+        arch = dz.design_architecture(spec, _single_n(args), args.cB)
         L, W, S, B = arch.L, arch.W, arch.S, arch.B
         delta = args.delta if args.delta is not None else arch.eps / 36.0
         n_eps_sq = arch.n_eps_sq
@@ -470,37 +468,41 @@ def cmd_covering(args) -> int:
         try:
             tb = dz.covering_bound_truncated(L, W, S, B, args.a, delta)
         except dz.TruncationThresholdError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+            raise ArgumentError(str(exc)) from exc
         print(f"truncated covering bound: {tb:.6g}")
     return 0
 
 
-def _add_smoothness_args(p: argparse.ArgumentParser) -> None:
+def _add_design_args(p: argparse.ArgumentParser, n: str) -> None:
+    """The flags every command designs from, with `n` the default --n."""
+    p.add_argument("--n", type=_sizes, default=n)
     p.add_argument("--function", choices=sorted(BUILTIN_FUNCTIONS), default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=math.inf)
     p.add_argument("--q", type=float, default=math.inf)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--cB", type=float, default=10.0)
-    p.add_argument("--K0", type=float, default=5.0)
+    p.add_argument("--cB", type=_real(0.0), default=10.0)
+    p.add_argument("--K0", type=_real(4.0), default=5.0)
     p.add_argument("--counting", choices=["canonical", "compat"], default="canonical")
 
 
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=0)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.01)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.1)
-    p.add_argument("--draws", type=int, default=200)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=101)
-    p.add_argument("--full-scale", dest="full_scale", action="store_true")
+    p.add_argument("--iterations", type=_count(1), default=2000)
+    p.add_argument("--batch-size", type=_count(0), default=0)
+    p.add_argument("--learning-rate", type=_real(0.0), default=0.01)
+    p.add_argument("--noise-sd", default=0.1, type=_flag_type(
+        float, "be positive with a positive finite square",
+        lambda v: v > 0.0 and 0.0 < v * v < math.inf, low=0.0))
+    p.add_argument("--draws", type=_count(2), default=200)
+    p.add_argument("--alpha", type=_real(0.0, high=1.0), default=0.05)
+    p.add_argument("--grid-points", type=_count(1), default=101)
+    p.add_argument("--full-scale", action="store_true")
+    p.add_argument("--seed", type=_count(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="besovbnn",
         description="Bayesian ReLU-network regression on Besov targets",
         parents=[_config_parser()],
@@ -509,53 +511,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="emit architecture/prior tables")
-    _add_smoothness_args(p)
-    p.add_argument("--n", default="100,1000")
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+    _add_design_args(p, "100,1000")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fit", help="generate data, train VI, summarize")
-    _add_smoothness_args(p)
+    _add_design_args(p, "100")
     _add_fit_args(p)
-    p.add_argument("--n", default="100")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="posterior predictive from a checkpoint")
-    _add_smoothness_args(p)
+    _add_design_args(p, "100")
     _add_fit_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", default="100")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("check-prior", help="shrinkage-condition report")
-    _add_smoothness_args(p)
-    p.add_argument("--density", default="mixture")
-    p.add_argument("--n", default="100,1000")
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+    _add_design_args(p, "100,1000")
+    p.add_argument("--density", choices=priors.DENSITY_NAMES, default="mixture")
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_check_prior)
 
     p = sub.add_parser("rate-study", help="empirical contraction-rate slope")
-    _add_smoothness_args(p)
+    _add_design_args(p, "100,300,1000")
     _add_fit_args(p)
-    p.add_argument("--n", default="100,300,1000")
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", default="out")
+    p.add_argument("--replicates", type=_count(1), default=5)
+    p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_rate_study)
 
     p = sub.add_parser("covering", help="covering-number bounds")
-    _add_smoothness_args(p)
-    p.add_argument("--n", default="100")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--W", type=int, default=None)
-    p.add_argument("--S", type=int, default=None)
-    p.add_argument("--B", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
+    _add_design_args(p, "100")
+    p.add_argument("--L", type=_count(1), default=None)
+    p.add_argument("--W", type=_count(1), default=None)
+    p.add_argument("--S", type=_count(1), default=None)
+    p.add_argument("--B", type=_real(0.0), default=None)
+    p.add_argument("--a", type=_real(0.0, closed=True), default=None)
+    p.add_argument("--delta", type=_real(0.0), default=None)
     p.set_defaults(func=cmd_covering)
 
     return parser
@@ -564,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_parser() -> argparse.ArgumentParser:
     """The --config option alone, so main can read it before the full parse.
     No abbreviations, so that no subcommand flag is taken for it."""
-    p = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    p = _Parser(add_help=False, allow_abbrev=False)
     p.add_argument("--config", type=Path, default=None,
                    help="JSON object of flag defaults; explicit flags win")
     return p
@@ -581,7 +574,7 @@ def _config_value(action: argparse.Action, key: str, value):
     try:
         value = action.type(str(value)) if action.type else str(value)
     except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ArgumentError(f"config key {key!r}: invalid value {value!r}") from exc
+        raise ArgumentError(f"config key {key!r}: {exc}") from exc
     if action.choices is not None and value not in action.choices:
         raise ArgumentError(f"config key {key!r}: {value!r} is not one of {action.choices}")
     return value

@@ -303,40 +303,45 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     trace = np.empty((R, common.iterations))
     results = [None] * R
     rows = list(range(R))  # the replicate in each row of the stack
-    for it in range(common.iterations):
-        seeds = []
-        for r, k in enumerate(rows):
-            if batch < n:
-                idx = rngs[k].choice(n, size=batch, replace=False)
-                xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
-            seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
-        while True:
-            obj, _, _ = elbo_gradient(
-                state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
-                buffers=buffers, gradients=False,
-            )
-            finite = np.isfinite(obj)
-            if finite.all():
-                break
-            # The diverged rows leave the stack and the step reruns on the
-            # rest; a row's values do not depend on the stack around it.
-            for r in np.flatnonzero(~finite):
-                results[rows[r]] = TrainingDiverged(it, float(obj[r]))
-            keep = np.flatnonzero(finite)
-            if keep.size == 0:
-                return results
-            rows, seeds = [rows[r] for r in keep], [seeds[r] for r in keep]
-            mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb = (
-                a[keep] for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb))
-            state = VariationalState(mu=mu, rho=rho)
-            buffers = StepBuffers(shape, batch, len(keep))
-        trace[:, it] = obj
-        for cols in buffers.blocks():
-            g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
-            scratch = [a[..., : cols.stop - cols.start] for a in buffers.work]
-            for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu), (state.rho, g_rho, m_rho, v_rho)):
-                _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], it + 1,
-                             common.learning_rate, scratch)
+    # Overflow shows as a non-finite objective, which becomes TrainingDiverged,
+    # so numpy need not warn; only the last step's update goes unchecked.
+    with np.errstate(all="ignore"):
+        for it in range(common.iterations):
+            seeds = []
+            for r, k in enumerate(rows):
+                if batch < n:
+                    idx = rngs[k].choice(n, size=batch, replace=False)
+                    xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
+                seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
+            while True:
+                obj, _, _ = elbo_gradient(
+                    state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
+                    buffers=buffers, gradients=False,
+                )
+                finite = np.isfinite(obj)
+                if finite.all():
+                    break
+                # The diverged rows leave the stack and the step reruns on the
+                # rest; a row's values do not depend on the stack around it.
+                for r in np.flatnonzero(~finite):
+                    results[rows[r]] = TrainingDiverged(it, float(obj[r]))
+                keep = np.flatnonzero(finite)
+                if keep.size == 0:
+                    return results
+                rows, seeds = [rows[r] for r in keep], [seeds[r] for r in keep]
+                mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb = (
+                    a[keep]
+                    for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb))
+                state = VariationalState(mu=mu, rho=rho)
+                buffers = StepBuffers(shape, batch, len(keep))
+            trace[:, it] = obj
+            for cols in buffers.blocks():
+                g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
+                scratch = [a[..., : cols.stop - cols.start] for a in buffers.work]
+                for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
+                                       (state.rho, g_rho, m_rho, v_rho)):
+                    _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], it + 1,
+                                 common.learning_rate, scratch)
     for r, k in enumerate(rows):
         results[k] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
                                        step=common.iterations, seed=configs[k].seed),

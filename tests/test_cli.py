@@ -307,7 +307,7 @@ class TestNumericFlags:
         rc, err = self.run(tmp_path, capsys, argv)
         assert rc == 2 and err.startswith("error: ")
 
-    @pytest.mark.parametrize("flag", ["--B", "--delta", "--a"])
+    @pytest.mark.parametrize("flag", ["--B", "--delta", "--a", "--cB", "--K0"])
     def test_covering_rejects_nan(self, capsys, flag):
         argv = ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
                 "--a", "1e-9", "--delta", "0.5"]
@@ -339,28 +339,42 @@ FIT_COMMANDS = {"fit", "predict", "rate-study"}
 
 
 def numeric_options(command):
-    """(flag, type) of each int or float option of a subcommand's parser."""
+    """(flag, type) of each numeric option of a subcommand's parser: those
+    whose type is int or float, or carries the `low` bound of its range."""
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     return [(a.option_strings[0], a.type) for a in subparsers.choices[command]._actions
-            if a.type in (int, float)]
+            if a.type in (int, float) or hasattr(a.type, "low")]
+
+
+def edge_values(kind):
+    """Values that probe a numeric flag type: each finite bound of its range
+    (0 for a plain int or float) and the nearest value of its kind on either
+    side, then nan, +-inf, 1e200 and a non-number."""
+    values = []
+    for b in (getattr(kind, "low", 0), getattr(kind, "high", math.inf)):
+        if math.isfinite(b):
+            values += ([b - 1, b, b + 1] if kind.__name__ == "int" else
+                       [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)])
+    return [repr(v) for v in values] + ["nan", "inf", "-inf", "1e200", "abc"]
 
 
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
-    # Every numeric option of every command, at edge values: main returns 0,
-    # 1 or 2 and never raises or prints a traceback.  The closed-form
-    # commands write at most one stderr line; a fit command that exits 2
-    # writes one error: line and makes no output directory.
+    # Every numeric option of every command at its edge values, and an
+    # unknown flag for each command: main returns 0, 1 or 2 and never raises
+    # or prints a traceback.  Every exit 2 writes one error: line and makes
+    # no output directory; a non-number or an unknown flag always exits 2.
+    # The closed-form commands write at most one stderr line.
     checkpoint = tmp_path / "fit" / "checkpoint"
     assert main([*CONTRACT_ARGS["fit"], "--out-dir", str(checkpoint.parent)]) == 0
-    values = {float: ["nan", "inf", "-inf", "0", "-1", "1e-320", "1e200"], int: ["0", "-1"]}
-    cases = [(command, flag, value) for command in CONTRACT_ARGS
-             for flag, kind in numeric_options(command) for value in values[kind]]
-    assert {command for command, _, _ in cases} == set(CONTRACT_ARGS)
+    cases = [(command, f"{flag}={value}") for command in CONTRACT_ARGS
+             for flag, kind in numeric_options(command) for value in edge_values(kind)]
+    assert len({(command, extra.split("=")[0]) for command, extra in cases}) >= 73
+    cases += [(command, "--bogus") for command in CONTRACT_ARGS]
     broken = []
-    for i, (command, flag, value) in enumerate(cases):
+    for i, (command, extra) in enumerate(cases):
         out_dir = tmp_path / str(i)
-        argv = [*CONTRACT_ARGS[command], f"{flag}={value}"]
+        argv = [*CONTRACT_ARGS[command], extra]
         if command != "covering":
             argv += ["--out-dir", str(out_dir)]
         if command == "predict":
@@ -370,14 +384,47 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
         except (Exception, SystemExit) as exc:  # any escape breaks the contract
             rc = repr(exc)
         err = capsys.readouterr().err
-        if command in FIT_COMMANDS:
-            ok = rc in (0, 1, 2) and "Traceback" not in err and (rc != 2 or (
-                err.count("\n") == 1 and err.startswith("error: ") and not out_dir.exists()))
-        else:
-            ok = rc in (0, 1, 2) and err.count("\n") <= 1
+        ok = rc in (0, 1, 2) and "Traceback" not in err and (rc != 2 or (
+            err.count("\n") == 1 and err.startswith("error: ") and not out_dir.exists()))
+        if command not in FIT_COMMANDS:
+            ok = ok and err.count("\n") <= 1
+        if extra == "--bogus" or extra.endswith("=abc"):
+            ok = ok and rc == 2
         if not ok:
             broken.append((argv, rc, err))
     assert not broken, broken
+
+
+@pytest.mark.parametrize("argv", [[], ["--config"]], ids=["no-command", "no-config-file"])
+def test_usage_error_is_one_line(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's own exit breaks the contract
+        rc = repr(exc)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1 and err.startswith("error: "), (rc, err)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0 and "--learning-rate" in capsys.readouterr().out
+
+
+def test_huge_learning_rate_diverges_with_one_line(tmp_path):
+    # Training runs without numpy's floating-point warnings; the divergence
+    # itself is the one line.
+    env = dict(os.environ)
+    src = str(Path(besovbnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "besovbnn.cli", "fit", "--function", "f2", "--n", "20",
+         "--iterations", "5", "--draws", "2", "--grid-points", "2",
+         "--learning-rate", "1e10", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "training diverged: non-finite ELBO (-inf) at step 1"], proc.stderr
 
 
 class TestRateStudy:
@@ -653,6 +700,13 @@ class TestConfigFile:
         monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
         rc, _ = self.fit_config(tmp_path, config)
         assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        rc, _ = self.fit_config(tmp_path, {"alpha": 1.5})
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: config key 'alpha': must lie in (0, 1), got 1.5\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exits_2(self, tmp_path, monkeypatch):
