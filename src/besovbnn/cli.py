@@ -28,6 +28,7 @@ import numpy as np
 
 from . import design as dz
 from . import priors, testbed, vi
+from .network import NetworkShape
 
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
@@ -209,8 +210,6 @@ def cmd_design(args) -> int:
 
 
 def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
-    from .network import NetworkShape
-
     if full_scale:
         if arch.T > DESK_MAX_PARAMS:
             print(

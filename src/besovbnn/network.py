@@ -78,44 +78,24 @@ def _layer_views(shape: NetworkShape, flat: np.ndarray):
 
 class NetworkParams:
     """Weights and biases of an MLP, or of a stack of R MLPs of one shape,
-    flattenable to a vector (T,) or a stack of vectors (R, T).
+    as read-only views of the flat vector (T,) or stack of vectors (R, T)
+    they are built from by `from_flat`, the one way in.
 
     A stack has weights (R, p, q) and biases (R, q); `stack` is R, or None
-    for one network.  The arrays are read-only through this object but
-    float64 input is not copied: `from_flat` gives views of theta, so a
-    later write to theta shows through the parameters.
+    for one network.  Float64 input is not copied, so a later write to the
+    vector shows through the parameters.
     """
 
-    def __init__(self, shape: NetworkShape, weights, biases):
-        p = shape.layer_widths
-        if len(weights) != len(p) - 1 or len(biases) != len(p) - 1:
-            raise ValueError("layer count mismatch")
+    def __init__(self, shape: NetworkShape, flat: np.ndarray):
+        # Built by `from_flat`, which checks flat's length and freezes it.
         self.shape = shape
-        self.weights = []
-        self.biases = []
-        lead = np.shape(weights[0])[:-2]
-        if len(lead) > 1:
-            raise ValueError(f"expected one network or a stack of them, got lead shape {lead}")
-        self.stack = lead[0] if lead else None
-        for l, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if w.shape != (*lead, p[l], p[l + 1]) or b.shape != (*lead, p[l + 1]):
-                raise ValueError(
-                    f"layer {l}: expected W {(*lead, p[l], p[l + 1])} and "
-                    f"b {(*lead, p[l + 1])}, got {w.shape} and {b.shape}"
-                )
-            w.setflags(write=False)
-            b.setflags(write=False)
-            self.weights.append(w)
-            self.biases.append(b)
+        self._flat = flat
+        self.stack = flat.shape[0] if flat.ndim == 2 else None
+        self.weights, self.biases = _layer_views(shape, flat)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.reshape(*b.shape[:-1], -1))
-            parts.append(b)
-        return np.concatenate(parts, axis=-1)
+        """The read-only flat vector (or stack) the parameters view."""
+        return self._flat
 
     @staticmethod
     def from_flat(shape: NetworkShape, theta) -> "NetworkParams":
@@ -123,23 +103,24 @@ class NetworkParams:
         a vector (T,) or a stack (R, T) with T = shape.n_params (C-ordered
         float64 input is not copied), so later writes to theta show through
         them."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != shape.n_params:
+        flat = np.asarray(theta, dtype=float).view()
+        if flat.ndim not in (1, 2) or flat.shape[-1] != shape.n_params:
             raise ValueError(
                 f"expected flat vector of length {shape.n_params} or a stack of them, "
-                f"got {theta.shape}"
+                f"got {flat.shape}"
             )
-        return NetworkParams(shape, *_layer_views(shape, theta))
+        flat.setflags(write=False)
+        return NetworkParams(shape, flat)
 
     @staticmethod
     def zeros(shape: NetworkShape) -> "NetworkParams":
         return NetworkParams.from_flat(shape, np.zeros(shape.n_params))
 
     def sparsity(self) -> int:
-        return int(np.count_nonzero(self.flatten()))
+        return int(np.count_nonzero(self._flat))
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.flatten())))
+        return float(np.max(np.abs(self._flat)))
 
 
 def forward(params: NetworkParams, x) -> np.ndarray | float:

@@ -256,7 +256,8 @@ def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
           sigma: float = 0.1):
     """Stochastic ELBO ascent; returns the final state and the per-iteration
     objective trace (minibatch single-pass estimates), or raises
-    TrainingDiverged at the first non-finite objective."""
+    TrainingDiverged at the first non-finite objective, the final state's
+    included (reported as step `iterations`)."""
     (result,) = train_replicates(shape, [data], prior, [config], sigma)
     if isinstance(result, TrainingDiverged):
         raise result
@@ -273,8 +274,9 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     draws, so entry r of the returned list equals
     train(shape, datasets[r], prior, configs[r], sigma) bit for bit: a
     (state, trace) pair whose mu and rho are rows of the stack, or the
-    TrainingDiverged that fit raises.  A diverged replicate leaves the stack
-    before its update and the others go on.
+    TrainingDiverged that fit raises.  A diverged replicate stays in the
+    stack without being updated while the others go on, and one pass after
+    the last update checks the state each fit returns.
     """
     datasets, configs = list(datasets), list(configs)
     if not configs or len(datasets) != len(configs):
@@ -302,49 +304,46 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     m_mu, v_mu, m_rho, v_rho = (np.zeros((R, T)) for _ in range(4))  # Adam moments
     trace = np.empty((R, common.iterations))
     results = [None] * R
-    rows = list(range(R))  # the replicate in each row of the stack
+    live = np.ones(R, dtype=bool)
     # Overflow shows as a non-finite objective, which becomes TrainingDiverged,
-    # so numpy need not warn; only the last step's update goes unchecked.
+    # so numpy need not warn.  Pass `iterations` checks the last update's
+    # state on the last step's draws and updates nothing.
     with np.errstate(all="ignore"):
-        for it in range(common.iterations):
-            seeds = []
-            for r, k in enumerate(rows):
-                if batch < n:
-                    idx = rngs[k].choice(n, size=batch, replace=False)
-                    xb[r], yb[r] = datasets[k].x[idx], datasets[k].y[idx]
-                seeds.append(int(rngs[k].integers(0, 2**63 - 1)))
-            while True:
-                obj, _, _ = elbo_gradient(
-                    state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
-                    buffers=buffers, gradients=False,
-                )
-                finite = np.isfinite(obj)
-                if finite.all():
-                    break
-                # The diverged rows leave the stack and the step reruns on the
-                # rest; a row's values do not depend on the stack around it.
-                for r in np.flatnonzero(~finite):
-                    results[rows[r]] = TrainingDiverged(it, float(obj[r]))
-                keep = np.flatnonzero(finite)
-                if keep.size == 0:
-                    return results
-                rows, seeds = [rows[r] for r in keep], [seeds[r] for r in keep]
-                mu, rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb = (
-                    a[keep]
-                    for a in (state.mu, state.rho, m_mu, v_mu, m_rho, v_rho, trace, xb, yb))
-                state = VariationalState(mu=mu, rho=rho)
-                buffers = StepBuffers(shape, batch, len(keep))
+        for it in range(common.iterations + 1):
+            if it < common.iterations:
+                seeds = []
+                for r, (rng, data) in enumerate(zip(rngs, datasets)):
+                    if batch < n:
+                        idx = rng.choice(n, size=batch, replace=False)
+                        xb[r], yb[r] = data.x[idx], data.y[idx]
+                    seeds.append(int(rng.integers(0, 2**63 - 1)))
+            obj, _, _ = elbo_gradient(
+                state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
+                buffers=buffers, gradients=False,
+            )
+            # A diverged row stays in the stack, frozen: its gradient is
+            # zeroed and its Adam moments are reset, so no later update moves
+            # it; a row's values do not depend on the stack around it.
+            dead = live & ~np.isfinite(obj)
+            for r in np.flatnonzero(dead):
+                results[r] = TrainingDiverged(it, float(obj[r]))
+                for m in (m_mu, v_mu, m_rho, v_rho):
+                    m[r] = 0.0
+            live &= ~dead
+            if it == common.iterations or not live.any():
+                break
             trace[:, it] = obj
             for cols in buffers.blocks():
                 g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
+                g_mu[~live], g_rho[~live] = 0.0, 0.0
                 scratch = [a[..., : cols.stop - cols.start] for a in buffers.work]
                 for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
                                        (state.rho, g_rho, m_rho, v_rho)):
                     _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], it + 1,
                                  common.learning_rate, scratch)
-    for r, k in enumerate(rows):
-        results[k] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
-                                       step=common.iterations, seed=configs[k].seed),
+    for r in np.flatnonzero(live):
+        results[r] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
+                                       step=common.iterations, seed=configs[r].seed),
                       trace[r])
     return results
 

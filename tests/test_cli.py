@@ -359,6 +359,7 @@ def edge_values(kind):
     return [repr(v) for v in values] + ["nan", "inf", "-inf", "1e200", "abc"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     # Every numeric option of every command at its edge values, and an
     # unknown flag for each command: main returns 0, 1 or 2 and never raises
@@ -411,20 +412,30 @@ def test_help_exits_0(capsys):
     assert exc.value.code == 0 and "--learning-rate" in capsys.readouterr().out
 
 
-def test_huge_learning_rate_diverges_with_one_line(tmp_path):
+@pytest.mark.parametrize("argv, line, result", [
+    (["fit", "--n", "20", "--iterations", "5", "--learning-rate", "1e10"],
+     "training diverged: non-finite ELBO (-inf) at step 1", "predictive.csv"),
+    # one update that overflows only the network pass: the state it leaves
+    # is checked too
+    (["fit", "--n", "4", "--iterations", "1", "--learning-rate", "1e200"],
+     "training diverged: non-finite ELBO (nan) at step 1", "predictive.csv"),
+    (["rate-study", "--n", "4,5,6", "--replicates", "1", "--iterations", "1",
+      "--learning-rate", "1e200"],
+     "failure: all replicates diverged at n=4", "rate_study.json"),
+], ids=["fit-step-1", "fit-last-update", "rate-study-last-update"])
+def test_huge_learning_rate_diverges_with_one_line(tmp_path, argv, line, result):
     # Training runs without numpy's floating-point warnings; the divergence
-    # itself is the one line.
+    # itself is the one line, and no result file is written.
     env = dict(os.environ)
     src = str(Path(besovbnn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "besovbnn.cli", "fit", "--function", "f2", "--n", "20",
-         "--iterations", "5", "--draws", "2", "--grid-points", "2",
-         "--learning-rate", "1e10", "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-m", "besovbnn.cli", *argv, "--function", "f2",
+         "--draws", "2", "--grid-points", "2", "--out-dir", str(tmp_path / "out")],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "training diverged: non-finite ELBO (-inf) at step 1"], proc.stderr
+    assert proc.stderr.splitlines() == [line], proc.stderr
+    assert not (tmp_path / "out" / result).exists()
 
 
 class TestRateStudy:

@@ -84,13 +84,9 @@ class TestFlatten:
 class TestForward:
     def test_hand_computed(self):
         # f(x) = w2 . relu(w1 x + b1) + b2 with w1 = (1, -1), b1 = (0, 0.5),
-        # w2 = (1, 1), b2 = 0.2
+        # w2 = (1, 1), b2 = 0.2, in the flattening order
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
-        p = NetworkParams(
-            shape,
-            weights=[np.array([[1.0, -1.0]]), np.array([[1.0], [1.0]])],
-            biases=[np.array([0.0, 0.5]), np.array([0.2])],
-        )
+        p = NetworkParams.from_flat(shape, [1.0, -1.0, 0.0, 0.5, 1.0, 1.0, 0.2])
         # x = 0: relu(0, 0.5) = (0, 0.5) -> 0.7
         assert forward(p, [0.0]) == pytest.approx(0.7)
         # x = 1: relu(1, -0.5) = (1, 0) -> 1.2
@@ -108,18 +104,13 @@ class TestForward:
         # bias-free-output one-hidden-layer net by c
         shape = NetworkShape(d_in=1, hidden_widths=(3,))
         rng = np.random.default_rng(4)
-        p = random_params(shape, rng)
+        theta = random_params(shape, rng).flatten().copy()
         c = 2.5
-        scaled = NetworkParams(
-            shape,
-            weights=[c * p.weights[0], p.weights[1]],
-            biases=[c * p.biases[0], np.zeros(1)],
-        )
-        base = NetworkParams(
-            shape,
-            weights=p.weights,
-            biases=[p.biases[0], np.zeros(1)],
-        )
+        theta[-1] = 0.0  # the output bias
+        base = NetworkParams.from_flat(shape, theta)
+        theta = theta.copy()
+        theta[:6] *= c  # the first layer's weights (1, 3) and biases (3,)
+        scaled = NetworkParams.from_flat(shape, theta)
         xs = rng.uniform(0, 1, 20)
         for x in xs:
             assert forward(scaled, [x]) == pytest.approx(c * forward(base, [x]), rel=1e-12)

@@ -223,6 +223,16 @@ class TestTrain:
         with pytest.raises(TrainingDiverged), np.errstate(invalid="ignore"):
             train(shape, data, FlatDensity(), TrainConfig(iterations=10))
 
+    def test_the_last_update_is_checked(self):
+        # One huge step leaves mu finite but overflows the network pass, so
+        # only the objective after the last update shows the divergence.
+        _, data = small_data(n=4)
+        shape = NetworkShape(d_in=1, hidden_widths=(3,))
+        config = TrainConfig(iterations=1, learning_rate=1e200)
+        with pytest.raises(TrainingDiverged) as caught:
+            train(shape, data, make_density("gauss"), config)
+        assert caught.value.step == 1
+
 
 def designed_f2(n):
     """The designed mixture prior and desk network shape for f2 at n."""
@@ -271,7 +281,10 @@ class TestTrainReplicates:
                    for seed in (7, 8, 9)]
         self.assert_fits_match(shape, datasets, prior, configs)
 
-    def test_diverged_replicate_leaves_the_stack(self):
+    @staticmethod
+    def one_diverging_stack():
+        """Three replicates of a designed desk fit whose second diverges at
+        step 0 (its y scaled by 1e200)."""
         prior, shape = designed_f2(50)
         f0 = log_singular_function()
         datasets = [generate_dataset(f0, 50, 0.1, seed) for seed in (1, 2, 3)]
@@ -279,6 +292,10 @@ class TestTrainReplicates:
         datasets[1] = Dataset(x=bad.x, y=bad.y * 1e200, noise_sd=bad.noise_sd, seed=bad.seed)
         configs = [TrainConfig(iterations=40, learning_rate=0.01, seed=seed)
                    for seed in (1, 2, 3)]
+        return prior, shape, datasets, configs
+
+    def test_diverged_replicate_stays_frozen_in_the_stack(self):
+        prior, shape, datasets, configs = self.one_diverging_stack()
 
         def separate():
             out = []
@@ -302,10 +319,24 @@ class TestTrainReplicates:
             assert fits[r][0].rho.tobytes() == want[r][0].rho.tobytes()
 
     def test_diverged_replicate_leaves_a_stack_in_several_blocks(self, monkeypatch):
-        # the kept rows' step reruns in the smaller stack, whose tail then
-        # runs over more than one block
+        # the stack's tail runs over more than one block, and the dead row
+        # is frozen in each of them
         monkeypatch.setattr(vi, "TAIL_BLOCK", 3 * 100)
-        self.test_diverged_replicate_leaves_the_stack()
+        self.test_diverged_replicate_stays_frozen_in_the_stack()
+
+    def test_divergence_builds_no_second_stack(self, monkeypatch):
+        built = []
+
+        class CountedBuffers(StepBuffers):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(vi, "StepBuffers", CountedBuffers)
+        prior, shape, datasets, configs = self.one_diverging_stack()
+        fits = train_replicates(shape, datasets, prior, configs, sigma=0.1)
+        assert isinstance(fits[1], TrainingDiverged)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("other", [
         dict(iterations=6), dict(batch_size=4), dict(learning_rate=0.02)])
