@@ -2,11 +2,13 @@
 condition checks, covering bounds, and contraction-rate studies.
 
 Subcommands: design, fit, predict, check-prior, rate-study, covering.
-Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  Each option
-declares its range at its add_argument, so --config values get the same
-checks; every rejection is one 'error:' line and exit 2.  Every command
-is deterministic; fit, predict and rate-study draw their randomness from
---seed, and fit records the derived seeds in its manifest.
+Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  FLAGS
+declares each option once with its range and default, and COMMANDS the
+options each command reads, so a command rejects a flag it would ignore and
+--config values get the same checks; every rejection is one 'error:' line
+and exit 2.  Every command is deterministic; fit, predict and rate-study
+draw their randomness from --seed, and fit records the derived seeds in its
+manifest.
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -33,15 +34,11 @@ from .network import NetworkShape
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
 
+# Each built-in target's smoothness class and true function.
 BUILTIN_FUNCTIONS = {
-    "f1": {
-        "function": testbed.cantor_function,
-        "spec": dict(s=math.log(2) / math.log(3), p=math.inf, q=math.inf, d=1, m=2),
-    },
-    "f2": {
-        "function": testbed.log_singular_function,
-        "spec": dict(s=1.5, p=1.0, q=1.0, d=1, m=2),
-    },
+    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3), p=math.inf, q=math.inf, d=1, m=2),
+           testbed.cantor_function),
+    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2), testbed.log_singular_function),
 }
 
 
@@ -52,10 +49,11 @@ class ArgumentError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that raises ArgumentError in place of printing its
     usage and exiting.  A value that a flag's type or choices reject reads
-    '<flag> <what is wrong>', such as '--alpha must lie in (0, 1), got 2.0'."""
+    '<flag> <what is wrong>', such as '--alpha must lie in (0, 1), got 2.0'.
+    No abbreviations: `fit --s` must not be read as `--seed`."""
 
     def __init__(self, **kwargs):
-        super().__init__(exit_on_error=False, **kwargs)
+        super().__init__(exit_on_error=False, allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         try:
@@ -118,34 +116,59 @@ def _single_n(args) -> int:
     return args.n[0]
 
 
-def _smoothness_from_args(args, builtin: bool = False) -> tuple[dz.SmoothnessSpec, object | None]:
-    """Resolve a SmoothnessSpec and, for a built-in --function, the true
-    function, which `builtin` requires."""
+_SMOOTHNESS = ("--s", "--p", "--q", "--d", "--m")
+_SMOOTHNESS_DEFAULTS = dict(p=math.inf, q=math.inf, d=1, m=2)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _given(args, options) -> list[str]:
+    """The `options` given on the command line or in --config."""
+    return [o for o in options if getattr(args, _dest(o)) is not None]
+
+
+def _exclusive(first: list[str], second: list[str]) -> None:
+    if first and second:
+        raise ArgumentError(f"{'/'.join(first)} cannot be combined with {'/'.join(second)}")
+
+
+def _spec(args) -> dz.SmoothnessSpec:
+    """The smoothness class of a built-in --function or, without one, of
+    --s/--p/--q/--d/--m."""
+    given = _given(args, _SMOOTHNESS)
     if args.function:
-        entry = BUILTIN_FUNCTIONS[args.function]
-        return dz.SmoothnessSpec(**entry["spec"]), entry["function"]()
-    if builtin:
-        raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
+        _exclusive(["--function"], given)
+        return BUILTIN_FUNCTIONS[args.function][0]
     if args.s is None:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
+    values = {_dest(o): getattr(args, _dest(o)) for o in given}
     try:
-        spec = dz.SmoothnessSpec(s=args.s, p=args.p, q=args.q, d=args.d, m=args.m)
+        return dz.SmoothnessSpec(**{**_SMOOTHNESS_DEFAULTS, **values})
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
-    return spec, None
+
+
+def _builtin(args) -> tuple[dz.SmoothnessSpec, object]:
+    """The smoothness class and true function of the built-in --function,
+    which fit, predict and rate-study require."""
+    if not args.function:
+        raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
+    spec, function = BUILTIN_FUNCTIONS[args.function]
+    return spec, function()
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _design(spec: dz.SmoothnessSpec, n: int, args):
@@ -184,7 +207,7 @@ def _design_record(spec: dz.SmoothnessSpec, n: int, args):
 
 
 def cmd_design(args) -> int:
-    spec, _ = _smoothness_from_args(args)
+    spec = _spec(args)
     records = []
     csv_rows = []
     for n in args.n:
@@ -203,9 +226,8 @@ def cmd_design(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "design.json", {"schema_version": SCHEMA_VERSION, "rows": records})
-    (out_dir / "design.csv").write_text(
-        _csv_text(["n", "L_n", "W_n", "sigma_1n", "sigma_2n", "pi_1n", "pi_2n"], csv_rows)
-    )
+    _write_csv(out_dir / "design.csv",
+               ["n", "L_n", "W_n", "sigma_1n", "sigma_2n", "pi_1n", "pi_2n"], csv_rows)
     return 0
 
 
@@ -244,18 +266,14 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
         state, shape, grid, args.draws, f0, data, alpha=args.alpha,
         seed=args.seed + 10_000,
     )
-    (out_dir / "predictive.csv").write_text(
-        _csv_text(
-            ["x", "mean", "lo", "hi"],
-            list(zip(summary.grid.tolist(), summary.mean.tolist(),
-                     summary.lower.tolist(), summary.upper.tolist())),
-        )
-    )
+    _write_csv(out_dir / "predictive.csv", ["x", "mean", "lo", "hi"],
+               zip(summary.grid.tolist(), summary.mean.tolist(),
+                   summary.lower.tolist(), summary.upper.tolist()))
     return summary
 
 
 def cmd_fit(args) -> int:
-    spec, f0 = _smoothness_from_args(args, builtin=True)
+    spec, f0 = _builtin(args)
     n = _single_n(args)
     prior, shape = _designed_model(spec, n, args)
     out_dir = Path(args.out_dir)
@@ -268,19 +286,9 @@ def cmd_fit(args) -> int:
         "seed": args.seed,
         "derived_seeds": {"dataset": args.seed, "train": args.seed,
                           "predictive": args.seed + 10_000},
-        "config": {
-            "iterations": args.iterations,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "noise_sd": args.noise_sd,
-            "draws": args.draws,
-            "alpha": args.alpha,
-            "grid_points": args.grid_points,
-            "full_scale": args.full_scale,
-            "cB": args.cB,
-            "K0": args.K0,
-            "counting": args.counting,
-        },
+        # every option fit reads but those recorded above and --out-dir
+        "config": {_dest(o): getattr(args, _dest(o)) for o in COMMANDS["fit"][3]
+                   if o not in ("--seed", "--out-dir")},
         "status": "pending",
     }
     t0 = time.monotonic()
@@ -297,13 +305,9 @@ def cmd_fit(args) -> int:
     vi.save_checkpoint(out_dir / "checkpoint", state, shape)
     summary = _write_predictive(out_dir, state, shape, f0, data, args)
     elapsed = time.monotonic() - t0
-    (out_dir / "errors.csv").write_text(
-        _csv_text(["empirical_error"], [[e] for e in summary.errors.tolist()])
-    )
-    (out_dir / "trace.csv").write_text(
-        _csv_text(["iteration", "objective"],
-                  [[i, v] for i, v in enumerate(trace.tolist())])
-    )
+    _write_csv(out_dir / "errors.csv", ["empirical_error"],
+               [[e] for e in summary.errors.tolist()])
+    _write_csv(out_dir / "trace.csv", ["iteration", "objective"], enumerate(trace.tolist()))
     manifest["status"] = "ok"
     manifest["shape"] = shape.to_dict()
     manifest["median_error"] = summary.median_error()
@@ -319,7 +323,7 @@ def cmd_predict(args) -> int:
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")
-    _, f0 = _smoothness_from_args(args, builtin=True)
+    _, f0 = _builtin(args)
     n = _single_n(args)
     state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
@@ -331,7 +335,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check_prior(args) -> int:
-    spec, _ = _smoothness_from_args(args)
+    spec = _spec(args)
     reports = []
     all_pass = True
     for n in args.n:
@@ -412,7 +416,7 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
 
 
 def cmd_rate_study(args) -> int:
-    spec, f0 = _smoothness_from_args(args, builtin=True)
+    spec, f0 = _builtin(args)
     if len(args.n) < 3:
         raise ArgumentError("rate-study needs at least 3 sample sizes")
     # Models first, on this thread, so --full-scale warnings come in n order.
@@ -439,17 +443,17 @@ def cmd_rate_study(args) -> int:
         "diverged_replicates": failures,
     }
     _write_json(out_dir / "rate_study.json", result)
-    (out_dir / "rate_study.csv").write_text(
-        _csv_text(["n", "median_error"],
-                  [[r["n"], r["median_error"]] for r in per_n])
-    )
+    _write_csv(out_dir / "rate_study.csv", ["n", "median_error"],
+               [[r["n"], r["median_error"]] for r in per_n])
     print(f"fitted slope {slope:.4f} (theoretical {theoretical:.4f})")
     return 0
 
 
 def cmd_covering(args) -> int:
-    if args.function or args.s is not None:
-        spec, _ = _smoothness_from_args(args)
+    derived = _given(args, ("--function", *_SMOOTHNESS))
+    _exclusive(_given(args, ("--L", "--W", "--S", "--B")), derived)
+    if derived:
+        spec = _spec(args)
         arch = dz.design_architecture(spec, _single_n(args), args.cB)
         L, W, S, B = arch.L, arch.W, arch.S, arch.B
         delta = args.delta if args.delta is not None else arch.eps / 36.0
@@ -472,32 +476,63 @@ def cmd_covering(args) -> int:
     return 0
 
 
-def _add_design_args(p: argparse.ArgumentParser, n: str) -> None:
-    """The flags every command designs from, with `n` the default --n."""
-    p.add_argument("--n", type=_sizes, default=n)
-    p.add_argument("--function", choices=sorted(BUILTIN_FUNCTIONS), default=None)
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--p", type=float, default=math.inf)
-    p.add_argument("--q", type=float, default=math.inf)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--cB", type=_real(0.0), default=10.0)
-    p.add_argument("--K0", type=_real(4.0), default=5.0)
-    p.add_argument("--counting", choices=["canonical", "compat"], default="canonical")
-
-
-def _add_fit_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iterations", type=_count(1), default=2000)
-    p.add_argument("--batch-size", type=_count(0), default=0)
-    p.add_argument("--learning-rate", type=_real(0.0), default=0.01)
-    p.add_argument("--noise-sd", default=0.1, type=_flag_type(
+# Every option, declared once with its range and default: None where none is
+# given, so that a given option can be told from one left out.
+FLAGS = {
+    "--n": dict(type=_sizes),
+    "--function": dict(choices=sorted(BUILTIN_FUNCTIONS)),
+    "--s": dict(type=float),
+    "--p": dict(type=float),
+    "--q": dict(type=float),
+    "--d": dict(type=int),
+    "--m": dict(type=int),
+    "--cB": dict(type=_real(0.0), default=10.0),
+    "--K0": dict(type=_real(4.0), default=5.0),
+    "--counting": dict(choices=["canonical", "compat"], default="canonical"),
+    "--density": dict(choices=priors.DENSITY_NAMES, default="mixture"),
+    "--iterations": dict(type=_count(1), default=2000),
+    "--batch-size": dict(type=_count(0), default=0),
+    "--learning-rate": dict(type=_real(0.0), default=0.01),
+    "--full-scale": dict(action="store_true"),
+    "--noise-sd": dict(default=0.1, type=_flag_type(
         float, "be positive with a positive finite square",
-        lambda v: v > 0.0 and 0.0 < v * v < math.inf, low=0.0))
-    p.add_argument("--draws", type=_count(2), default=200)
-    p.add_argument("--alpha", type=_real(0.0, high=1.0), default=0.05)
-    p.add_argument("--grid-points", type=_count(1), default=101)
-    p.add_argument("--full-scale", action="store_true")
-    p.add_argument("--seed", type=_count(0), default=0)
+        lambda v: v > 0.0 and 0.0 < v * v < math.inf, low=0.0)),
+    "--draws": dict(type=_count(2), default=200),
+    "--alpha": dict(type=_real(0.0, high=1.0), default=0.05),
+    "--grid-points": dict(type=_count(1), default=101),
+    "--seed": dict(type=_count(0), default=0),
+    "--replicates": dict(type=_count(1), default=5),
+    "--checkpoint": dict(required=True),
+    "--out-dir": dict(default="out"),
+    "--L": dict(type=_count(1)),
+    "--W": dict(type=_count(1)),
+    "--S": dict(type=_count(1)),
+    "--B": dict(type=_real(0.0)),
+    "--a": dict(type=_real(0.0, closed=True)),
+    "--delta": dict(type=_real(0.0)),
+}
+
+_DESIGN = ("--cB", "--K0", "--counting")
+_TRAIN = ("--iterations", "--batch-size", "--learning-rate", "--full-scale", "--noise-sd",
+          "--draws")
+
+# Each subcommand's handler, help and default --n, and the options it reads
+# besides --n and --function, which every command takes.
+COMMANDS = {
+    "design": (cmd_design, "emit architecture/prior tables", "100,1000",
+               (*_SMOOTHNESS, *_DESIGN, "--out-dir")),
+    "fit": (cmd_fit, "generate data, train VI, summarize", "100",
+            (*_DESIGN, *_TRAIN, "--alpha", "--grid-points", "--seed", "--out-dir")),
+    "predict": (cmd_predict, "posterior predictive from a checkpoint", "100",
+                ("--noise-sd", "--draws", "--alpha", "--grid-points", "--seed",
+                 "--checkpoint", "--out-dir")),
+    "check-prior": (cmd_check_prior, "shrinkage-condition report", "100,1000",
+                    (*_SMOOTHNESS, *_DESIGN, "--density", "--out-dir")),
+    "rate-study": (cmd_rate_study, "empirical contraction-rate slope", "100,300,1000",
+                   (*_DESIGN, *_TRAIN, "--seed", "--replicates", "--out-dir")),
+    "covering": (cmd_covering, "covering-number bounds", "100",
+                 (*_SMOOTHNESS, "--cB", "--L", "--W", "--S", "--B", "--a", "--delta")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,58 +540,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="besovbnn",
         description="Bayesian ReLU-network regression on Besov targets",
         parents=[_config_parser()],
-        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="emit architecture/prior tables")
-    _add_design_args(p, "100,1000")
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("fit", help="generate data, train VI, summarize")
-    _add_design_args(p, "100")
-    _add_fit_args(p)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("predict", help="posterior predictive from a checkpoint")
-    _add_design_args(p, "100")
-    _add_fit_args(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("check-prior", help="shrinkage-condition report")
-    _add_design_args(p, "100,1000")
-    p.add_argument("--density", choices=priors.DENSITY_NAMES, default="mixture")
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_check_prior)
-
-    p = sub.add_parser("rate-study", help="empirical contraction-rate slope")
-    _add_design_args(p, "100,300,1000")
-    _add_fit_args(p)
-    p.add_argument("--replicates", type=_count(1), default=5)
-    p.add_argument("--out-dir", default="out")
-    p.set_defaults(func=cmd_rate_study)
-
-    p = sub.add_parser("covering", help="covering-number bounds")
-    _add_design_args(p, "100")
-    p.add_argument("--L", type=_count(1), default=None)
-    p.add_argument("--W", type=_count(1), default=None)
-    p.add_argument("--S", type=_count(1), default=None)
-    p.add_argument("--B", type=_real(0.0), default=None)
-    p.add_argument("--a", type=_real(0.0, closed=True), default=None)
-    p.add_argument("--delta", type=_real(0.0), default=None)
-    p.set_defaults(func=cmd_covering)
-
+    for name, (func, help_text, n, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--n", default=n, **FLAGS["--n"])
+        for option in ("--function", *options):
+            p.add_argument(option, **FLAGS[option])
+        p.set_defaults(func=func)
     return parser
 
 
 def _config_parser() -> argparse.ArgumentParser:
-    """The --config option alone, so main can read it before the full parse.
-    No abbreviations, so that no subcommand flag is taken for it."""
-    p = _Parser(add_help=False, allow_abbrev=False)
+    """The --config option alone, so main can read it before the full parse."""
+    p = _Parser(add_help=False)
     p.add_argument("--config", type=Path, default=None,
                    help="JSON object of flag defaults; explicit flags win")
     return p
@@ -617,7 +614,7 @@ def main(argv=None) -> int:
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

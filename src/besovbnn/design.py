@@ -210,6 +210,13 @@ class MixturePriorSpec:
             raise ValueError("spike scale must not exceed the threshold a")
 
 
+def _eta(arch: ArchSpec, K0: float) -> float:
+    """eta = exp(-K0 n eps^2 / S) of the spike condition, for finite K0 > 4."""
+    if not 4 < K0 < math.inf:
+        raise ValueError(f"need finite K0 > 4, got {K0}")
+    return math.exp(-K0 * arch.n_eps_sq / arch.S)
+
+
 def mixture_hyperparams(
     arch: ArchSpec,
     K0: float = 5.0,
@@ -227,12 +234,10 @@ def mixture_hyperparams(
     of about 8.1 matches the reported spike scales.  This is documented as an
     order-of-magnitude quantity only.
     """
-    if not 4 < K0 < math.inf:
-        raise ValueError(f"need finite K0 > 4, got {K0}")
+    eta = _eta(arch, K0)
     pi2 = arch.sparsity_fraction(counting)
     pi1 = 1.0 - pi2
     n_eps_sq = arch.n_eps_sq
-    eta = math.exp(-K0 * n_eps_sq / arch.S)
     try:
         sigma2 = math.sqrt(arch.B**2 / (2.0 * (K0 + 1.0) * n_eps_sq))
     except OverflowError as exc:
@@ -311,12 +316,10 @@ def check_shrinkage_conditions(
     the pass flag: the designed mixture has -log g(B) = (K0+1) n eps^2, which
     exceeds any fixed multiple of (log n)^2 at table-sized geometry.
     """
-    if not 4 < K0 < math.inf:
-        raise ValueError(f"need finite K0 > 4, got {K0}")
+    eta = _eta(arch, K0)
     _spot_check_symmetry(g, max(arch.B, 1.0) / 10.0)
     ratio = arch.sparsity_fraction(counting)
     n_eps_sq = arch.n_eps_sq
-    eta = math.exp(-K0 * n_eps_sq / arch.S)
     a = math.exp(arch.log_a)
 
     log_one_minus_u = g.log_tail_mass(a)

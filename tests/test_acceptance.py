@@ -291,11 +291,11 @@ def test_criterion_8_vi_mh_crosscheck():
 
 def test_criterion_9_cli_determinism(tmp_path):
     with criterion(9, "byte-identical CLI reruns"):
-        fast = ["--iterations", "60", "--learning-rate", "0.02", "--draws", "20",
-                "--grid-points", "21"]
+        fast = ["--iterations", "60", "--learning-rate", "0.02", "--draws", "20"]
         runs = {
             "design": ["design", "--function", "f1", "--n", "100,1000"],
-            "fit": ["fit", "--function", "f2", "--n", "50", "--seed", "5", *fast],
+            "fit": ["fit", "--function", "f2", "--n", "50", "--seed", "5", *fast,
+                    "--grid-points", "21"],
             "check": ["check-prior", "--function", "f2", "--n", "100"],
             "rate": ["rate-study", "--function", "f2", "--n", "20,40,80",
                      "--replicates", "1", "--seed", "3", *fast],

@@ -33,6 +33,25 @@ FAST_FIT = [
 ]
 
 
+def option_actions(command):
+    """The actions of the options a subcommand's parser declares, in order."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [a for a in subparsers.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def options(command):
+    return [a.option_strings[0] for a in option_actions(command)]
+
+
+def fast_fit(command):
+    """The flags of FAST_FIT that `command` declares."""
+    declared = options(command)
+    return [arg for flag, value in zip(FAST_FIT[::2], FAST_FIT[1::2]) if flag in declared
+            for arg in (flag, value)]
+
+
 class TestDesign:
     def test_table_rows(self, tmp_path, capsys):
         rc = main(["design", "--function", "f1", "--n", "100,1000",
@@ -111,7 +130,7 @@ class TestDrawsValidation:
         monkeypatch.setattr("besovbnn.vi.train", no_training)
         monkeypatch.setattr("besovbnn.vi.train_replicates", no_training)
         argv = [command, "--function", "f2", "--out-dir", str(tmp_path / "out"),
-                *FAST_FIT, "--draws", "1"]
+                *fast_fit(command), "--draws", "1"]
         if command == "predict":
             argv += ["--checkpoint", str(tmp_path / "missing")]
         if command == "rate-study":
@@ -141,6 +160,8 @@ BAD_FLAGS = [
 
 
 class TestFlagValidation:
+    # A command rejects a bad value of a flag it declares, and the flag
+    # itself, whatever its value, when it does not declare it.
     @pytest.mark.parametrize("command", ["fit", "predict", "rate-study"])
     @pytest.mark.parametrize("flag, value", BAD_FLAGS)
     def test_exits_2_before_data_or_training(self, tmp_path, monkeypatch, capsys,
@@ -152,13 +173,15 @@ class TestFlagValidation:
         monkeypatch.setattr("besovbnn.vi.train", not_reached)
         monkeypatch.setattr("besovbnn.vi.train_replicates", not_reached)
         argv = [command, "--function", "f2", "--out-dir", str(tmp_path / "out"),
-                *FAST_FIT, flag, value]
+                *fast_fit(command), flag, value]
         if command == "predict":
             argv += ["--checkpoint", str(tmp_path / "missing")]
         if command == "rate-study":
             argv += ["--n", "20,40,80", "--replicates", "1"]
         assert main(argv) == 2
-        assert f"error: {flag} must" in capsys.readouterr().err
+        expected = (f"error: {flag} must" if flag in options(command)
+                    else f"error: unrecognized arguments: {flag} {value}\n")
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -171,7 +194,7 @@ class TestPredict:
         out_dir = tmp_path / "pred"
         rc = main(["predict", "--function", "f2", "--n", "50", "--seed", "3",
                    "--checkpoint", str(fit_dir / "checkpoint"),
-                   "--out-dir", str(out_dir), *FAST_FIT])
+                   "--out-dir", str(out_dir), *fast_fit("predict")])
         assert rc == 0
         rows = read_csv(out_dir / "predictive.csv")
         assert rows[0] == ["x", "mean", "lo", "hi"] and len(rows) == 22
@@ -179,7 +202,7 @@ class TestPredict:
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         rc = main(["predict", "--function", "f2", "--n", "50",
                    "--checkpoint", str(tmp_path / "missing"),
-                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+                   "--out-dir", str(tmp_path / "pred"), *fast_fit("predict")])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.json" in err
@@ -194,7 +217,7 @@ class TestPredict:
         (fit_dir / "checkpoint.json").write_text(json.dumps(envelope))
         rc = main(["predict", "--function", "f2", "--n", "50",
                    "--checkpoint", str(fit_dir / "checkpoint"),
-                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+                   "--out-dir", str(tmp_path / "pred"), *fast_fit("predict")])
         assert rc == 1
 
     @pytest.mark.parametrize("malform, field", [
@@ -213,7 +236,7 @@ class TestPredict:
         (tmp_path / "checkpoint.json").write_text(json.dumps(malform(envelope)))
         rc = main(["predict", "--function", "f2", "--n", "50",
                    "--checkpoint", str(tmp_path / "checkpoint"),
-                   "--out-dir", str(tmp_path / "pred"), *FAST_FIT])
+                   "--out-dir", str(tmp_path / "pred"), *fast_fit("predict")])
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1 and err.startswith("failure: ")
         assert field in err
@@ -325,15 +348,16 @@ class TestNumericFlags:
         assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag} must")
 
 
-TINY_FIT = ["--function", "f2", "--iterations", "1", "--draws", "2", "--grid-points", "2"]
+TINY_FIT = ["--function", "f2", "--draws", "2"]
 CONTRACT_ARGS = {
     "design": ["design", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
     "check-prior": ["check-prior", "--s", "1.5", "--p", "1", "--q", "1", "--n", "100"],
     "covering": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2.0",
                  "--a", "1e-9", "--delta", "0.5"],
-    "fit": ["fit", "--n", "4", *TINY_FIT],
-    "predict": ["predict", "--n", "4", *TINY_FIT],
-    "rate-study": ["rate-study", "--n", "4,5,6", "--replicates", "1", *TINY_FIT],
+    "fit": ["fit", "--n", "4", *TINY_FIT, "--iterations", "1", "--grid-points", "2"],
+    "predict": ["predict", "--n", "4", *TINY_FIT, "--grid-points", "2"],
+    "rate-study": ["rate-study", "--n", "4,5,6", "--replicates", "1", *TINY_FIT,
+                   "--iterations", "1"],
 }
 FIT_COMMANDS = {"fit", "predict", "rate-study"}
 
@@ -341,9 +365,7 @@ FIT_COMMANDS = {"fit", "predict", "rate-study"}
 def numeric_options(command):
     """(flag, type) of each numeric option of a subcommand's parser: those
     whose type is int or float, or carries the `low` bound of its range."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return [(a.option_strings[0], a.type) for a in subparsers.choices[command]._actions
+    return [(a.option_strings[0], a.type) for a in option_actions(command)
             if a.type in (int, float) or hasattr(a.type, "low")]
 
 
@@ -370,7 +392,7 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     assert main([*CONTRACT_ARGS["fit"], "--out-dir", str(checkpoint.parent)]) == 0
     cases = [(command, f"{flag}={value}") for command in CONTRACT_ARGS
              for flag, kind in numeric_options(command) for value in edge_values(kind)]
-    assert len({(command, extra.split("=")[0]) for command, extra in cases}) >= 73
+    assert len({(command, extra.split("=")[0]) for command, extra in cases}) >= 50
     cases += [(command, "--bogus") for command in CONTRACT_ARGS]
     broken = []
     for i, (command, extra) in enumerate(cases):
@@ -406,6 +428,93 @@ def test_usage_error_is_one_line(capsys, argv):
     assert rc == 2 and err.count("\n") == 1 and err.startswith("error: "), (rc, err)
 
 
+def test_each_command_declares_the_options_it_reads():
+    smoothness = ["--s", "--p", "--q", "--d", "--m"]
+    design = ["--cB", "--K0", "--counting"]
+    train = ["--iterations", "--batch-size", "--learning-rate", "--full-scale", "--noise-sd",
+             "--draws"]
+    assert {command: options(command)[2:] for command in CONTRACT_ARGS} == {
+        "design": [*smoothness, *design, "--out-dir"],
+        "check-prior": [*smoothness, *design, "--density", "--out-dir"],
+        "covering": [*smoothness, "--cB", "--L", "--W", "--S", "--B", "--a", "--delta"],
+        "fit": [*design, *train, "--alpha", "--grid-points", "--seed", "--out-dir"],
+        "predict": ["--noise-sd", "--draws", "--alpha", "--grid-points", "--seed",
+                    "--checkpoint", "--out-dir"],
+        "rate-study": [*design, *train, "--seed", "--replicates", "--out-dir"],
+    }
+    assert all(options(command)[:2] == ["--n", "--function"] for command in CONTRACT_ARGS)
+
+
+def contract_argv(tmp_path, command, *extra):
+    """CONTRACT_ARGS[command] with `extra`, an --out-dir under tmp_path for
+    the commands that write one, and a checkpoint path for predict."""
+    argv = [*CONTRACT_ARGS[command], *extra]
+    if command != "covering":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    if command == "predict":
+        argv += ["--checkpoint", str(tmp_path / "checkpoint")]
+    return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--iterations", "5"],
+    ["predict", "--K0", "9"],
+    ["predict", "--full-scale"],
+    ["rate-study", "--alpha", "0.1"],
+    ["rate-study", "--grid-points", "7"],
+    ["rate-study", "--s", "0.3"],
+    ["fit", "--s", "1.5"],
+    ["covering", "--K0", "9"],
+    ["covering", "--counting", "compat"],
+], ids=" ".join)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    command, *flag = argv
+    assert main(contract_argv(tmp_path, command, *flag)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: unrecognized arguments: {' '.join(flag)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["design", "--function", "f1", "--s", "0.5"], {}, "--function cannot be combined with --s"),
+    (["check-prior", "--function", "f2", "--p", "1", "--m", "3"], {},
+     "--function cannot be combined with --p/--m"),
+    (["covering", "--function", "f1", "--d", "1"], {}, "--function cannot be combined with --d"),
+    (["design", "--q", "2"], {"function": "f1"}, "--function cannot be combined with --q"),
+    (["covering", "--function", "f1", "--L", "3"], {}, "--L cannot be combined with --function"),
+    (["covering", "--s", "1.5", "--p", "1", "--q", "1", "--W", "8", "--S", "10"], {},
+     "--W/--S cannot be combined with --s/--p/--q"),
+    (["covering", "--function", "f2"], {"B": 2.0}, "--B cannot be combined with --function"),
+], ids=["design", "check-prior", "covering", "design-config", "covering-L",
+        "covering-smoothness", "covering-config"])
+def test_overriding_flags_exit_2(tmp_path, capsys, argv, config, message):
+    # Either set of flags would ignore the other; a --config value counts
+    # as given.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = ["--config", str(cfg), *argv]
+    if "covering" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["design", "check-prior", "fit", "predict", "rate-study"])
+def test_unwritable_out_dir_exits_1_with_one_line(tmp_path, capsys, command):
+    shape = NetworkShape(d_in=1, hidden_widths=(2,))
+    vi.save_checkpoint(tmp_path / "checkpoint",
+                       vi.VariationalState(mu=np.zeros(shape.n_params),
+                                           rho=np.zeros(shape.n_params)), shape)
+    (tmp_path / "out").write_text("")
+    for extra in ([], ["--out-dir", str(tmp_path / "out" / "sub")]):
+        rc = main(contract_argv(tmp_path, command, *extra))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("failure: "), err
+    assert (tmp_path / "out").read_text() == ""
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--help"])
@@ -413,11 +522,11 @@ def test_help_exits_0(capsys):
 
 
 @pytest.mark.parametrize("argv, line, result", [
-    (["fit", "--n", "20", "--iterations", "5", "--learning-rate", "1e10"],
+    (["fit", "--n", "20", "--iterations", "5", "--learning-rate", "1e10", "--grid-points", "2"],
      "training diverged: non-finite ELBO (-inf) at step 1", "predictive.csv"),
     # one update that overflows only the network pass: the state it leaves
     # is checked too
-    (["fit", "--n", "4", "--iterations", "1", "--learning-rate", "1e200"],
+    (["fit", "--n", "4", "--iterations", "1", "--learning-rate", "1e200", "--grid-points", "2"],
      "training diverged: non-finite ELBO (nan) at step 1", "predictive.csv"),
     (["rate-study", "--n", "4,5,6", "--replicates", "1", "--iterations", "1",
       "--learning-rate", "1e200"],
@@ -431,7 +540,7 @@ def test_huge_learning_rate_diverges_with_one_line(tmp_path, argv, line, result)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "besovbnn.cli", *argv, "--function", "f2",
-         "--draws", "2", "--grid-points", "2", "--out-dir", str(tmp_path / "out")],
+         "--draws", "2", "--out-dir", str(tmp_path / "out")],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [line], proc.stderr
@@ -441,13 +550,13 @@ def test_huge_learning_rate_diverges_with_one_line(tmp_path, argv, line, result)
 class TestRateStudy:
     def test_requires_three_sizes(self, tmp_path):
         rc = main(["rate-study", "--function", "f2", "--n", "100,200",
-                   "--out-dir", str(tmp_path), *FAST_FIT])
+                   "--out-dir", str(tmp_path), *fast_fit("rate-study")])
         assert rc == 2
 
     def test_micro_run(self, tmp_path):
         rc = main(["rate-study", "--function", "f2", "--n", "20,40,80",
                    "--replicates", "1", "--seed", "0",
-                   "--out-dir", str(tmp_path), *FAST_FIT])
+                   "--out-dir", str(tmp_path), *fast_fit("rate-study")])
         assert rc == 0
         obj = json.loads((tmp_path / "rate_study.json").read_text())
         assert len(obj["per_n"]) == 3
@@ -463,7 +572,7 @@ class TestRateStudy:
                             lambda *a, **k: pytest.fail("trained"))
         rc = main(["rate-study", "--function", "f2", "--n", "20,40,80",
                    "--replicates", replicates, "--out-dir", str(tmp_path / "out"),
-                   *FAST_FIT])
+                   *fast_fit("rate-study")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
@@ -516,7 +625,7 @@ class TestRateStudyConcurrency:
     def run(self, out_dir, ns, replicates=2, seed=0):
         return main(["rate-study", "--function", "f2", "--n", ",".join(map(str, ns)),
                      "--replicates", str(replicates), "--seed", str(seed),
-                     "--out-dir", str(out_dir), *FAST_FIT])
+                     "--out-dir", str(out_dir), *fast_fit("rate-study")])
 
     def test_matches_a_sequential_loop_and_one_cpu(self, tmp_path, monkeypatch):
         ns = [20, 40, 80]
