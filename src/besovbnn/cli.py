@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,13 @@ def _builtin(args) -> tuple[dz.SmoothnessSpec, object]:
     return spec, function()
 
 
+def _out_dir(args) -> Path:
+    """The --out-dir directory, created if missing."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -178,82 +186,52 @@ def _design(spec: dz.SmoothnessSpec, n: int, args):
     return arch, dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
 
 
-def _design_record(spec: dz.SmoothnessSpec, n: int, args):
-    arch, mix = _design(spec, n, args)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "s": spec.s,
-        "p": None if math.isinf(spec.p) else spec.p,
-        "q": None if math.isinf(spec.q) else spec.q,
-        "d": spec.d,
-        "m": spec.m,
-        "N": arch.N,
-        "W0": arch.W0,
-        "L": arch.L,
-        "W": arch.W,
-        "S": arch.S,
-        "B": arch.B,
-        "T": arch.T,
-        "eps": arch.eps,
-        "log_a": mix.log_a,
-        "eta": mix.eta,
-        "log_sigma1": mix.log_sigma1,
-        "sigma2": mix.sigma2,
-        "pi1": mix.pi1,
-        "pi2": mix.pi2,
-    }
-    return mix, record
-
-
 def cmd_design(args) -> int:
     spec = _spec(args)
+    # An infinite p or q is written as null.
+    smoothness = {k: None if math.isinf(v) else v for k, v in asdict(spec).items()}
     records = []
     csv_rows = []
     for n in args.n:
-        mix, record = _design_record(spec, n, args)
-        records.append(record)
+        arch, mix = _design(spec, n, args)
+        # Every field of the three specs but K0, a flag; mix.B is arch.B.
+        records.append({"schema_version": SCHEMA_VERSION, **smoothness, **asdict(arch),
+                        **{k: v for k, v in asdict(mix).items() if k != "K0"}})
         log10_s1 = mix.log_sigma1 / math.log(10.0)
         sigma1_linear = math.exp(mix.log_sigma1) if mix.log_sigma1 > -700 else 0.0
-        csv_rows.append(
-            [n, record["L"], record["W"], sigma1_linear, mix.sigma2, mix.pi1, mix.pi2]
-        )
+        csv_rows.append([n, arch.L, arch.W, sigma1_linear, mix.sigma2, mix.pi1, mix.pi2])
         print(
-            f"n={n}  L={record['L']}  W={record['W']}  "
+            f"n={n}  L={arch.L}  W={arch.W}  "
             f"sigma1=10^{log10_s1:.3f}  sigma2={mix.sigma2:.4f}  "
             f"pi1={mix.pi1:.4f}  pi2={mix.pi2:.4f}"
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     _write_json(out_dir / "design.json", {"schema_version": SCHEMA_VERSION, "rows": records})
     _write_csv(out_dir / "design.csv",
                ["n", "L_n", "W_n", "sigma_1n", "sigma_2n", "pi_1n", "pi_2n"], csv_rows)
     return 0
 
 
-def _desk_shape(spec: dz.SmoothnessSpec, arch, full_scale: bool):
-    if full_scale:
-        if arch.T > DESK_MAX_PARAMS:
-            print(
-                f"warning: full-scale network has {arch.T} parameters; "
-                "expect a long runtime",
-                file=sys.stderr,
-            )
-        return NetworkShape(d_in=spec.d, hidden_widths=tuple([arch.W] * arch.L))
-    return NetworkShape(d_in=spec.d, hidden_widths=tuple(dz.desk_scale_widths(arch)))
-
-
 def _designed_model(spec, n, args):
-    """The designed mixture prior and network shape for sample size n."""
+    """The designed mixture prior for sample size n and the network shape:
+    the designed geometry with --full-scale, else its desk-scale reduction."""
     arch, mix = _design(spec, n, args)
     prior = priors.make_density("mixture", mixture_spec=mix)
-    return prior, _desk_shape(spec, arch, args.full_scale)
+    if args.full_scale and arch.T > DESK_MAX_PARAMS:
+        print(
+            f"warning: full-scale network has {arch.T} parameters; "
+            "expect a long runtime",
+            file=sys.stderr,
+        )
+    widths = [arch.W] * arch.L if args.full_scale else dz.desk_scale_widths(arch)
+    return prior, NetworkShape(d_in=spec.d, hidden_widths=widths)
 
 
-def _train_config(n, args, seed: int) -> vi.TrainConfig:
+def _train_config(args, seed: int) -> vi.TrainConfig:
+    # A --batch-size of n or more trains on the full batch, as 0 does.
     return vi.TrainConfig(
         iterations=args.iterations,
-        batch_size=min(n, args.batch_size) if args.batch_size else 0,
+        batch_size=args.batch_size,
         learning_rate=args.learning_rate,
         seed=seed,
     )
@@ -276,8 +254,7 @@ def cmd_fit(args) -> int:
     spec, f0 = _builtin(args)
     n = _single_n(args)
     prior, shape = _designed_model(spec, n, args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
@@ -294,7 +271,7 @@ def cmd_fit(args) -> int:
     t0 = time.monotonic()
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     try:
-        state, trace = vi.train(shape, data, prior, _train_config(n, args, args.seed),
+        state, trace = vi.train(shape, data, prior, _train_config(args, args.seed),
                                 sigma=args.noise_sd)
     except vi.TrainingDiverged as exc:
         manifest["status"] = f"diverged: {exc}"
@@ -319,6 +296,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.checkpoint is None:
+        raise ArgumentError("predict requires --checkpoint")
     checkpoint = Path(args.checkpoint)
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
@@ -327,9 +306,7 @@ def cmd_predict(args) -> int:
     n = _single_n(args)
     state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _write_predictive(out_dir, state, shape, f0, data, args)
+    summary = _write_predictive(_out_dir(args), state, shape, f0, data, args)
     print(f"predict done: median empirical error {summary.median_error():.4f}")
     return 0
 
@@ -346,9 +323,7 @@ def cmd_check_prior(args) -> int:
         all_pass &= report.all_pass
     out = {"schema_version": SCHEMA_VERSION, "density": args.density,
            "reports": reports, "all_pass": all_pass}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "condition_report.json", out)
+    _write_json(_out_dir(args) / "condition_report.json", out)
     print(json.dumps(out, sort_keys=True, indent=2))
     return 0 if all_pass else 1
 
@@ -401,7 +376,7 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
     seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
     datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
     fits = vi.train_replicates(shape, datasets, prior,
-                               [_train_config(n, args, s) for s in seeds],
+                               [_train_config(args, s) for s in seeds],
                                sigma=args.noise_sd)
     errors = []
     for seed, data, fit in zip(seeds, datasets, fits):
@@ -421,8 +396,7 @@ def cmd_rate_study(args) -> int:
         raise ArgumentError("rate-study needs at least 3 sample sizes")
     # Models first, on this thread, so --full-scale warnings come in n order.
     models = [_designed_model(spec, n, args) for n in args.n]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     errors = _largest_first([functools.partial(_rate_study_errors, f0, n, prior, shape, args)
                              for n, (prior, shape) in zip(args.n, models)])
     per_n = []
@@ -502,7 +476,7 @@ FLAGS = {
     "--grid-points": dict(type=_count(1), default=101),
     "--seed": dict(type=_count(0), default=0),
     "--replicates": dict(type=_count(1), default=5),
-    "--checkpoint": dict(required=True),
+    "--checkpoint": dict(),
     "--out-dir": dict(default="out"),
     "--L": dict(type=_count(1)),
     "--W": dict(type=_count(1)),

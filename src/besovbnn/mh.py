@@ -80,7 +80,6 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     sd = config.proposal_sd
     kept = []
     accepted_post = 0
-    proposed_post = 0
     accept_window = 0
     window = 100
     for step in range(config.steps):
@@ -101,13 +100,12 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
                 sd *= math.exp(0.5 * (rate - 0.234))
                 accept_window = 0
         else:
-            proposed_post += 1
             accepted_post += accept
             if (step - config.burn_in) % config.thin == 0:
                 kept.append(theta.copy())
     return MHResult(
         chain=np.asarray(kept),
-        acceptance_rate=accepted_post / max(proposed_post, 1),
+        acceptance_rate=accepted_post / (config.steps - config.burn_in),
         proposal_sd=sd,
         shape=shape,
     )

@@ -9,6 +9,7 @@ weights before biases within a layer, weight matrices in row-major order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,9 @@ class NetworkShape:
     hidden_widths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
+        object.__setattr__(self, "d_in", _integer(self.d_in, "d_in"))
+        object.__setattr__(self, "hidden_widths",
+                           tuple(_integer(w, "each hidden width") for w in self.hidden_widths))
         if self.d_in < 1 or len(self.hidden_widths) < 1:
             raise ValueError("need d_in >= 1 and at least one hidden layer")
         if any(w < 1 for w in self.hidden_widths):
@@ -58,6 +61,16 @@ class NetworkShape:
     @staticmethod
     def from_dict(obj: dict) -> "NetworkShape":
         return NetworkShape(d_in=obj["d_in"], hidden_widths=tuple(obj["hidden_widths"]))
+
+
+def _integer(value, name: str) -> int:
+    """value as an int: any integer type, numpy's included, but not bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _layer_views(shape: NetworkShape, flat: np.ndarray):

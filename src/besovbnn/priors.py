@@ -63,16 +63,18 @@ class SpikeSlabSpec:
 
 @dataclass(frozen=True)
 class SparseDraw:
-    """Active index set (sorted) and the values on those coordinates."""
+    """Active index set (strictly increasing) and the values on those coordinates."""
 
     gamma: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(sorted(self.gamma)))
+        object.__setattr__(self, "gamma", tuple(self.gamma))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if len(self.gamma) != self.values.shape[0]:
             raise ValueError("gamma and values must be the same length")
+        if any(a >= b for a, b in zip(self.gamma, self.gamma[1:])):
+            raise ValueError(f"gamma must be strictly increasing, got {self.gamma}")
 
 
 def spike_slab_log_density(draw: SparseDraw, spec: SpikeSlabSpec) -> float:

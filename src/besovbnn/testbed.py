@@ -108,12 +108,10 @@ def tabulated_function(x, values) -> TrueFunction:
 
 @dataclass
 class Dataset:
-    """Regression sample (x_i, y_i) with the noise level and seed that made it."""
+    """Regression sample (x_i, y_i)."""
 
     x: np.ndarray  # (n, d)
     y: np.ndarray  # (n,)
-    noise_sd: float
-    seed: int
 
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
@@ -140,7 +138,7 @@ def generate_dataset(f: TrueFunction, n: int, noise_sd: float, seed: int) -> Dat
     x = rng.uniform(0.0, 1.0, size=(n, 1))
     fx = f(x[:, 0])
     y = fx + noise_sd * rng.standard_normal(n) if noise_sd > 0 else fx.copy()
-    return Dataset(x=x, y=y, noise_sd=noise_sd, seed=seed)
+    return Dataset(x=x, y=y)
 
 
 def empirical_norm(f_values) -> float:

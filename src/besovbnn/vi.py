@@ -237,12 +237,10 @@ def _gradient_block(b: StepBuffers, rho, cols: slice, prior, n_weight: float):
     return g_mu, g_rho
 
 
-def _init_state(shape: NetworkShape, config: TrainConfig, mu=None, rho=None) -> VariationalState:
+def _init_state(shape: NetworkShape, config: TrainConfig, mu, rho) -> VariationalState:
     """Weights N(0, 1/fan_in) drawn from the config's seed, zero biases and
-    every scale INIT_SIGMA_Q, written into mu and rho (vectors of length T)
-    when they are given, so a stack's rows need no temporaries."""
-    mu = np.empty(shape.n_params) if mu is None else mu
-    rho = np.empty(shape.n_params) if rho is None else rho
+    every scale INIT_SIGMA_Q, written into mu and rho (vectors of length T),
+    so a stack's rows need no temporaries."""
     rng = np.random.default_rng(config.seed)
     for w, b in zip(*_layer_views(shape, mu)):
         rng.standard_normal(out=w)
@@ -450,11 +448,11 @@ def load_checkpoint(path):
         raise ValueError("checkpoint uses an unknown flatten order")
     try:
         shape = NetworkShape.from_dict(envelope["shape"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint shape is malformed: {exc!r}") from exc
-    T = envelope["T"]
-    if not isinstance(T, int) or T < 0:
-        raise ValueError(f"checkpoint T must be a nonnegative integer, got {T!r}")
+    T = shape.n_params
+    if envelope["T"] != T:
+        raise ValueError(f"checkpoint T={envelope['T']!r} is not its shape's {T} parameters")
     with path.with_suffix(".bin").open("rb") as f:
         # Checked before reading, so a wrong file allocates nothing; mu and
         # rho are read straight into their own arrays.

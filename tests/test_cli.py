@@ -18,6 +18,9 @@ from besovbnn import priors, testbed, vi
 from besovbnn.cli import build_parser, fit_rate_slope, main
 from besovbnn.network import NetworkShape
 
+# A numpy warning would leak onto the CLI's one-line stderr.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -208,6 +211,26 @@ class TestPredict:
         assert err.count("\n") == 1 and "missing.json" in err
         assert not (tmp_path / "pred").exists()
 
+    def test_checkpoint_from_config(self, tmp_path):
+        fit_dir = tmp_path / "fit"
+        assert main(["fit", "--function", "f2", "--n", "50", "--seed", "3",
+                     "--out-dir", str(fit_dir), *FAST_FIT]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint": str(fit_dir / "checkpoint")}))
+        argv = ["predict", "--function", "f2", "--n", "50", "--seed", "3",
+                *fast_fit("predict")]
+        assert main(["--config", str(cfg), *argv, "--out-dir", str(tmp_path / "cfg")]) == 0
+        assert main([*argv, "--checkpoint", str(fit_dir / "checkpoint"),
+                     "--out-dir", str(tmp_path / "flag")]) == 0
+        assert ((tmp_path / "cfg" / "predictive.csv").read_bytes()
+                == (tmp_path / "flag" / "predictive.csv").read_bytes())
+
+    def test_no_checkpoint_exits_2(self, tmp_path, capsys):
+        rc = main(["predict", "--function", "f2", "--out-dir", str(tmp_path / "pred")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: predict requires --checkpoint\n"
+        assert not (tmp_path / "pred").exists()
+
     def test_other_schema_version_exits_1(self, tmp_path):
         fit_dir = tmp_path / "fit"
         assert main(["fit", "--function", "f2", "--n", "50",
@@ -226,7 +249,12 @@ class TestPredict:
         (lambda env: [env], "JSON object"),
         (lambda env: {**env, "shape": 5}, "shape"),
         (lambda env: {**env, "T": 2.5}, "T"),
-    ], ids=["no-flatten_order", "no-T", "list", "int-shape", "float-T"])
+        (lambda env: {**env, "shape": {"d_in": 1.0, "hidden_widths": [2]}}, "d_in"),
+        (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [2.5]}}, "width"),
+        (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [True]}}, "width"),
+        (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [3]}}, "T"),
+    ], ids=["no-flatten_order", "no-T", "list", "int-shape", "float-T", "float-d_in",
+            "float-width", "bool-width", "other-T"])
     def test_malformed_envelope_exits_1(self, tmp_path, capsys, malform, field):
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
         T = shape.n_params
@@ -381,7 +409,6 @@ def edge_values(kind):
     return [repr(v) for v in values] + ["nan", "inf", "-inf", "1e200", "abc"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     # Every numeric option of every command at its edge values, and an
     # unknown flag for each command: main returns 0, 1 or 2 and never raises

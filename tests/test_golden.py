@@ -21,12 +21,19 @@ import pytest
 
 from besovbnn.cli import main
 
+# A numpy warning would leak onto the CLI's one-line stderr.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     **{f"design-{f}-{c}": ["design", "--function", f, "--counting", c]
        for f in ("f1", "f2") for c in ("canonical", "compat")},
     **{f"check-prior-{d}": ["check-prior", "--function", "f1", "--density", d]
        for d in ("mixture", "gauss", "laplace", "uniform-slab")},
+    # The explicit class pins _spec's --s/--p/--q/--d/--m branch and a record
+    # whose finite p and q differ from the built-ins'.
+    **{f"{c}-explicit": [c, "--s", "0.9", "--p", "2", "--q", "3", "--d", "1", "--m", "2",
+                         "--n", "100,1000"] for c in ("design", "check-prior")},
     "covering-derived": ["covering", "--function", "f1", "--n", "100", "--a", "1e-9"],
     "covering-explicit": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
                           "--delta", "0.5", "--a", "1e-9"],

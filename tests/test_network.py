@@ -39,6 +39,17 @@ class TestShapes:
         with pytest.raises(ValueError):
             NetworkShape(d_in=1, hidden_widths=())
 
+    @pytest.mark.parametrize("d_in, widths", [(1.0, (3,)), (1, (2.5,)), (True, (3,)),
+                                              (1, (True, 3))])
+    def test_sizes_must_be_integers(self, d_in, widths):
+        with pytest.raises(TypeError):
+            NetworkShape(d_in=d_in, hidden_widths=widths)
+
+    def test_numpy_integers_are_sizes(self):
+        shape = NetworkShape(d_in=np.int64(1), hidden_widths=(np.int32(4),))
+        assert shape == NetworkShape(d_in=1, hidden_widths=(4,))
+        assert type(shape.d_in) is int and type(shape.hidden_widths[0]) is int
+
 
 class TestFlatten:
     def test_roundtrip(self):

@@ -68,6 +68,13 @@ class TestSpikeSlab:
         with pytest.raises(ValueError):
             spike_slab_log_density(SparseDraw(gamma=(0,), values=[0.1]), spec)
 
+    @pytest.mark.parametrize("gamma", [(3, 1), (2, 2)], ids=["unsorted", "repeated"])
+    def test_indices_must_strictly_increase(self, gamma):
+        # sorting (3, 1) would pair index 1 with 0.3, and (2, 2) is no
+        # support of size 2
+        with pytest.raises(ValueError):
+            SparseDraw(gamma=gamma, values=[0.3, 0.1])
+
     def test_sampler_support_frequencies(self):
         # each of T = 10 coordinates is active with probability S/T = 0.3
         spec = SpikeSlabSpec(T=10, S=3, B=1.0)

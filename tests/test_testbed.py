@@ -98,7 +98,7 @@ class TestDataset:
         # x is (n, d): a (1, 3) x is one point in three dimensions, not
         # three points, so three values of y do not match it
         with pytest.raises(ValueError):
-            Dataset(x=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0], noise_sd=0.0, seed=0)
+            Dataset(x=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0])
 
 
 class TestEmpiricalNorm:

@@ -195,7 +195,7 @@ class TestTrain:
         config = TrainConfig(iterations=3, batch_size=batch_size, learning_rate=0.01, seed=2)
         _, trace = train(shape, data, prior, config, sigma=0.1)
 
-        init = _init_state(shape, config)
+        init = _init_state(shape, config, np.empty(shape.n_params), np.empty(shape.n_params))
         rng = np.random.default_rng(config.seed + 1)
         if batch_size:
             idx = rng.choice(data.n, size=batch_size, replace=False)
@@ -218,7 +218,7 @@ class TestTrain:
 
     def test_divergence_raises(self):
         f = tabulated_function([0.0, 1.0], [0.5, 0.5])
-        data = Dataset(x=[[0.2], [0.8]], y=[math.inf, 0.0], noise_sd=0.0, seed=0)
+        data = Dataset(x=[[0.2], [0.8]], y=[math.inf, 0.0])
         shape = NetworkShape(d_in=1, hidden_widths=(3,))
         with pytest.raises(TrainingDiverged), np.errstate(invalid="ignore"):
             train(shape, data, FlatDensity(), TrainConfig(iterations=10))
@@ -289,7 +289,7 @@ class TestTrainReplicates:
         f0 = log_singular_function()
         datasets = [generate_dataset(f0, 50, 0.1, seed) for seed in (1, 2, 3)]
         bad = datasets[1]
-        datasets[1] = Dataset(x=bad.x, y=bad.y * 1e200, noise_sd=bad.noise_sd, seed=bad.seed)
+        datasets[1] = Dataset(x=bad.x, y=bad.y * 1e200)
         configs = [TrainConfig(iterations=40, learning_rate=0.01, seed=seed)
                    for seed in (1, 2, 3)]
         return prior, shape, datasets, configs
