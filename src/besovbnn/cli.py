@@ -237,12 +237,17 @@ def _train_config(args, seed: int) -> vi.TrainConfig:
     )
 
 
+def _predictive_seed(args) -> int:
+    """The seed of the predictive draws of fit and predict."""
+    return args.seed + 10_000
+
+
 def _write_predictive(out_dir: Path, state, shape, f0, data, args):
     """Summarize q on the grid and write predictive.csv; returns the summary."""
     grid = np.linspace(0.0, 1.0, args.grid_points)
     summary = vi.posterior_predictive(
         state, shape, grid, args.draws, f0, data, alpha=args.alpha,
-        seed=args.seed + 10_000,
+        seed=_predictive_seed(args),
     )
     _write_csv(out_dir / "predictive.csv", ["x", "mean", "lo", "hi"],
                zip(summary.grid.tolist(), summary.mean.tolist(),
@@ -262,7 +267,7 @@ def cmd_fit(args) -> int:
         "n": n,
         "seed": args.seed,
         "derived_seeds": {"dataset": args.seed, "train": args.seed,
-                          "predictive": args.seed + 10_000},
+                          "predictive": _predictive_seed(args)},
         # every option fit reads but those recorded above and --out-dir
         "config": {_dest(o): getattr(args, _dest(o)) for o in COMMANDS["fit"][3]
                    if o not in ("--seed", "--out-dir")},
@@ -299,6 +304,8 @@ def cmd_predict(args) -> int:
     if args.checkpoint is None:
         raise ArgumentError("predict requires --checkpoint")
     checkpoint = Path(args.checkpoint)
+    if not checkpoint.name:
+        raise ArgumentError(f"checkpoint file not found: {args.checkpoint!r} names no file")
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")

@@ -29,19 +29,18 @@ class MHConfig:
     steps: int = 20000
     burn_in: int = 5000
     proposal_sd: float = 0.1
-    thin: int = 1
     seed: int = 0
 
     def __post_init__(self):
         if not self.steps > self.burn_in >= 0:
             raise ValueError("need steps > burn_in >= 0")
-        if not self.proposal_sd > 0 or self.thin < 1:
-            raise ValueError("need proposal_sd > 0 and thin >= 1")
+        if not self.proposal_sd > 0:
+            raise ValueError("need proposal_sd > 0")
 
 
 @dataclass
 class MHResult:
-    chain: np.ndarray  # (kept_steps, T) post burn-in, thinned
+    chain: np.ndarray  # (steps - burn_in, T): every state after burn-in
     acceptance_rate: float
     proposal_sd: float  # final (post-adaptation) scale
     shape: NetworkShape
@@ -57,8 +56,9 @@ def _log_target(theta, params, data, prior, sigma, buffers):
 
 
 def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
-              config: MHConfig, theta0=None) -> MHResult:
-    """Spherical-Gaussian random-walk Metropolis targeting prior x likelihood.
+              config: MHConfig) -> MHResult:
+    """Spherical-Gaussian random-walk Metropolis targeting prior x likelihood,
+    started at theta = 0.
 
     The proposal scale adapts toward 0.234 acceptance during burn-in and is
     frozen afterwards, so the retained chain is a correct Metropolis chain.
@@ -67,7 +67,7 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
     if T > MAX_PARAMS:
         raise ValueError(f"parameter count {T} exceeds the desk-scale cap {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(T) if theta0 is None else np.array(theta0, dtype=float)
+    theta = np.zeros(T)
     prop = np.empty(T)
     # Network views of the two points; they swap with the buffers on accept.
     params = NetworkParams.from_flat(shape, theta)
@@ -101,8 +101,7 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
                 accept_window = 0
         else:
             accepted_post += accept
-            if (step - config.burn_in) % config.thin == 0:
-                kept.append(theta.copy())
+            kept.append(theta.copy())
     return MHResult(
         chain=np.asarray(kept),
         acceptance_rate=accepted_post / (config.steps - config.burn_in),

@@ -125,30 +125,15 @@ class NetworkParams:
         flat.setflags(write=False)
         return NetworkParams(shape, flat)
 
-    @staticmethod
-    def zeros(shape: NetworkShape) -> "NetworkParams":
-        return NetworkParams.from_flat(shape, np.zeros(shape.n_params))
 
-    def sparsity(self) -> int:
-        return int(np.count_nonzero(self._flat))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self._flat)))
-
-
-def forward(params: NetworkParams, x) -> np.ndarray | float:
-    """Evaluate the network; x may be a single point (d,) or a batch
-    (..., n, d).  A stack of R networks gives (R, n) on a batch (n, d) or on
-    a stack of batches (R, n, d), and (R,) on a single point."""
+def forward(params: NetworkParams, x) -> np.ndarray:
+    """Evaluate the network on a batch x (..., n, d): (n,) for one network
+    on (n, d), and (R, n) for a stack of R networks on a batch (n, d) or on
+    a stack of batches (R, n, d)."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    h = np.atleast_2d(x)
-    if h.shape[-1] != params.shape.d_in:
-        raise ValueError(f"input dimension {h.shape[-1]} != d_in {params.shape.d_in}")
-    out = _layers(params, h)[..., 0]
-    if not single:
-        return out
-    return float(out[0]) if params.stack is None else out[..., 0]
+    if x.ndim < 2 or x.shape[-1] != params.shape.d_in:
+        raise ValueError(f"expected inputs (..., n, {params.shape.d_in}), got shape {x.shape}")
+    return _layers(params, x)[..., 0]
 
 
 def _layers(params: NetworkParams, h, outs=None) -> np.ndarray:
@@ -169,7 +154,8 @@ def membership(params: NetworkParams, L: int, W: int, S: int, B: float) -> bool:
     at most S nonzeros, sup norm at most B."""
     if params.shape.depth != L or any(w != W for w in params.shape.hidden_widths):
         return False
-    return params.sparsity() <= S and params.sup_norm() <= B
+    theta = params.flatten()
+    return bool(np.count_nonzero(theta) <= S and np.max(np.abs(theta)) <= B)
 
 
 def truncate(params: NetworkParams, a: float) -> NetworkParams:

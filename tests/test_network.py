@@ -21,6 +21,10 @@ def random_params(shape, rng, scale=0.5):
     return NetworkParams.from_flat(shape, scale * rng.standard_normal(shape.n_params))
 
 
+def zero_params(shape):
+    return NetworkParams.from_flat(shape, np.zeros(shape.n_params))
+
+
 class TestShapes:
     def test_param_count(self):
         shape = NetworkShape(d_in=1, hidden_widths=(4, 4))
@@ -76,7 +80,7 @@ class TestFlatten:
             NetworkParams.from_flat(shape, np.zeros(shape.n_params + 1))
 
     def test_immutability(self):
-        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
+        p = zero_params(NetworkShape(d_in=1, hidden_widths=(2,)))
         with pytest.raises(ValueError):
             p.weights[0][0, 0] = 1.0
 
@@ -99,16 +103,13 @@ class TestForward:
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
         p = NetworkParams.from_flat(shape, [1.0, -1.0, 0.0, 0.5, 1.0, 1.0, 0.2])
         # x = 0: relu(0, 0.5) = (0, 0.5) -> 0.7
-        assert forward(p, [0.0]) == pytest.approx(0.7)
         # x = 1: relu(1, -0.5) = (1, 0) -> 1.2
-        assert forward(p, [1.0]) == pytest.approx(1.2)
-        # batch evaluation agrees
         out = forward(p, np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(out, [0.7, 1.2])
 
     def test_zero_network_constant(self):
-        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(4, 4)))
-        assert forward(p, [0.3]) == 0.0
+        p = zero_params(NetworkShape(d_in=1, hidden_widths=(4, 4)))
+        assert forward(p, [[0.3]]).tolist() == [0.0]
 
     def test_positive_homogeneity(self):
         # scaling first-layer weights and biases by c > 0 scales a
@@ -122,14 +123,15 @@ class TestForward:
         theta = theta.copy()
         theta[:6] *= c  # the first layer's weights (1, 3) and biases (3,)
         scaled = NetworkParams.from_flat(shape, theta)
-        xs = rng.uniform(0, 1, 20)
-        for x in xs:
-            assert forward(scaled, [x]) == pytest.approx(c * forward(base, [x]), rel=1e-12)
+        xs = rng.uniform(0, 1, (20, 1))
+        np.testing.assert_allclose(forward(scaled, xs), c * forward(base, xs), rtol=1e-12)
 
     def test_dimension_error(self):
-        p = NetworkParams.zeros(NetworkShape(d_in=2, hidden_widths=(3,)))
-        with pytest.raises(ValueError):
-            forward(p, np.ones((4, 3)))
+        # the last axis must be d_in, and a single point (d,) is no batch
+        p = zero_params(NetworkShape(d_in=2, hidden_widths=(3,)))
+        for x_shape in [(4, 3), (4,), (2,), ()]:
+            with pytest.raises(ValueError, match="expected inputs"):
+                forward(p, np.ones(x_shape))
 
 
 class TestMembership:
@@ -167,7 +169,7 @@ class TestTruncate:
         np.testing.assert_array_equal(once.flatten(), twice.flatten())
 
     def test_negative_raises(self):
-        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
+        p = zero_params(NetworkShape(d_in=1, hidden_widths=(2,)))
         with pytest.raises(ValueError):
             truncate(p, -0.1)
 
@@ -196,7 +198,7 @@ class TestLoglikGrad:
     def test_loglik_value(self):
         # zero network, y = (1, -1), sigma = 1: loglik = -log(2 pi) - 1
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
-        p = NetworkParams.zeros(shape)
+        p = zero_params(shape)
         ll, _ = loglik_and_grad(p, [[0.2], [0.8]], [1.0, -1.0], sigma=1.0)
         assert ll == pytest.approx(-math.log(2 * math.pi) - 1.0)
 
@@ -232,7 +234,7 @@ class TestLoglikGrad:
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_invalid_sigma(self):
-        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
+        p = zero_params(NetworkShape(d_in=1, hidden_widths=(2,)))
         with pytest.raises(ValueError):
             loglik_and_grad(p, [[0.0]], [0.0], sigma=0.0)
 
@@ -240,7 +242,7 @@ class TestLoglikGrad:
     def test_sigma_needs_a_positive_finite_square(self, sigma):
         # 1e200 squares past the largest double and 1e-200 to 0: a
         # ValueError, not an OverflowError or a NaN log-likelihood
-        p = NetworkParams.zeros(NetworkShape(d_in=1, hidden_widths=(2,)))
+        p = zero_params(NetworkShape(d_in=1, hidden_widths=(2,)))
         for evaluate in (loglik, loglik_and_grad):
             with pytest.raises(ValueError, match="sigma"):
                 evaluate(p, [[0.0]], [0.0], sigma)
@@ -329,7 +331,7 @@ class TestProperties:
 
     def test_mismatched_buffers_raise(self):
         shape = NetworkShape(d_in=1, hidden_widths=(3,))
-        p = NetworkParams.zeros(shape)
+        p = zero_params(shape)
         x, y = np.zeros((4, 1)), np.zeros(4)
         for wrong in (PassBuffers(shape, 5), PassBuffers(NetworkShape(1, (4,)), 4)):
             with pytest.raises(ValueError, match="buffers built for"):

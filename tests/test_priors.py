@@ -16,8 +16,10 @@ from besovbnn.design import (
 from besovbnn.priors import (
     ArchPriorSpec,
     FlatDensity,
+    MixtureDensity,
     SparseDraw,
     SpikeSlabSpec,
+    UniformSlabDensity,
     arch_prior_log_pmf,
     arch_prior_sample,
     make_density,
@@ -441,12 +443,12 @@ def _stack_rows(g, R_max, T, seed):
     each carry one coordinate outside the slab."""
     rng = np.random.default_rng(seed)
     theta = 0.05 * rng.standard_normal((R_max, T))
-    if g.name == "mixture":
+    if isinstance(g, MixtureDensity):
         sigma1 = math.exp(g.spec.log_sigma1)
         inside = theta[:, ::7]
         inside *= sigma1 / 0.05
         assert np.all(np.abs(inside) < reference_cut(g.spec))
-    if g.name == "uniform-slab":
+    if isinstance(g, UniformSlabDensity):
         theta[1, T // 2] = 1.0
         theta[3, -1] = -1.0
     return theta
