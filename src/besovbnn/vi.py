@@ -10,9 +10,12 @@ so they stay positive.  The single-sample ELBO uses the pathwise
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,6 +48,7 @@ FLATTEN_ORDER = "layer-major:weights-then-biases:row-major"
 INIT_SIGMA_Q = 1e-2  # initial posterior scale of every coordinate
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 TAIL_BLOCK = 32_768  # elements per block, across the stack, of a step's elementwise tail
+HELPER_MIN = 1 << 16  # doubles per noise draw (R*T) from which work runs on a helper thread
 
 
 def softplus(rho, out=None):
@@ -62,6 +66,35 @@ def _sigmoid(rho, out=None, work=None, mask=None):
     den = np.add(e, 1.0, out=out)
     np.copyto(e, 1.0, where=np.greater_equal(rho, 0.0, out=mask))
     return np.divide(e, den, out=den)
+
+
+@contextmanager
+def _helper(size: int):
+    """A one-thread executor for the work that runs beside the calling
+    thread's when a noise draw holds `size` >= HELPER_MIN doubles, else
+    None: `_start` then runs each task inline."""
+    if size < HELPER_MIN:
+        yield None
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+
+
+def _start(helper, fn, *args, **kwargs):
+    """Start fn(*args, **kwargs) on the helper, under the caller's numpy
+    error state, or run it now when helper is None.  Returns a call that
+    waits for fn and gives its result or raises its exception."""
+    if helper is None:
+        result = fn(*args, **kwargs)
+        return lambda: result
+    return helper.submit(contextvars.copy_context().run, fn, *args, **kwargs).result
+
+
+def _draw_noise(out, seeds):
+    """Fill out (T,), or each row of out (R, T), with the standard normals
+    of its seed."""
+    for z, s in zip(out.reshape(-1, out.shape[-1]), seeds):
+        np.random.default_rng(s).standard_normal(out=z)
 
 
 def _inv_softplus(s):
@@ -116,24 +149,51 @@ class StepBuffers:
     """Work arrays of one `elbo_gradient` call for a network shape, batch
     size and a stack of R states (stack=R) or one (stack=None).
 
-    Length T, with a leading axis R for a stack: the noise draw zeta,
-    sigma_q, sigmoid(rho) and theta, plus the network pass's PassBuffers,
-    whose `grad` is the fifth, and `params`, the NetworkParams views of
-    theta.  The elementwise tail after the network pass runs over column
-    blocks of `width` (TAIL_BLOCK elements across the stack), so g_mu,
-    g_rho, the scratch pair `work` and the bool `mask` are one block wide.
-    `train_replicates` builds one set per stack and reuses it on every step.
+    Length T, with a leading axis R for a stack: the noise draw zeta, a
+    spare of its shape, sigma_q and theta, plus the network pass's
+    PassBuffers, whose `grad` is the fifth, and `params`, the NetworkParams
+    views of theta.  The spare is the ELBO sums' scratch and then takes the
+    next step's noise (`prefetch`).  The elementwise tail after the network
+    pass runs over column blocks of `width` (TAIL_BLOCK elements across the
+    stack), so sigmoid(rho) `sig`, g_mu, g_rho, the scratch pair `work` and
+    the bool `mask` are one block wide.  `helper` (from `_helper`, or None)
+    runs the sums and the prefetched draws.  `train_replicates` builds one
+    set per stack and reuses it on every step.
     """
 
-    def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None):
+    def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,
+                 helper=None):
         T = shape.n_params
         lead = () if stack is None else (stack,)
-        self.zeta, self.sq, self.sig, self.theta = (np.empty((*lead, T)) for _ in range(4))
+        self.zeta, self.spare, self.sq, self.theta = (np.empty((*lead, T)) for _ in range(4))
         self.network = PassBuffers(shape, batch, stack)
         self.params = NetworkParams.from_flat(shape, self.theta)
         self.width = min(T, max(1, TAIL_BLOCK // (stack or 1)))
-        self.g_mu, self.g_rho, *self.work = (np.empty((*lead, self.width)) for _ in range(4))
+        self.sig, self.g_mu, self.g_rho, *self.work = (
+            np.empty((*lead, self.width)) for _ in range(5))
         self.mask = np.empty((*lead, self.width), dtype=bool)
+        self.helper = helper
+        self._drawn = None  # the seeds whose noise zeta holds
+        self._next = None  # (seeds, wait) of the draw started into spare
+
+    def prefetch(self, seeds: list) -> None:
+        """Start drawing the noise of `seeds` into the spare on the helper."""
+        self._next = (seeds, _start(self.helper, _draw_noise, self.spare, seeds))
+
+    def noise(self, seeds: list) -> np.ndarray:
+        """zeta holding the noise of `seeds`: kept when it holds them
+        already, swapped with the spare when a prefetch drew them, else drawn
+        now."""
+        if self._next is not None:
+            (drawn, wait), self._next = self._next, None
+            wait()
+            if drawn == seeds:
+                self.zeta, self.spare, self._drawn = self.spare, self.zeta, drawn
+        if self._drawn != seeds:
+            self._drawn = None
+            _draw_noise(self.zeta, seeds)
+            self._drawn = seeds
+        return self.zeta
 
     def blocks(self):
         """The column slices of the tail's blocks, in order."""
@@ -148,20 +208,26 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite ELBO ({value}) at step {step}")
 
 
-def _elbo(ll, theta, zeta, sq, prior, n_weight: float = 1.0, work=None):
-    """Single-sample ELBO at theta = mu + sq * zeta, given the log-likelihood
-    ll of the data at theta; `work`, if given, is overwritten scratch of
-    theta's shape that holds each summand in turn.  For
-    vectors (T,) it is a float; for stacks (R, T), with ll (R,), it is (R,),
-    every sum running over the last axis.
+def _elbo_terms(theta, zeta, sq, prior, work=None):
+    """The single-sample ELBO's terms at theta = mu + sq * zeta that need no
+    network pass: (log prior density, -log q), each summed over the last
+    axis; `work`, if given, is overwritten scratch of theta's shape that
+    holds each summand in turn.
 
     log q at the sampled theta reduces to -sum(log sigma_q) - T/2 log 2pi
     - |zeta|^2/2, so the pathwise theta-dependence of the entropy cancels.
     """
     neg_log_q = (np.sum(np.log(sq, out=work), axis=-1) + 0.5 * theta.shape[-1] * _LOG_2PI
                  + 0.5 * np.sum(np.square(zeta, out=work), axis=-1))
-    elbo = n_weight * ll + prior.log_density_sum(theta, out=work) + neg_log_q
-    return float(elbo) if theta.ndim == 1 else elbo
+    return prior.log_density_sum(theta, out=work), neg_log_q
+
+
+def _elbo(ll, log_prior, neg_log_q, n_weight: float = 1.0):
+    """Single-sample ELBO from the log-likelihood ll of the data at theta
+    and `_elbo_terms`: a float for vectors (T,), and (R,) for stacks (R, T)
+    with ll (R,)."""
+    elbo = n_weight * ll + log_prior + neg_log_q
+    return elbo if isinstance(elbo, np.ndarray) else float(elbo)
 
 
 def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
@@ -174,7 +240,7 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
     sq = softplus(rho)
     theta = np.asarray(mu, dtype=float) + sq * zeta
     ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
-    return _elbo(ll, theta, zeta, sq, prior, n_weight)
+    return _elbo(ll, *_elbo_terms(theta, zeta, sq, prior), n_weight)
 
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
@@ -190,8 +256,9 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
-    n and the stack; without one a fresh set is allocated), and g_mu and
-    g_rho are new arrays filled block by block through `_gradient_block`.
+    n and the stack; without one a fresh set is allocated), whose helper
+    sums the ELBO's other terms during the network pass, and g_mu and g_rho
+    are new arrays filled block by block through `_gradient_block`.
     With gradients=False they are None: the step stops before the tail,
     which the caller runs on `buffers` block by block.
     """
@@ -199,20 +266,18 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     n = np.shape(y)[-1]
     b = StepBuffers(shape, n, stack) if buffers is None else buffers
     b.network.check(shape, n, stack)
-    T = shape.n_params
     seeds = [seed] if stack is None else list(seed)
     if stack is not None and len(seeds) != stack:
         raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
-    for z, s in zip(b.zeta.reshape(-1, T), seeds):
-        np.random.default_rng(s).standard_normal(out=z)
     sq = softplus(state.rho, out=b.sq)
-    theta = np.multiply(sq, b.zeta, out=b.theta)
+    zeta = b.noise(seeds)
+    theta = np.multiply(sq, zeta, out=b.theta)
     theta += state.mu
-    ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
     # Row sums over the last axis equal separate per-row sums bit for bit
     # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
-    # sig is the sums' scratch until the tail fills it.
-    objective = _elbo(ll, theta, b.zeta, sq, prior, n_weight, work=b.sig)
+    terms = _start(b.helper, _elbo_terms, theta, zeta, sq, prior, b.spare)
+    ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
+    objective = _elbo(ll, *terms(), n_weight)
     if not gradients:
         return objective, None, None
     g_mu, g_rho = np.empty_like(theta), np.empty_like(theta)
@@ -228,7 +293,7 @@ def _gradient_block(b: StepBuffers, rho, cols: slice, prior, n_weight: float):
     formula in the same order, so the values do not depend on the blocks."""
     w = cols.stop - cols.start
     work, mask = b.work[0][..., :w], b.mask[..., :w]
-    sig = _sigmoid(rho[..., cols], out=b.sig[..., cols], work=work, mask=mask)
+    sig = _sigmoid(rho[..., cols], out=b.sig[..., :w], work=work, mask=mask)
     g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=b.g_mu[..., :w])
     g_mu += prior.grad_log_pdf(b.theta[..., cols])
     g_rho = np.multiply(g_mu, b.zeta[..., cols], out=b.g_rho[..., :w])
@@ -275,6 +340,10 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     TrainingDiverged that fit raises.  A diverged replicate stays in the
     stack without being updated while the others go on, and one pass after
     the last update checks the state each fit returns.
+
+    From HELPER_MIN doubles per noise draw a helper thread sums the ELBO's
+    terms during each network pass and draws the next step's noise during
+    the tail and the Adam updates; the last step's draws serve the check.
     """
     datasets, configs = list(datasets), list(configs)
     if not configs or len(datasets) != len(configs):
@@ -298,7 +367,17 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     else:
         xb, yb = np.stack([data.x for data in datasets]), np.stack([data.y for data in datasets])
 
-    buffers = StepBuffers(shape, batch, R)
+    def next_step():
+        """Step inputs from each replicate's rng: its minibatch into (xb, yb),
+        then the seed of its noise draw."""
+        seeds = []
+        for r, (rng, data) in enumerate(zip(rngs, datasets)):
+            if batch < n:
+                idx = rng.choice(n, size=batch, replace=False)
+                xb[r], yb[r] = data.x[idx], data.y[idx]
+            seeds.append(int(rng.integers(0, 2**63 - 1)))
+        return seeds
+
     m_mu, v_mu, m_rho, v_rho = (np.zeros((R, T)) for _ in range(4))  # Adam moments
     trace = np.empty((R, common.iterations))
     results = [None] * R
@@ -306,15 +385,11 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     # Overflow shows as a non-finite objective, which becomes TrainingDiverged,
     # so numpy need not warn.  Pass `iterations` checks the last update's
     # state on the last step's draws and updates nothing.
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _helper(R * T) as helper:
+        buffers = StepBuffers(shape, batch, R, helper=helper)
+        seeds = next_step()
+        buffers.prefetch(seeds)
         for it in range(common.iterations + 1):
-            if it < common.iterations:
-                seeds = []
-                for r, (rng, data) in enumerate(zip(rngs, datasets)):
-                    if batch < n:
-                        idx = rng.choice(n, size=batch, replace=False)
-                        xb[r], yb[r] = data.x[idx], data.y[idx]
-                    seeds.append(int(rng.integers(0, 2**63 - 1)))
             obj, _, _ = elbo_gradient(
                 state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
                 buffers=buffers, gradients=False,
@@ -331,6 +406,9 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             if it == common.iterations or not live.any():
                 break
             trace[:, it] = obj
+            if it + 1 < common.iterations:  # the pass has read this step's batch
+                seeds = next_step()
+                buffers.prefetch(seeds)
             for cols in buffers.blocks():
                 g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
                 g_mu[~live], g_rho[~live] = 0.0, 0.0
@@ -397,12 +475,22 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
     fx_true = np.asarray(f0(data.x[:, 0] if data.d == 1 else data.x), dtype=float)
     fvals = np.empty((draws, grid_x.shape[0]))
     errors = np.empty(draws)
-    for k in range(draws):
-        theta = state.mu + sq * rng.standard_normal(state.T)
-        params = NetworkParams.from_flat(shape, theta)
-        fvals[k] = forward(params, grid_x)
-        fx = fvals[k] if on_design else forward(params, data.x)
-        errors[k] = empirical_norm(fx - fx_true)
+    zetas, theta = np.empty((2, state.T)), np.empty(state.T)
+    params = NetworkParams.from_flat(shape, theta)
+    # From HELPER_MIN doubles a helper thread draws zeta_{k+1} while this
+    # thread runs draw k's networks.  sq * zeta + mu has the bits of
+    # mu + sq * zeta, since IEEE addition commutes.
+    with _helper(state.T) as helper:
+        draw = _start(helper, rng.standard_normal, out=zetas[0])
+        for k in range(draws):
+            zeta = draw()
+            if k + 1 < draws:
+                draw = _start(helper, rng.standard_normal, out=zetas[(k + 1) % 2])
+            np.multiply(sq, zeta, out=theta)
+            theta += state.mu
+            fvals[k] = forward(params, grid_x)
+            fx = fvals[k] if on_design else forward(params, data.x)
+            errors[k] = empirical_norm(fx - fx_true)
     mean = fvals.mean(axis=0)
     lower = np.quantile(fvals, alpha / 2.0, axis=0)
     upper = np.quantile(fvals, 1.0 - alpha / 2.0, axis=0)
@@ -436,9 +524,10 @@ def load_checkpoint(path):
     envelope = json.loads(path.with_suffix(".json").read_text())
     if not isinstance(envelope, dict):
         raise ValueError("checkpoint envelope is not a JSON object")
-    if envelope.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+    version = envelope.get("schema_version")
+    if type(version) is not int or version != CHECKPOINT_SCHEMA_VERSION:  # bool is no int here
         raise ValueError(
-            f"checkpoint schema_version {envelope.get('schema_version')!r} is not "
+            f"checkpoint schema_version {version!r} is not "
             f"{CHECKPOINT_SCHEMA_VERSION}"
         )
     missing = [k for k in ("flatten_order", "shape", "T", "seed", "step") if k not in envelope]

@@ -1,7 +1,12 @@
+import contextlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,6 +416,105 @@ class TestPosteriorPredictive:
             posterior_predictive(state, shape, [0.5], 4, f, data, alpha=alpha)
 
 
+class TestHelperThread:
+    """At or above HELPER_MIN doubles per draw a helper thread runs the ELBO
+    sums and the noise draws; below it the same tasks run inline.  Both
+    paths give the same bits."""
+
+    @staticmethod
+    def both(monkeypatch, fn):
+        """fn() with every size on the helper, then with every size inline."""
+        real, used = vi._helper, []
+
+        @contextlib.contextmanager
+        def recording(size):
+            with real(size) as helper:
+                used.append(helper is not None)
+                yield helper
+
+        monkeypatch.setattr(vi, "_helper", recording)
+        out = []
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(vi, "HELPER_MIN", threshold)
+            out.append(fn())
+        assert used == [True, False]
+        return out
+
+    @staticmethod
+    def diverging_minibatch_fit(iterations=40):
+        """train_replicates on a stack of 3 with a minibatch, whose second
+        replicate diverges."""
+        prior, shape, datasets, configs = TestTrainReplicates.one_diverging_stack()
+        configs = [replace(config, iterations=iterations, batch_size=20) for config in configs]
+        return lambda: train_replicates(shape, datasets, prior, configs, sigma=0.1)
+
+    @staticmethod
+    def assert_same_fits(fits, want):
+        assert [isinstance(fit, TrainingDiverged) for fit in want] == [False, True, False]
+        for got, ref in zip(fits, want, strict=True):
+            if isinstance(ref, TrainingDiverged):
+                assert isinstance(got, TrainingDiverged)
+                assert (got.step, repr(got.value)) == (ref.step, repr(ref.value))
+                continue
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert got[0].mu.tobytes() == ref[0].mu.tobytes()
+            assert got[0].rho.tobytes() == ref[0].rho.tobytes()
+
+    def test_train_replicates(self, monkeypatch):
+        threaded, inline = self.both(monkeypatch, self.diverging_minibatch_fit())
+        self.assert_same_fits(threaded, inline)
+
+    def test_bits_hold_under_fast_thread_switching(self, monkeypatch):
+        # three fits at once, each with its helper: six threads on fewer cores
+        fit = self.diverging_minibatch_fit(iterations=15)
+        monkeypatch.setattr(vi, "HELPER_MIN", 1 << 62)
+        want = fit()
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(3) as pool:
+                futures = [pool.submit(fit) for _ in range(3)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for fits in results:
+            self.assert_same_fits(fits, want)
+
+    @pytest.mark.parametrize("on_design", [True, False])
+    def test_posterior_predictive(self, monkeypatch, on_design):
+        prior, shape = designed_f2(50)
+        f0 = log_singular_function()
+        data = generate_dataset(f0, 50, 0.1, seed=4)
+        rng = np.random.default_rng(5)
+        state = VariationalState(mu=0.3 * rng.standard_normal(shape.n_params),
+                                 rho=rng.uniform(-6.0, -1.0, shape.n_params))
+        grid = data.x if on_design else np.linspace(0.0, 1.0, 17)
+        threaded, inline = self.both(
+            monkeypatch, lambda: posterior_predictive(state, shape, grid, 9, f0, data, seed=6))
+        for name in ("mean", "lower", "upper", "errors"):
+            assert getattr(threaded, name).tobytes() == getattr(inline, name).tobytes()
+
+    def test_failure_on_the_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        draw, threads = vi._draw_noise, []
+
+        def failing(out, seeds):
+            threads.append(threading.current_thread())
+            if len(threads) == 3:
+                raise RuntimeError("noise draw failed")
+            draw(out, seeds)
+
+        monkeypatch.setattr(vi, "_draw_noise", failing)
+        _, data = small_data(n=20)
+        start = threading.active_count()
+        with pytest.raises(RuntimeError, match="noise draw failed"):
+            train(NetworkShape(1, (4,)), data, FlatDensity(),
+                  TrainConfig(iterations=5, learning_rate=0.01, seed=1))
+        assert len(threads) == 3 and threading.main_thread() not in threads
+        assert threading.active_count() == start
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         shape = NetworkShape(d_in=1, hidden_widths=(4, 3))
@@ -457,7 +561,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 2, "1", None])
+    @pytest.mark.parametrize("version", [0, 2, "1", None, True])
     def test_rejects_other_schema_version(self, tmp_path, version):
         shape = NetworkShape(d_in=1, hidden_widths=(2,))
         state = make_state(shape)
