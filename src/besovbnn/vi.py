@@ -14,6 +14,7 @@ import contextvars
 import json
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -145,6 +146,16 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
+class _BlockSet:
+    """One thread's block-wide arrays of the step's tail: sigmoid(rho)
+    `sig`, g_mu, g_rho, the scratch pair `work` and the bool `mask`."""
+
+    def __init__(self, lead: tuple, width: int):
+        self.sig, self.g_mu, self.g_rho, *self.work = (
+            np.empty((*lead, width)) for _ in range(5))
+        self.mask = np.empty((*lead, width), dtype=bool)
+
+
 class StepBuffers:
     """Work arrays of one `elbo_gradient` call for a network shape, batch
     size and a stack of R states (stack=R) or one (stack=None).
@@ -155,10 +166,13 @@ class StepBuffers:
     views of theta.  The spare is the ELBO sums' scratch and then takes the
     next step's noise (`prefetch`).  The elementwise tail after the network
     pass runs over column blocks of `width` (TAIL_BLOCK elements across the
-    stack), so sigmoid(rho) `sig`, g_mu, g_rho, the scratch pair `work` and
-    the bool `mask` are one block wide.  `helper` (from `_helper`, or None)
-    runs the sums and the prefetched draws.  `train_replicates` builds one
-    set per stack and reuses it on every step.
+    stack), in `sets`, one block-wide `_BlockSet` per thread that takes
+    blocks: the calling thread's, and one more for the `helper` (from
+    `_helper`, or None), which also runs the sums and the prefetched draws.
+    `train_replicates` builds one set per stack and reuses it on every
+    step.  Its tail leaves sq holding softplus of the updated rho, which it
+    marks with `sq_of`; the next call takes that mark and skips its own
+    softplus, and any other call computes sq afresh.
     """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,
@@ -169,16 +183,27 @@ class StepBuffers:
         self.network = PassBuffers(shape, batch, stack)
         self.params = NetworkParams.from_flat(shape, self.theta)
         self.width = min(T, max(1, TAIL_BLOCK // (stack or 1)))
-        self.sig, self.g_mu, self.g_rho, *self.work = (
-            np.empty((*lead, self.width)) for _ in range(5))
-        self.mask = np.empty((*lead, self.width), dtype=bool)
+        self.sets = [_BlockSet(lead, self.width) for _ in range(1 if helper is None else 2)]
         self.helper = helper
+        self.sq_of = None  # the rho array whose softplus sq holds, set by train's tail
         self._drawn = None  # the seeds whose noise zeta holds
         self._next = None  # (seeds, wait) of the draw started into spare
+        self._queued = None  # seeds whose draw waits for the spare
 
     def prefetch(self, seeds: list) -> None:
-        """Start drawing the noise of `seeds` into the spare on the helper."""
-        self._next = (seeds, _start(self.helper, _draw_noise, self.spare, seeds))
+        """Have the noise of `seeds` drawn into the spare on the helper: at
+        once when no earlier draw waits there, else from the next
+        `elbo_gradient` call, queued behind its ELBO sums (which use the
+        spare as scratch) so that the draw overlaps its network pass."""
+        self._queued = seeds
+        if self._next is None:
+            self._draw_queued()
+
+    def _draw_queued(self) -> None:
+        """Start the draw that `prefetch` queued, if any."""
+        if self._queued is not None:
+            seeds, self._queued = self._queued, None
+            self._next = (seeds, _start(self.helper, _draw_noise, self.spare, seeds))
 
     def noise(self, seeds: list) -> np.ndarray:
         """zeta holding the noise of `seeds`: kept when it holds them
@@ -257,8 +282,9 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
     n and the stack; without one a fresh set is allocated), whose helper
-    sums the ELBO's other terms during the network pass, and g_mu and g_rho
-    are new arrays filled block by block through `_gradient_block`.
+    sums the ELBO's other terms and then draws the noise `buffers.prefetch`
+    queued during the network pass, and g_mu and g_rho are new arrays
+    filled block by block through `_gradient_block`.
     With gradients=False they are None: the step stops before the tail,
     which the caller runs on `buffers` block by block.
     """
@@ -269,34 +295,39 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     seeds = [seed] if stack is None else list(seed)
     if stack is not None and len(seeds) != stack:
         raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
-    sq = softplus(state.rho, out=b.sq)
+    sq = b.sq if b.sq_of is state.rho else softplus(state.rho, out=b.sq)
+    b.sq_of = None
     zeta = b.noise(seeds)
     theta = np.multiply(sq, zeta, out=b.theta)
     theta += state.mu
     # Row sums over the last axis equal separate per-row sums bit for bit
     # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
     terms = _start(b.helper, _elbo_terms, theta, zeta, sq, prior, b.spare)
+    b._draw_queued()
     ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
     objective = _elbo(ll, *terms(), n_weight)
     if not gradients:
         return objective, None, None
     g_mu, g_rho = np.empty_like(theta), np.empty_like(theta)
     for cols in b.blocks():
-        g_mu[..., cols], g_rho[..., cols] = _gradient_block(b, state.rho, cols, prior, n_weight)
+        g_mu[..., cols], g_rho[..., cols] = _gradient_block(
+            b, b.sets[0], state.rho, cols, prior, n_weight)
     return objective, g_mu, g_rho
 
 
-def _gradient_block(b: StepBuffers, rho, cols: slice, prior, n_weight: float):
+def _gradient_block(b: StepBuffers, own: _BlockSet, rho, cols: slice, prior, n_weight: float):
     """The tail of the step in `b` on the columns `cols`: sigmoid(rho) into
-    b.sig, then g_mu and g_rho into b's block arrays, whose views it
-    returns.  Every coordinate takes the operations of the whole-vector
-    formula in the same order, so the values do not depend on the blocks."""
+    own.sig, then g_mu and g_rho into the block arrays of `own`, the set of
+    the thread that runs it, whose views it returns.  Every coordinate takes
+    the operations of the whole-vector formula in the same order, so the
+    values do not depend on the blocks.  zeta is read from `b` on each
+    call, since `b.noise` swaps it with the spare."""
     w = cols.stop - cols.start
-    work, mask = b.work[0][..., :w], b.mask[..., :w]
-    sig = _sigmoid(rho[..., cols], out=b.sig[..., :w], work=work, mask=mask)
-    g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=b.g_mu[..., :w])
+    work, mask = own.work[0][..., :w], own.mask[..., :w]
+    sig = _sigmoid(rho[..., cols], out=own.sig[..., :w], work=work, mask=mask)
+    g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=own.g_mu[..., :w])
     g_mu += prior.grad_log_pdf(b.theta[..., cols])
-    g_rho = np.multiply(g_mu, b.zeta[..., cols], out=b.g_rho[..., :w])
+    g_rho = np.multiply(g_mu, b.zeta[..., cols], out=own.g_rho[..., :w])
     g_rho *= sig
     g_rho += np.divide(sig, b.sq[..., cols], out=work)  # entropy term d/drho sum log sigma_q
     return g_mu, g_rho
@@ -342,8 +373,10 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     the last update checks the state each fit returns.
 
     From HELPER_MIN doubles per noise draw a helper thread sums the ELBO's
-    terms during each network pass and draws the next step's noise during
-    the tail and the Adam updates; the last step's draws serve the check.
+    terms and then draws the next step's noise during each network pass,
+    and it shares the tail's blocks (the gradient, the Adam updates and the
+    next step's softplus) with the calling thread; the last step's draws
+    serve the check.  Below it the same tasks run inline in the same order.
     """
     datasets, configs = list(datasets), list(configs)
     if not configs or len(datasets) != len(configs):
@@ -367,29 +400,57 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     else:
         xb, yb = np.stack([data.x for data in datasets]), np.stack([data.y for data in datasets])
 
-    def next_step():
-        """Step inputs from each replicate's rng: its minibatch into (xb, yb),
-        then the seed of its noise draw."""
-        seeds = []
-        for r, (rng, data) in enumerate(zip(rngs, datasets)):
+    def next_inputs():
+        """Step inputs from each replicate's rng: its minibatch indices
+        (none for the full batch), then the seed of its noise draw."""
+        picks, seeds = [], []
+        for rng in rngs:
             if batch < n:
-                idx = rng.choice(n, size=batch, replace=False)
-                xb[r], yb[r] = data.x[idx], data.y[idx]
+                picks.append(rng.choice(n, size=batch, replace=False))
             seeds.append(int(rng.integers(0, 2**63 - 1)))
-        return seeds
+        return picks, seeds
+
+    def load_batch(picks):
+        for r, (idx, data) in enumerate(zip(picks, datasets)):
+            xb[r], yb[r] = data.x[idx], data.y[idx]
 
     m_mu, v_mu, m_rho, v_rho = (np.zeros((R, T)) for _ in range(4))  # Adam moments
     trace = np.empty((R, common.iterations))
     results = [None] * R
     live = np.ones(R, dtype=bool)
+
+    def ascend(own: _BlockSet, blocks: deque, t: int):
+        """Take blocks until none is left: on each, the gradient, Adam step
+        t of mu and rho, and then sigma_q of the updated rho into
+        buffers.sq, so the next pass needs no softplus of its own."""
+        while True:
+            try:
+                cols = blocks.popleft()  # deque.popleft is thread-safe
+            except IndexError:
+                return
+            g_mu, g_rho = _gradient_block(buffers, own, state.rho, cols, prior, n_weight)
+            g_mu[~live], g_rho[~live] = 0.0, 0.0
+            scratch = [a[..., : cols.stop - cols.start] for a in own.work]
+            for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
+                                   (state.rho, g_rho, m_rho, v_rho)):
+                _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], t,
+                             common.learning_rate, scratch)
+            softplus(state.rho[..., cols], out=buffers.sq[..., cols])
+
     # Overflow shows as a non-finite objective, which becomes TrainingDiverged,
     # so numpy need not warn.  Pass `iterations` checks the last update's
     # state on the last step's draws and updates nothing.
     with np.errstate(all="ignore"), _helper(R * T) as helper:
         buffers = StepBuffers(shape, batch, R, helper=helper)
-        seeds = next_step()
+        picks, seeds = next_inputs()
+        load_batch(picks)
         buffers.prefetch(seeds)
         for it in range(common.iterations + 1):
+            # Step it+1's inputs come first, so that its noise is drawn
+            # during this step's network pass.
+            upcoming = next_inputs() if it + 1 < common.iterations else None
+            if upcoming is not None:
+                buffers.prefetch(upcoming[1])
             obj, _, _ = elbo_gradient(
                 state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
                 buffers=buffers, gradients=False,
@@ -406,17 +467,17 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             if it == common.iterations or not live.any():
                 break
             trace[:, it] = obj
-            if it + 1 < common.iterations:  # the pass has read this step's batch
-                seeds = next_step()
-                buffers.prefetch(seeds)
-            for cols in buffers.blocks():
-                g_mu, g_rho = _gradient_block(buffers, state.rho, cols, prior, n_weight)
-                g_mu[~live], g_rho[~live] = 0.0, 0.0
-                scratch = [a[..., : cols.stop - cols.start] for a in buffers.work]
-                for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
-                                       (state.rho, g_rho, m_rho, v_rho)):
-                    _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], it + 1,
-                                 common.learning_rate, scratch)
+            if upcoming is not None:  # the pass has read this step's batch
+                picks, seeds = upcoming
+                load_batch(picks)
+            # The helper joins once its noise draw is done, with the last
+            # set (the only one when the tasks run inline); every block
+            # touches only its own columns.
+            blocks = deque(buffers.blocks())
+            helped = _start(helper, ascend, buffers.sets[-1], blocks, it + 1)
+            ascend(buffers.sets[0], blocks, it + 1)
+            helped()
+            buffers.sq_of = state.rho
     for r in np.flatnonzero(live):
         results[r] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
                                        step=common.iterations, seed=configs[r].seed),

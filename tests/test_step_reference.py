@@ -241,9 +241,11 @@ def test_spike_coordinates_across_a_block_boundary_match_reference(monkeypatch):
 
 
 def test_train_keeps_eleven_full_length_arrays(monkeypatch):
-    # mu, rho, four Adam moments, zeta, sigma_q, sigmoid(rho), theta and the
-    # network gradient; everything else is block-sized or smaller, so with
-    # small blocks the fit needs less than one more T-vector besides
+    # mu, rho, four Adam moments, zeta, its spare (the ELBO sums' scratch
+    # and the next step's noise), sigma_q, theta and the network gradient;
+    # everything else, the calling thread's and the helper's block sets
+    # included, is block-sized or smaller, so with small blocks the fit
+    # needs less than one more T-vector besides
     blocks_of(monkeypatch, 2048)
     shape, data, prior = designed_problem(20, (200, 200, 200), seed=5)
     T = shape.n_params

@@ -465,7 +465,9 @@ class TestHelperThread:
         self.assert_same_fits(threaded, inline)
 
     def test_bits_hold_under_fast_thread_switching(self, monkeypatch):
-        # three fits at once, each with its helper: six threads on fewer cores
+        # three fits at once, each with its helper: six threads on fewer
+        # cores, each pair sharing a tail of 11 blocks per step
+        monkeypatch.setattr(vi, "TAIL_BLOCK", 3 * 64)
         fit = self.diverging_minibatch_fit(iterations=15)
         monkeypatch.setattr(vi, "HELPER_MIN", 1 << 62)
         want = fit()
@@ -513,6 +515,101 @@ class TestHelperThread:
                   TrainConfig(iterations=5, learning_rate=0.01, seed=1))
         assert len(threads) == 3 and threading.main_thread() not in threads
         assert threading.active_count() == start
+
+    @staticmethod
+    def gate_tail(monkeypatch, on_helper=None):
+        """Hold the calling thread at its first tail block of each step until
+        the helper has taken one, so the helper's share is never empty.
+        on_helper(cols), if given, runs on each block the helper takes.
+        Returns the list of the helper's blocks, one list per step."""
+        block, step, caller = vi._gradient_block, vi.elbo_gradient, threading.current_thread()
+        taken, per_step = threading.Event(), []
+
+        def gated(b, own, rho, cols, prior, n_weight):
+            if threading.current_thread() is caller:
+                assert taken.wait(timeout=60), "the helper took no block"
+            else:
+                per_step[-1].append(cols)
+                taken.set()
+                if on_helper is not None:
+                    on_helper(cols)
+            return block(b, own, rho, cols, prior, n_weight)
+
+        def each_step(*args, **kwargs):
+            taken.clear()
+            per_step.append([])
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(vi, "_gradient_block", gated)
+        monkeypatch.setattr(vi, "elbo_gradient", each_step)
+        return per_step
+
+    def test_helper_blocks_of_the_shared_tail_match_inline(self, monkeypatch):
+        # T = 81,001 in blocks of 2,048 columns: 40 blocks per step.  The
+        # helper's blocks must read the zeta of their own step, which the
+        # next step's noise draw has swapped with the spare.
+        monkeypatch.setattr(vi, "TAIL_BLOCK", 2048 * 3)
+        prior, _, datasets, configs = TestTrainReplicates.one_diverging_stack()
+        shape = NetworkShape(1, (200, 200, 200))
+        assert shape.n_params == 81_001
+        configs = [replace(config, iterations=4, batch_size=20) for config in configs]
+
+        def fit():
+            return train_replicates(shape, datasets, prior, configs, sigma=0.1)
+
+        monkeypatch.setattr(vi, "HELPER_MIN", 1 << 62)
+        want = fit()
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        per_step = self.gate_tail(monkeypatch)
+        self.assert_same_fits(fit(), want)
+        # four updates and the check pass, which runs no tail
+        assert len(per_step) == 5 and per_step[-1] == []
+        assert all(0 < len(taken) < 40 for taken in per_step[:-1])
+
+    def test_failure_in_the_helpers_tail_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        monkeypatch.setattr(vi, "TAIL_BLOCK", 4)  # T = 13: four blocks
+
+        def failing(cols):
+            raise RuntimeError("tail block failed")
+
+        per_step = self.gate_tail(monkeypatch, on_helper=failing)
+        _, data = small_data(n=20)
+        start = threading.active_count()
+        with pytest.raises(RuntimeError, match="tail block failed"):
+            train(NetworkShape(1, (4,)), data, FlatDensity(),
+                  TrainConfig(iterations=5, learning_rate=0.01, seed=1))
+        assert len(per_step) == 1 and len(per_step[0]) == 1
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("helper_min", [0, 1 << 62])
+    def test_elbo_gradient_after_a_fit_computes_its_own_softplus(self, monkeypatch, helper_min):
+        # The fit's tail leaves sq holding softplus of its last rho; a later
+        # call on the same buffers, with that rho array changed in place,
+        # must not take it.
+        monkeypatch.setattr(vi, "HELPER_MIN", helper_min)
+        built = []
+
+        class RecordedBuffers(StepBuffers):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(vi, "StepBuffers", RecordedBuffers)
+        prior, shape = designed_f2(50)
+        data = generate_dataset(log_singular_function(), 50, 0.1, seed=2)
+        fitted, _ = train(shape, data, prior, TrainConfig(iterations=6, learning_rate=0.01,
+                                                          seed=3), sigma=0.1)
+        (buffers,) = built
+        buffers.helper = None  # the fit closed its helper
+        state = VariationalState(mu=fitted.mu.base, rho=fitted.rho.base)
+        assert state.rho is fitted.rho.base  # the array the fit stepped
+        state.rho -= 1.5
+        args = (state, shape, data.x[None], data.y[None], prior, 0.1, [11])
+        got = elbo_gradient(*args, buffers=buffers)
+        want = elbo_gradient(*args, buffers=StepBuffers(shape, 50, 1))
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestCheckpoint:
