@@ -163,16 +163,19 @@ class StepBuffers:
     Length T, with a leading axis R for a stack: the noise draw zeta, a
     spare of its shape, sigma_q and theta, plus the network pass's
     PassBuffers, whose `grad` is the fifth, and `params`, the NetworkParams
-    views of theta.  The spare is the ELBO sums' scratch and then takes the
-    next step's noise (`prefetch`).  The elementwise tail after the network
-    pass runs over column blocks of `width` (TAIL_BLOCK elements across the
-    stack), in `sets`, one block-wide `_BlockSet` per thread that takes
-    blocks: the calling thread's, and one more for the `helper` (from
-    `_helper`, or None), which also runs the sums and the prefetched draws.
-    `train_replicates` builds one set per stack and reuses it on every
-    step.  Its tail leaves sq holding softplus of the updated rho, which it
-    marks with `sq_of`; the next call takes that mark and skips its own
-    softplus, and any other call computes sq afresh.
+    views of theta.  zeta holds the noise of the seeds `noise_of`, or of
+    none.  The spare is the ELBO sums' scratch; when `next_seeds` is set,
+    `elbo_gradient` then draws their noise into it, behind the sums on the
+    `helper` (from `_helper`, or None: inline), and keeps the call that
+    waits for that draw in `next_drawn`.  The elementwise tail after the
+    network pass runs over column blocks of `width` (TAIL_BLOCK elements
+    across the stack), in `sets`, one block-wide `_BlockSet` per thread
+    that takes blocks: the calling thread's, and one more for the helper.
+    `train_replicates` builds one set per stack, reuses it on every step
+    and swaps zeta with the spare once a step's tail is done.  Its tail
+    leaves sq holding softplus of the updated rho, which it marks with
+    `sq_of`; the next call takes that mark and skips its own softplus, and
+    any other call computes sq afresh.
     """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,
@@ -186,39 +189,9 @@ class StepBuffers:
         self.sets = [_BlockSet(lead, self.width) for _ in range(1 if helper is None else 2)]
         self.helper = helper
         self.sq_of = None  # the rho array whose softplus sq holds, set by train's tail
-        self._drawn = None  # the seeds whose noise zeta holds
-        self._next = None  # (seeds, wait) of the draw started into spare
-        self._queued = None  # seeds whose draw waits for the spare
-
-    def prefetch(self, seeds: list) -> None:
-        """Have the noise of `seeds` drawn into the spare on the helper: at
-        once when no earlier draw waits there, else from the next
-        `elbo_gradient` call, queued behind its ELBO sums (which use the
-        spare as scratch) so that the draw overlaps its network pass."""
-        self._queued = seeds
-        if self._next is None:
-            self._draw_queued()
-
-    def _draw_queued(self) -> None:
-        """Start the draw that `prefetch` queued, if any."""
-        if self._queued is not None:
-            seeds, self._queued = self._queued, None
-            self._next = (seeds, _start(self.helper, _draw_noise, self.spare, seeds))
-
-    def noise(self, seeds: list) -> np.ndarray:
-        """zeta holding the noise of `seeds`: kept when it holds them
-        already, swapped with the spare when a prefetch drew them, else drawn
-        now."""
-        if self._next is not None:
-            (drawn, wait), self._next = self._next, None
-            wait()
-            if drawn == seeds:
-                self.zeta, self.spare, self._drawn = self.spare, self.zeta, drawn
-        if self._drawn != seeds:
-            self._drawn = None
-            _draw_noise(self.zeta, seeds)
-            self._drawn = seeds
-        return self.zeta
+        self.noise_of = None  # the seeds whose noise zeta holds
+        self.next_seeds = None  # seeds to draw into the spare during the pass, set by train
+        self.next_drawn = None  # waits for that draw
 
     def blocks(self):
         """The column slices of the tail's blocks, in order."""
@@ -281,10 +254,11 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
-    n and the stack; without one a fresh set is allocated), whose helper
-    sums the ELBO's other terms and then draws the noise `buffers.prefetch`
-    queued during the network pass, and g_mu and g_rho are new arrays
-    filled block by block through `_gradient_block`.
+    n and the stack; without one a fresh set is allocated): zeta is drawn
+    unless it holds the noise of `seed` already, the helper sums the ELBO's
+    other terms and then draws the noise of `buffers.next_seeds`, if set,
+    during the network pass, and g_mu and g_rho are new arrays filled block
+    by block through `_gradient_block`.
     With gradients=False they are None: the step stops before the tail,
     which the caller runs on `buffers` block by block.
     """
@@ -297,13 +271,17 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
         raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
     sq = b.sq if b.sq_of is state.rho else softplus(state.rho, out=b.sq)
     b.sq_of = None
-    zeta = b.noise(seeds)
-    theta = np.multiply(sq, zeta, out=b.theta)
+    if b.noise_of != seeds:
+        b.noise_of = None
+        _draw_noise(b.zeta, seeds)
+        b.noise_of = seeds
+    theta = np.multiply(sq, b.zeta, out=b.theta)
     theta += state.mu
     # Row sums over the last axis equal separate per-row sums bit for bit
     # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
-    terms = _start(b.helper, _elbo_terms, theta, zeta, sq, prior, b.spare)
-    b._draw_queued()
+    terms = _start(b.helper, _elbo_terms, theta, b.zeta, sq, prior, b.spare)
+    if b.next_seeds is not None:
+        b.next_drawn = _start(b.helper, _draw_noise, b.spare, b.next_seeds)
     ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
     objective = _elbo(ll, *terms(), n_weight)
     if not gradients:
@@ -321,7 +299,7 @@ def _gradient_block(b: StepBuffers, own: _BlockSet, rho, cols: slice, prior, n_w
     the thread that runs it, whose views it returns.  Every coordinate takes
     the operations of the whole-vector formula in the same order, so the
     values do not depend on the blocks.  zeta is read from `b` on each
-    call, since `b.noise` swaps it with the spare."""
+    call, since `train_replicates` swaps it with the spare."""
     w = cols.stop - cols.start
     work, mask = own.work[0][..., :w], own.mask[..., :w]
     sig = _sigmoid(rho[..., cols], out=own.sig[..., :w], work=work, mask=mask)
@@ -444,13 +422,11 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
         buffers = StepBuffers(shape, batch, R, helper=helper)
         picks, seeds = next_inputs()
         load_batch(picks)
-        buffers.prefetch(seeds)
         for it in range(common.iterations + 1):
-            # Step it+1's inputs come first, so that its noise is drawn
-            # during this step's network pass.
+            # Step it+1's inputs come first, so that its noise is drawn into
+            # the spare during this step's network pass.
             upcoming = next_inputs() if it + 1 < common.iterations else None
-            if upcoming is not None:
-                buffers.prefetch(upcoming[1])
+            buffers.next_seeds = None if upcoming is None else upcoming[1]
             obj, _, _ = elbo_gradient(
                 state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
                 buffers=buffers, gradients=False,
@@ -467,9 +443,6 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             if it == common.iterations or not live.any():
                 break
             trace[:, it] = obj
-            if upcoming is not None:  # the pass has read this step's batch
-                picks, seeds = upcoming
-                load_batch(picks)
             # The helper joins once its noise draw is done, with the last
             # set (the only one when the tasks run inline); every block
             # touches only its own columns.
@@ -478,6 +451,13 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             ascend(buffers.sets[0], blocks, it + 1)
             helped()
             buffers.sq_of = state.rho
+            if upcoming is not None:  # this step's batch and noise are read
+                buffers.next_drawn()
+                buffers.zeta, buffers.spare = buffers.spare, buffers.zeta
+                picks, seeds = upcoming
+                load_batch(picks)
+                buffers.noise_of = seeds
+    buffers.helper = None  # _helper has shut its pool down
     for r in np.flatnonzero(live):
         results[r] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
                                        step=common.iterations, seed=configs[r].seed),

@@ -41,3 +41,24 @@ def test_patch_map_installs_and_restores(bench):
                    for (owner, attr, _, _), original in zip(sites, before))
     assert all(vars(owner)[attr] is original
                for (owner, attr, _, _), original in zip(sites, before))
+
+
+def test_a_traced_fit_reaches_every_training_span(bench):
+    # The traced benchmark fails its coverage check when a span records no
+    # call, as when `train_replicates` stops looking `elbo_gradient` up
+    # through the module; a short designed desk fit shows the same here.
+    tracing, design, priors, testbed, vi = (
+        bench.tracing, bench.design, bench.priors, bench.testbed, bench.vi)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, tracing.patch_map(bench.MODULES)):
+        spec = design.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
+        arch = design.design_architecture(spec, 50, 10.0)
+        prior = priors.make_density("mixture", mixture_spec=design.mixture_hyperparams(
+            arch, K0=5.0, counting="canonical"))
+        shape = bench.network.NetworkShape(1, tuple(design.desk_scale_widths(arch)))
+        f0 = testbed.log_singular_function()
+        data = testbed.generate_dataset(f0, 50, 0.1, 0)
+        state, _ = vi.train(shape, data, prior,
+                            vi.TrainConfig(iterations=3, learning_rate=0.01), sigma=0.1)
+        vi.posterior_predictive(state, shape, data.x, 4, f0, data)
+    assert [span for span in bench._TRAINING_SPANS if tracer.stat(span, 0) == 0] == []

@@ -513,8 +513,33 @@ class TestHelperThread:
         with pytest.raises(RuntimeError, match="noise draw failed"):
             train(NetworkShape(1, (4,)), data, FlatDensity(),
                   TrainConfig(iterations=5, learning_rate=0.01, seed=1))
-        assert len(threads) == 3 and threading.main_thread() not in threads
+        # step 0's noise is drawn on the calling thread, each later step's
+        # on the helper during the pass before
+        assert len(threads) == 3 and threads[2] is not threading.main_thread()
         assert threading.active_count() == start
+
+    def test_rows_diverging_with_a_draw_pending_match_inline(self, monkeypatch):
+        # every row diverges after some updates, so the fit stops while the
+        # helper still draws the next step's noise
+        prior, shape = designed_f2(50)
+        f0 = log_singular_function()
+        datasets = [generate_dataset(f0, 50, 0.1, seed) for seed in (1, 2, 3)]
+        configs = [TrainConfig(iterations=6, learning_rate=1e200, seed=seed)
+                   for seed in (1, 2, 3)]
+
+        def fit():
+            return train_replicates(shape, datasets, prior, configs, sigma=0.1)
+
+        monkeypatch.setattr(vi, "HELPER_MIN", 1 << 62)
+        want = fit()
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        start = threading.active_count()
+        got = fit()
+        assert threading.active_count() == start
+        assert all(isinstance(exc, TrainingDiverged) for exc in want)
+        assert all(0 < exc.step < 5 for exc in want)  # a draw was still pending
+        assert ([(exc.step, repr(exc.value)) for exc in got]
+                == [(exc.step, repr(exc.value)) for exc in want])
 
     @staticmethod
     def gate_tail(monkeypatch, on_helper=None):
@@ -546,8 +571,8 @@ class TestHelperThread:
 
     def test_helper_blocks_of_the_shared_tail_match_inline(self, monkeypatch):
         # T = 81,001 in blocks of 2,048 columns: 40 blocks per step.  The
-        # helper's blocks must read the zeta of their own step, which the
-        # next step's noise draw has swapped with the spare.
+        # helper's blocks must read the zeta of their own step, not the
+        # spare, which holds the next step's noise until the tail is done.
         monkeypatch.setattr(vi, "TAIL_BLOCK", 2048 * 3)
         prior, _, datasets, configs = TestTrainReplicates.one_diverging_stack()
         shape = NetworkShape(1, (200, 200, 200))
@@ -601,7 +626,6 @@ class TestHelperThread:
         fitted, _ = train(shape, data, prior, TrainConfig(iterations=6, learning_rate=0.01,
                                                           seed=3), sigma=0.1)
         (buffers,) = built
-        buffers.helper = None  # the fit closed its helper
         state = VariationalState(mu=fitted.mu.base, rho=fitted.rho.base)
         assert state.rho is fitted.rho.base  # the array the fit stepped
         state.rho -= 1.5
