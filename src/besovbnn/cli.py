@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -356,22 +355,53 @@ def _usable_cpus() -> int:
 def _largest_first(tasks):
     """The results of the zero-argument callables `tasks`, in their order.
 
-    The last task, assumed the longest, runs on the calling thread and the
-    others, last first, on a pool of threads, so that min(len(tasks),
-    usable CPUs) run at once.  An exception of the calling thread's task, or
-    else the first of the others' in task order, reaches the caller; an error
-    or interrupt cancels the tasks not yet started."""
+    The last task, assumed the longest, runs in the calling process and the
+    others, last first, on a pool of forked worker processes, so that
+    min(len(tasks), usable CPUs) run at once.  The workers inherit the tasks
+    at the fork, so only results and exceptions are pickled, and ignore
+    SIGINT, which reaches the caller alone.  An exception of the calling
+    process's task, or else the first of the others' in task order, reaches
+    the caller; a worker that dies raises BrokenProcessPool.  An error or
+    interrupt cancels the tasks not yet started, and no worker outlives the
+    call.  Without the fork start method the tasks run in order on the
+    calling thread."""
+    import multiprocessing
+
     workers = min(len(tasks), _usable_cpus())
-    if workers == 1:
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [task() for task in tasks]
-    with ThreadPoolExecutor(workers - 1) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    # The pool hands each worker one call more than it runs, which
+    # cancel_futures cannot take back: each call checks `stop` first.
+    stop = context.Event()
+    with ProcessPoolExecutor(workers - 1, context, _start_worker, (tasks, stop)) as pool:
         try:
-            futures = [pool.submit(task) for task in reversed(tasks[:-1])][::-1]
+            futures = [pool.submit(_run_in_worker, i)
+                       for i in reversed(range(len(tasks) - 1))][::-1]
             last = tasks[-1]()
             return [f.result() for f in futures] + [last]
         except BaseException:
+            stop.set()
             pool.shutdown(cancel_futures=True)
             raise
+
+
+_worker = None  # (tasks, stop event) in a worker of _largest_first
+
+
+def _start_worker(tasks, stop) -> None:
+    import signal
+
+    global _worker
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker = tasks, stop
+
+
+def _run_in_worker(index):
+    tasks, stop = _worker
+    return None if stop.is_set() else tasks[index]()
 
 
 def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:

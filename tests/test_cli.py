@@ -1,8 +1,12 @@
 import argparse
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -641,6 +645,40 @@ def set_cpus(monkeypatch, count):
                         raising=False)
 
 
+def record_start(directory, n):
+    """Note in `directory` that the task at n started, and in which process;
+    a file outlives the forked worker that writes it."""
+    directory.mkdir(exist_ok=True)
+    (directory / str(n)).write_text(str(os.getpid()))
+
+
+def started_in(directory):
+    """{n: pid} of the tasks that record_start saw."""
+    if not directory.exists():
+        return {}
+    return {int(p.name): int(p.read_text()) for p in directory.iterdir()}
+
+
+class Hung(BaseException):
+    """A call that ran past its deadline; not an Exception, so main cannot
+    turn it into an exit code."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise Hung in the calling thread once the block has run `seconds`."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def sequential_rate_study(ns, replicates, seed):
     """rate-study's per-n median errors at FAST_FIT, one n after another."""
     spec = dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2)
@@ -672,20 +710,23 @@ class TestRateStudyConcurrency:
 
     def test_matches_a_sequential_loop_and_one_cpu(self, tmp_path, monkeypatch):
         ns = [20, 40, 80]
-        threads = {}
+        starts = tmp_path / "starts"
         train = vi.train_replicates
 
         def spy(shape, datasets, *args, **kwargs):
-            threads[datasets[0].n] = threading.current_thread()
+            record_start(starts, datasets[0].n)
             return train(shape, datasets, *args, **kwargs)
 
         monkeypatch.setattr(vi, "train_replicates", spy)
         set_cpus(monkeypatch, 3)
-        assert self.run(tmp_path / "threads", ns) == 0
-        # the largest n on the calling thread, the others on the pool
-        assert threads.pop(80) is threading.main_thread()
-        assert threading.main_thread() not in threads.values()
-        obj = json.loads((tmp_path / "threads" / "rate_study.json").read_text())
+        assert self.run(tmp_path / "workers", ns) == 0
+        assert not multiprocessing.active_children()
+        # the largest n in the calling process, the others in forked workers
+        pids = started_in(starts)
+        assert pids.pop(80) == os.getpid()
+        assert sorted(pids) == [20, 40]
+        assert os.getpid() not in pids.values()
+        obj = json.loads((tmp_path / "workers" / "rate_study.json").read_text())
         medians = sequential_rate_study(ns, 2, 0)
         assert [r["median_error"] for r in obj["per_n"]] == medians
         assert [(r["n"], r["replicates"]) for r in obj["per_n"]] == [(n, 2) for n in ns]
@@ -693,9 +734,28 @@ class TestRateStudyConcurrency:
         assert obj["diverged_replicates"] == 0
 
         set_cpus(monkeypatch, 1)
+        shutil.rmtree(starts)
         assert self.run(tmp_path / "one", ns) == 0
-        assert threads == {n: threading.main_thread() for n in ns}
-        assert rate_study_bytes(tmp_path / "one") == rate_study_bytes(tmp_path / "threads")
+        assert started_in(starts) == {n: os.getpid() for n in ns}
+        assert rate_study_bytes(tmp_path / "one") == rate_study_bytes(tmp_path / "workers")
+
+    def test_without_fork_runs_in_order_in_the_caller(self, tmp_path, monkeypatch):
+        ns = [20, 40, 80]
+        order = []
+        train = vi.train_replicates
+
+        def spy(shape, datasets, *args, **kwargs):
+            order.append((datasets[0].n, os.getpid()))
+            return train(shape, datasets, *args, **kwargs)
+
+        set_cpus(monkeypatch, 1)
+        assert self.run(tmp_path / "one", ns) == 0
+        monkeypatch.setattr(vi, "train_replicates", spy)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        set_cpus(monkeypatch, 3)
+        assert self.run(tmp_path / "spawn-only", ns) == 0
+        assert order == [(n, os.getpid()) for n in ns]
+        assert rate_study_bytes(tmp_path / "spawn-only") == rate_study_bytes(tmp_path / "one")
 
     def test_bytes_hold_under_fast_thread_switching(self, tmp_path, monkeypatch):
         ns = [20, 30, 40, 60, 80]
@@ -747,18 +807,23 @@ class TestRateStudyConcurrency:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_cancels_tasks_not_started(self, tmp_path, monkeypatch, error):
-        # Two CPUs: n=80 on the calling thread, n=40 then n=20 on one worker.
+        # Two CPUs: n=80 in the calling process, n=40 then n=20 on one worker.
         # n=80 fails while n=40 still runs, so n=20 must never start.
-        started = []
-        failed = threading.Event()
+        starts, failed = tmp_path / "starts", tmp_path / "failed"
+
+        def wait_for(path):
+            t0 = time.monotonic()
+            while not path.exists() and time.monotonic() - t0 < 10.0:
+                time.sleep(0.01)
 
         def fake(shape, datasets, *args, **kwargs):
             n = datasets[0].n
-            started.append(n)
+            record_start(starts, n)
             if n == 80:
-                failed.set()
+                wait_for(starts / "40")
+                failed.touch()
                 raise error("stop")
-            failed.wait(10.0)
+            wait_for(failed)
             time.sleep(0.5)
             return [vi.TrainingDiverged(0, math.nan) for _ in datasets]
 
@@ -769,7 +834,51 @@ class TestRateStudyConcurrency:
                 self.run(tmp_path, [20, 40, 80])
         else:
             assert self.run(tmp_path, [20, 40, 80]) == 1
-        assert sorted(started) == [40, 80]
+        assert not multiprocessing.active_children()
+        assert sorted(started_in(starts)) == [40, 80]
+
+    def test_killed_worker_fails_in_one_line(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+        train = vi.train_replicates
+
+        def killed_at_40(shape, datasets, *args, **kwargs):
+            if datasets[0].n == 40 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train(shape, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(vi, "train_replicates", killed_at_40)
+        set_cpus(monkeypatch, 2)
+        t0 = time.monotonic()
+        with deadline(30.0):
+            rc = self.run(tmp_path, [20, 40, 80])
+        assert time.monotonic() - t0 < 15.0
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: ") and err.count("\n") == 1, err
+        assert not multiprocessing.active_children()
+        assert not (tmp_path / "rate_study.json").exists()
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs 2 usable CPUs")
+    def test_forked_workers_match_one_cpu_with_blas_threads(self, tmp_path):
+        # Workers fork while OpenBLAS's own threads are alive.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        src = str(Path(besovbnn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        one_cpu = min(os.sched_getaffinity(0))
+
+        def run(out, preexec_fn=None):
+            proc = subprocess.run(
+                [sys.executable, "-m", "besovbnn.cli", "rate-study", "--function", "f2",
+                 "--n", "20,40,80", "--replicates", "2", *fast_fit("rate-study"),
+                 "--out-dir", str(out)],
+                env=env, capture_output=True, timeout=300, preexec_fn=preexec_fn)
+            return proc.returncode, proc.stdout, proc.stderr, rate_study_bytes(out)
+
+        workers = run(tmp_path / "workers")
+        assert workers[0] == 0, workers[2]
+        assert workers == run(tmp_path / "one",
+                              lambda: os.sched_setaffinity(0, {one_cpu}))
 
     def test_full_scale_warnings_come_in_n_order(self, tmp_path, monkeypatch, capsys):
         designed = []
