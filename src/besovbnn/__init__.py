@@ -2,8 +2,8 @@
 
 Subpackages: testbed (targets and data), design (architecture and prior
 rules, condition checks, covering bounds), network (ReLU MLP and gradients),
-priors (densities and samplers), vi (mean-field variational inference),
-mh (Metropolis oracle), cli (experiment commands).
+priors (prior densities and the spike-and-slab sampler), vi (mean-field
+variational inference), mh (Metropolis oracle), cli (experiment commands).
 """
 
 from .design import (
@@ -18,19 +18,16 @@ from .design import (
     design_architecture,
     mixture_hyperparams,
 )
-from .network import NetworkParams, NetworkShape, forward, loglik_and_grad, membership, truncate
+from .network import NetworkParams, NetworkShape, forward, loglik_and_grad, truncate
 from .testbed import (
     Dataset,
-    ModulusGrid,
     TrueFunction,
-    besov_norm_estimate,
     cantor_function,
     empirical_norm,
     eval_cantor,
     eval_log_singular,
     generate_dataset,
     log_singular_function,
-    modulus_of_smoothness,
 )
 
 __version__ = "0.1.0"

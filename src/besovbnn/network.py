@@ -1,6 +1,5 @@
-"""Fully connected ReLU networks: evaluation, sparsity accounting, coordinate
-thresholding, and the Gaussian log-likelihood with or without its exact
-reverse-mode gradient.
+"""Fully connected ReLU networks: evaluation, coordinate thresholding, and the
+Gaussian log-likelihood with or without its exact reverse-mode gradient.
 
 Parameter flattening order is part of the checkpoint contract: layer-major,
 weights before biases within a layer, weight matrices in row-major order.
@@ -18,7 +17,6 @@ __all__ = [
     "NetworkShape",
     "NetworkParams",
     "forward",
-    "membership",
     "truncate",
     "loglik",
     "loglik_and_grad",
@@ -147,15 +145,6 @@ def _layers(params: NetworkParams, h, outs=None) -> np.ndarray:
         if l < n_layers - 1:
             np.maximum(h, 0.0, out=h)
     return h
-
-
-def membership(params: NetworkParams, L: int, W: int, S: int, B: float) -> bool:
-    """True iff params lie in the sparse bounded space: depth L, widths all W,
-    at most S nonzeros, sup norm at most B."""
-    if params.shape.depth != L or any(w != W for w in params.shape.hidden_widths):
-        return False
-    theta = params.flatten()
-    return bool(np.count_nonzero(theta) <= S and np.max(np.abs(theta)) <= B)
 
 
 def truncate(params: NetworkParams, a: float) -> NetworkParams:

@@ -1,7 +1,5 @@
-"""Prior log-densities and samplers: spike-and-slab over sparse supports,
-Gaussian-mixture shrinkage, generic coordinatewise product priors, and the
-prior over network architectures (zero-truncated Poisson sizes, exponential
-magnitude bound).
+"""Prior densities: the spike-and-slab sampler over sparse supports,
+Gaussian-mixture shrinkage, and generic coordinatewise product priors.
 
 Density handles expose vectorized `log_pdf` / `grad_log_pdf` plus analytic
 two-sided tail masses where available, and are registered by name for CLI
@@ -14,26 +12,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, logsumexp
+from scipy.special import log_ndtr, logsumexp
 
 from .design import MixturePriorSpec
+from .network import _integer
 
 __all__ = [
     "SpikeSlabSpec",
     "SparseDraw",
-    "ArchPriorSpec",
-    "spike_slab_log_density",
     "spike_slab_sample",
     "mixture_log_density",
-    "mixture_sample",
-    "arch_prior_log_pmf",
-    "arch_prior_sample",
     "DensityHandle",
     "GaussianDensity",
     "LaplaceDensity",
     "UniformSlabDensity",
     "MixtureDensity",
-    "FlatDensity",
     "make_density",
     "DENSITY_NAMES",
 ]
@@ -55,43 +48,34 @@ class SpikeSlabSpec:
     B: float
 
     def __post_init__(self):
+        object.__setattr__(self, "T", _integer(self.T, "T"))
+        object.__setattr__(self, "S", _integer(self.S, "S"))
         if not 0 < self.S <= self.T:
             raise ValueError("need 0 < S <= T")
-        if self.B <= 0:
-            raise ValueError("need B > 0")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError(f"need a finite B > 0, got {self.B!r}")
 
 
 @dataclass(frozen=True)
 class SparseDraw:
-    """Active index set (strictly increasing) and the values on those coordinates."""
+    """Active index set (non-negative integers, strictly increasing) and the
+    1-d array of values on those coordinates."""
 
     gamma: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(self.gamma))
+        object.__setattr__(self, "gamma",
+                           tuple(_integer(j, "each index in gamma") for j in self.gamma))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim != 1:
+            raise ValueError(f"values must be 1-d, got shape {self.values.shape}")
+        if any(j < 0 for j in self.gamma):
+            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if len(self.gamma) != self.values.shape[0]:
             raise ValueError("gamma and values must be the same length")
         if any(a >= b for a, b in zip(self.gamma, self.gamma[1:])):
             raise ValueError(f"gamma must be strictly increasing, got {self.gamma}")
-
-
-def spike_slab_log_density(draw: SparseDraw, spec: SpikeSlabSpec) -> float:
-    """log prior of a sparse draw: -log C(T, S) + S log(1/(2B)).
-
-    Returns -inf if any active value leaves the slab [-B, B].
-    """
-    if len(draw.gamma) != spec.S:
-        raise ValueError(f"support size {len(draw.gamma)} != S = {spec.S}")
-    if any(not 0 <= j < spec.T for j in draw.gamma):
-        raise ValueError("active index out of range")
-    if np.any(np.abs(draw.values) > spec.B):
-        return -math.inf
-    log_binom = (
-        gammaln(spec.T + 1) - gammaln(spec.S + 1) - gammaln(spec.T - spec.S + 1)
-    )
-    return float(-log_binom - spec.S * math.log(2.0 * spec.B))
 
 
 def spike_slab_sample(spec: SpikeSlabSpec, seed: int) -> SparseDraw:
@@ -100,7 +84,7 @@ def spike_slab_sample(spec: SpikeSlabSpec, seed: int) -> SparseDraw:
     gamma = rng.choice(spec.T, size=spec.S, replace=False)
     values = rng.uniform(-spec.B, spec.B, size=spec.S)
     order = np.argsort(gamma)
-    return SparseDraw(gamma=tuple(int(j) for j in gamma[order]), values=values[order])
+    return SparseDraw(gamma=gamma[order].tolist(), values=values[order])
 
 
 # ---------------------------------------------------------------------------
@@ -200,87 +184,6 @@ def _mixture_grad_log_density(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarr
         slab_part = np.exp(log_w_slab) / spec.sigma2**2
         grad = -t * (spike_part + slab_part)
     return np.where(t == 0.0, 0.0, grad)
-
-
-def mixture_sample(spec: MixturePriorSpec, count: int, seed: int) -> np.ndarray:
-    """Draw count values: Bernoulli(pi2) slab selection, then Gaussian scale."""
-    if count < 1:
-        raise ValueError("need count >= 1")
-    rng = np.random.default_rng(seed)
-    slab = rng.random(count) < spec.pi2
-    z = rng.standard_normal(count)
-    scales = np.where(slab, spec.sigma2, math.exp(spec.log_sigma1))
-    return z * scales
-
-
-# ---------------------------------------------------------------------------
-# Adaptive architecture prior
-
-
-@dataclass(frozen=True)
-class ArchPriorSpec:
-    """Rates of the architecture prior: zero-truncated Poisson unit count and
-    depth, exponential magnitude bound, and the base width multiplier."""
-
-    lam: float
-    rho: float
-    beta: float
-    W1: int = 50
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.rho <= 0 or self.beta <= 0:
-            raise ValueError("all rates must be positive")
-        if self.W1 < 1:
-            raise ValueError("need W1 >= 1")
-
-
-def _zt_poisson_log_pmf(k: int, rate: float) -> float:
-    if k < 1:
-        raise ValueError("zero-truncated Poisson support is {1, 2, ...}")
-    return k * math.log(rate) - gammaln(k + 1) - math.log(math.expm1(rate))
-
-
-def arch_prior_log_pmf(N: int, L: int, B: float, spec: ArchPriorSpec) -> float:
-    """Joint log prior of (N, L, B): two zero-truncated Poissons and an
-    exponential density beta * exp(-beta B)."""
-    if B <= 0:
-        raise ValueError("need B > 0")
-    return (
-        _zt_poisson_log_pmf(N, spec.lam)
-        + _zt_poisson_log_pmf(L, spec.rho)
-        + math.log(spec.beta)
-        - spec.beta * B
-    )
-
-
-def _zt_poisson_sample(rate: float, u: float) -> int:
-    """CDF inversion for the zero-truncated Poisson, exact up to tail 1e-14."""
-    log_norm = math.log(math.expm1(rate))
-    k = 1
-    log_pmf = math.log(rate) - log_norm
-    cum = math.exp(log_pmf)
-    while cum < u and cum < 1.0 - 1e-14:
-        k += 1
-        log_pmf += math.log(rate) - math.log(k)
-        cum += math.exp(log_pmf)
-    return k
-
-
-def arch_prior_sample(spec: ArchPriorSpec, seed: int):
-    """Draw (N, L, B) and return them with the implied geometry
-    (L, N*W1, (L-1)*W1^2*N + N, B)."""
-    rng = np.random.default_rng(seed)
-    u_n, u_l = rng.random(2)
-    N = _zt_poisson_sample(spec.lam, u_n)
-    L = _zt_poisson_sample(spec.rho, u_l)
-    B = float(rng.exponential(1.0 / spec.beta))
-    geometry = {
-        "L": L,
-        "W": N * spec.W1,
-        "S": (L - 1) * spec.W1**2 * N + N,
-        "B": B,
-    }
-    return N, L, B, geometry
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +307,6 @@ class MixtureDensity(DensityHandle):
         term1 = math.log(self.spec.pi1) + float(log_ndtr(-z1)) if math.isfinite(z1) else -math.inf
         term2 = math.log(self.spec.pi2) + float(log_ndtr(-c / self.spec.sigma2))
         return math.log(2.0) + float(logsumexp([term1, term2]))
-
-
-class FlatDensity(DensityHandle):
-    """Improper constant density (log g = 0); for oracle comparisons only."""
-
-    def log_pdf(self, t, out=None):
-        return _into(np.zeros_like(np.asarray(t, dtype=float)), out)
-
-    def grad_log_pdf(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 DENSITY_NAMES = ("mixture", "gauss", "laplace", "uniform-slab")

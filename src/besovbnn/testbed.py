@@ -1,24 +1,20 @@
-"""Ground-truth test functions, synthetic regression data, and smoothness diagnostics.
+"""Ground-truth test functions and synthetic regression data.
 
 The two built-in targets are the Cantor (devil's staircase) function and the
 log-singular function x -> 1/log(x/2), both on [0, 1].  Datasets are uniform
-designs with additive Gaussian noise.  The modulus-of-smoothness and
-Besov-norm estimators are deterministic grid approximations meant for sanity
-checks (finiteness, monotonicity, stability), not for certifying membership
-in a smoothness class.
+designs with additive Gaussian noise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TrueFunction",
     "Dataset",
-    "ModulusGrid",
     "eval_cantor",
     "eval_log_singular",
     "cantor_function",
@@ -26,8 +22,6 @@ __all__ = [
     "tabulated_function",
     "generate_dataset",
     "empirical_norm",
-    "modulus_of_smoothness",
-    "besov_norm_estimate",
 ]
 
 _CANTOR_MAX_DIGITS = 64
@@ -147,82 +141,3 @@ def empirical_norm(f_values) -> float:
     if v.size == 0:
         raise ValueError("empirical norm of an empty sample is undefined")
     return float(np.sqrt(np.mean(v**2)))
-
-
-@dataclass(frozen=True)
-class ModulusGrid:
-    """Grids for the modulus-of-smoothness estimator (d = 1)."""
-
-    t_grid: np.ndarray = field(
-        default_factory=lambda: np.logspace(-3, 0, 32)
-    )
-    h_samples: int = 64
-    x_samples: int = 512
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        if t.ndim != 1 or t.size == 0 or np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise ValueError("t_grid must be strictly increasing and positive")
-        if self.h_samples < 1 or self.x_samples < 1:
-            raise ValueError("grid counts must be >= 1")
-        object.__setattr__(self, "t_grid", t)
-
-
-def _finite_difference(fx_shifted: np.ndarray, r: int) -> np.ndarray:
-    # fx_shifted has shape (r + 1, n_x): row j is f(x + j h)
-    coef = np.array([math.comb(r, j) * (-1) ** (r - j) for j in range(r + 1)])
-    return coef @ fx_shifted
-
-
-def modulus_of_smoothness(f, r: int, p: float, t: float, grid: ModulusGrid) -> float:
-    """Grid approximation of sup_{|h| <= t} || Delta_h^r f ||_p on [0, 1].
-
-    The r-th finite difference is set to 0 wherever x + r h leaves [0, 1].
-    `f` may be a TrueFunction or any callable on arrays.
-    """
-    if r < 1 or t <= 0 or p <= 0:
-        raise ValueError("need r >= 1, t > 0, p > 0")
-    x = (np.arange(grid.x_samples) + 0.5) / grid.x_samples
-    hs = t * np.arange(1, grid.h_samples + 1) / grid.h_samples
-    hs = np.concatenate([-hs[::-1], hs])
-    best = 0.0
-    for h in hs:
-        shifts = np.stack([np.clip(x + j * h, 0.0, 1.0) for j in range(r + 1)])
-        vals = np.asarray(f(shifts.ravel()), dtype=float).reshape(shifts.shape)
-        diff = _finite_difference(vals, r)
-        # x itself is always interior; x + rh in [0,1] implies the
-        # intermediate shifts are too (the clip above only guards float edge).
-        inside = (x + r * h >= 0.0) & (x + r * h <= 1.0)
-        diff = np.where(inside, diff, 0.0)
-        if math.isinf(p):
-            norm = float(np.max(np.abs(diff)))
-        else:
-            norm = float(np.mean(np.abs(diff) ** p) ** (1.0 / p))
-        best = max(best, norm)
-    return best
-
-
-def besov_norm_estimate(f, s: float, p: float, q: float, grid: ModulusGrid) -> float:
-    """Numerical surrogate for the Besov norm: ||f||_p plus the modulus quadrature.
-
-    Uses r = floor(s) + 1 differences, trapezoidal quadrature of
-    (t^-s w(t))^q dt/t over the t grid for finite q, and the grid sup for
-    q = infinity.
-    """
-    if s <= 0 or p <= 0 or q <= 0:
-        raise ValueError("need s, p, q > 0")
-    r = math.floor(s) + 1
-    x = (np.arange(grid.x_samples) + 0.5) / grid.x_samples
-    fx = np.asarray(f(x), dtype=float)
-    if math.isinf(p):
-        lp = float(np.max(np.abs(fx)))
-    else:
-        lp = float(np.mean(np.abs(fx) ** p) ** (1.0 / p))
-    w = np.array([modulus_of_smoothness(f, r, p, t, grid) for t in grid.t_grid])
-    scaled = grid.t_grid ** (-s) * w
-    if math.isinf(q):
-        seminorm = float(np.max(scaled))
-    else:
-        integrand = scaled**q / grid.t_grid
-        seminorm = float(np.trapezoid(integrand, grid.t_grid) ** (1.0 / q))
-    return lp + seminorm

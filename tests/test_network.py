@@ -12,7 +12,6 @@ from besovbnn.network import (
     forward,
     loglik,
     loglik_and_grad,
-    membership,
     truncate,
 )
 
@@ -132,19 +131,6 @@ class TestForward:
         for x_shape in [(4, 3), (4,), (2,), ()]:
             with pytest.raises(ValueError, match="expected inputs"):
                 forward(p, np.ones(x_shape))
-
-
-class TestMembership:
-    def test_inside(self):
-        shape = NetworkShape(d_in=1, hidden_widths=(3, 3))
-        theta = np.zeros(shape.n_params)
-        theta[:5] = [0.5, -1.0, 0.25, 2.0, -2.0]
-        p = NetworkParams.from_flat(shape, theta)
-        assert membership(p, L=2, W=3, S=5, B=2.0)
-        assert not membership(p, L=2, W=3, S=4, B=2.0)  # too many nonzeros
-        assert not membership(p, L=2, W=3, S=5, B=1.9)  # sup norm too big
-        assert not membership(p, L=3, W=3, S=5, B=2.0)  # wrong depth
-        assert not membership(p, L=2, W=4, S=5, B=2.0)  # wrong width
 
 
 class TestTruncate:

@@ -5,15 +5,12 @@ import pytest
 
 from besovbnn.testbed import (
     Dataset,
-    ModulusGrid,
-    besov_norm_estimate,
     cantor_function,
     empirical_norm,
     eval_cantor,
     eval_log_singular,
     generate_dataset,
     log_singular_function,
-    modulus_of_smoothness,
     tabulated_function,
 )
 
@@ -120,62 +117,6 @@ class TestEmpiricalNorm:
         rng = np.random.default_rng(2)
         v = rng.standard_normal(50)
         assert empirical_norm(-3.0 * v) == pytest.approx(3.0 * empirical_norm(v))
-
-
-class TestModulus:
-    grid = ModulusGrid(t_grid=np.logspace(-3, 0, 16), h_samples=32, x_samples=256)
-
-    def test_constant_function(self):
-        w = modulus_of_smoothness(lambda x: np.full_like(x, 1.7), 1, math.inf, 0.3, self.grid)
-        assert w == pytest.approx(0.0, abs=1e-12)
-
-    def test_second_difference_of_affine(self):
-        w = modulus_of_smoothness(lambda x: 2.0 * x + 1.0, 2, math.inf, 0.1, self.grid)
-        assert w == pytest.approx(0.0, abs=1e-10)
-
-    def test_quadratic_sup(self):
-        # sup over x, |h| <= 0.1 of |2 x h + h^2| with x + h in [0,1] is 0.19
-        w = modulus_of_smoothness(lambda x: x**2, 1, math.inf, 0.1, self.grid)
-        assert w == pytest.approx(0.19, rel=0.02)
-
-    def test_monotone_in_t(self):
-        f = cantor_function()
-        ws = [modulus_of_smoothness(f, 1, math.inf, t, self.grid) for t in self.grid.t_grid]
-        assert all(b >= a - 1e-12 for a, b in zip(ws, ws[1:]))
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            modulus_of_smoothness(lambda x: x, 0, 2.0, 0.1, self.grid)
-        with pytest.raises(ValueError):
-            modulus_of_smoothness(lambda x: x, 1, 2.0, -0.1, self.grid)
-
-
-class TestBesovEstimate:
-    grid = ModulusGrid(t_grid=np.logspace(-3, 0, 16), h_samples=32, x_samples=256)
-
-    def test_constant(self):
-        est = besov_norm_estimate(lambda x: np.full_like(x, 2.0), 1.0, math.inf, math.inf, self.grid)
-        assert est == pytest.approx(2.0, abs=1e-10)
-
-    def test_linear_in_b_1_1(self):
-        # s = 1.5 uses r = 2 differences which annihilate affine functions
-        est = besov_norm_estimate(lambda x: x, 1.5, 1.0, 1.0, self.grid)
-        assert est == pytest.approx(0.5, abs=1e-8)
-
-    def test_cantor_stable_under_refinement(self):
-        f = cantor_function()
-        s = math.log(2) / math.log(3)
-        coarse = besov_norm_estimate(f, s, math.inf, math.inf, self.grid)
-        fine = besov_norm_estimate(
-            f, s, math.inf, math.inf,
-            ModulusGrid(t_grid=np.logspace(-3, 0, 32), h_samples=64, x_samples=512),
-        )
-        assert math.isfinite(coarse) and math.isfinite(fine)
-        assert abs(fine - coarse) / coarse < 0.10
-
-    def test_invalid_smoothness(self):
-        with pytest.raises(ValueError):
-            besov_norm_estimate(lambda x: x, -1.0, 2.0, 2.0, self.grid)
 
 
 def test_tabulated_function_interpolates():

@@ -13,7 +13,7 @@ import pytest
 
 from besovbnn import design as dz
 from besovbnn.network import NetworkShape, forward, NetworkParams
-from besovbnn.priors import FlatDensity, make_density
+from besovbnn.priors import make_density
 from besovbnn.testbed import (
     Dataset,
     cantor_function,
@@ -37,6 +37,8 @@ from besovbnn.vi import (
     train,
     train_replicates,
 )
+
+from oracles import FlatDensity
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
