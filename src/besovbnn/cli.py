@@ -546,7 +546,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The besovbnn parser.  Each value of `config`, by option dest as
+    _read_config returns it, is the default of the commands that take it."""
     parser = _Parser(
         prog="besovbnn",
         description="Bayesian ReLU-network regression on Besov targets",
@@ -558,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", default=n, **FLAGS["--n"])
         for option in ("--function", *options):
             p.add_argument(option, **FLAGS[option])
-        p.set_defaults(func=func)
+        taken = {_dest(o) for o in ("--n", "--function", *options)}
+        p.set_defaults(func=func, **{k: v for k, v in (config or {}).items() if k in taken})
     return parser
 
 
@@ -570,57 +573,53 @@ def _config_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """Convert a config value as the command line would convert it."""
-    if action.nargs == 0:
+def _config_value(flag: dict, key: str, value):
+    """Convert a config value as the FLAGS entry `flag` converts the same
+    text on the command line; a range or parse error keeps its wording."""
+    if flag.get("action") == "store_true":
         if not isinstance(value, bool):
             raise ArgumentError(f"config key {key!r} must be true or false")
         return value
     if value is None or isinstance(value, (bool, list, dict)):
         raise ArgumentError(f"config key {key!r} must be a number or a string")
+    convert, text = flag.get("type", str), str(value)
     try:
-        value = action.type(str(value)) if action.type else str(value)
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise ArgumentError(f"config key {key!r}: {exc}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise ArgumentError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+        value = convert(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ArgumentError(f"config key {key!r}: {exc}") from None
+    except ValueError:
+        raise ArgumentError(
+            f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
+    choices = flag.get("choices")
+    if choices is not None and value not in choices:
+        raise ArgumentError(f"config key {key!r}: {value!r} is not one of {choices}")
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, path: Path) -> None:
-    """Make the config file's values the defaults of every subcommand that
-    declares them, so explicit flags win in any spelling.  Keys may use - or
-    _; a key that no subcommand declares is an error."""
+def _read_config(path: Path) -> dict:
+    """The config file's values by option dest, each converted and checked
+    once by its FLAGS entry.  Keys may use - or _.  Keys that no option
+    matches are named before any value is read; otherwise the first
+    rejected value in file order is."""
     try:
         config = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"bad config file: {exc}") from exc
     if not isinstance(config, dict):
         raise ArgumentError("bad config file: expected a JSON object")
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
-    declared = set()
-    for sub in subparsers.values():
-        actions = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
-        defaults = {}
-        for key, value in config.items():
-            action = actions.get(key.replace("-", "_"))
-            if action is not None:
-                defaults[action.dest] = _config_value(action, key, value)
-        declared.update(defaults)
-        sub.set_defaults(**defaults)
-    unknown = sorted(k for k in config if k.replace("-", "_") not in declared)
+    flags = {_dest(o): FLAGS[o] for o in FLAGS}
+    dests = {k: k.replace("-", "_") for k in config}
+    unknown = sorted(k for k, dest in dests.items() if dest not in flags)
     if unknown:
         raise ArgumentError(f"config keys no command takes: {', '.join(unknown)}")
+    return {dests[k]: _config_value(flags[dests[k]], k, v) for k, v in config.items()}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        config = _config_parser().parse_known_args(argv)[0].config
-        if config is not None:
-            _apply_config(parser, config)
-        args = parser.parse_args(argv)
+        path = _config_parser().parse_known_args(argv)[0].config
+        config = None if path is None else _read_config(path)
+        args = build_parser(config).parse_args(argv)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -429,12 +429,32 @@ def edge_values(kind):
     return [repr(v) for v in values] + ["nan", "inf", "-inf", "1e200", "abc"]
 
 
+def config_twin(tmp_path, name, command, extra, checkpoint):
+    """The argv and output dir of CONTRACT_ARGS[command] with the
+    option=value `extra` given as a JSON string in a --config file instead,
+    the option's own flag and value in CONTRACT_ARGS left out."""
+    flag, value = extra.split("=")
+    base = CONTRACT_ARGS[command]
+    pairs = [(f, v) for f, v in zip(base[1::2], base[2::2]) if f != flag]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({flag[2:]: value}))
+    out_dir = tmp_path / name
+    argv = ["--config", str(cfg), base[0], *(a for pair in pairs for a in pair)]
+    if command != "covering":
+        argv += ["--out-dir", str(out_dir)]
+    if command == "predict":
+        argv += ["--checkpoint", str(checkpoint)]
+    return argv, out_dir
+
+
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     # Every numeric option of every command at its edge values, and an
     # unknown flag for each command: main returns 0, 1 or 2 and never raises
     # or prints a traceback.  Every exit 2 writes one error: line and makes
     # no output directory; a non-number or an unknown flag always exits 2.
-    # The closed-form commands write at most one stderr line.
+    # The closed-form commands write at most one stderr line.  Each rejected
+    # value, given in --config instead, exits 2 with the same line, the
+    # option named as a config key ('--X ' reads "config key 'X': ").
     checkpoint = tmp_path / "fit" / "checkpoint"
     assert main([*CONTRACT_ARGS["fit"], "--out-dir", str(checkpoint.parent)]) == 0
     cases = [(command, f"{flag}={value}") for command in CONTRACT_ARGS
@@ -462,6 +482,14 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
             ok = ok and rc == 2
         if not ok:
             broken.append((argv, rc, err))
+        if rc == 2 and extra != "--bogus":
+            flag = extra.split("=")[0]
+            want = err.replace(f"error: {flag} ", f"error: config key {flag[2:]!r}: ", 1)
+            argv, config_out = config_twin(tmp_path, f"{i}-config", command, extra, checkpoint)
+            rc = main(argv)
+            err = capsys.readouterr().err
+            if rc != 2 or err != want or config_out.exists():
+                broken.append((argv, rc, err, want))
     assert not broken, broken
 
 
@@ -992,6 +1020,27 @@ class TestConfigFile:
         rc = main(["--config", str(cfg), "design", "--n", "100",
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 0
+
+    def test_key_of_another_command_is_still_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5}))
+        rc = main(["--config", str(cfg), "design", "--function", "f1",
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: config key 'alpha': must lie in (0, 1), got 1.5\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, line", [
+        ({"iteratons": 3, "alpha": 1.5}, "config keys no command takes: iteratons"),
+        ({"alpha": 1.5, "cB": -1}, "config key 'alpha': must lie in (0, 1), got 1.5"),
+    ], ids=["unknown-key-first", "first-value-in-file-order"])
+    def test_which_fault_is_named(self, tmp_path, monkeypatch, capsys, config, line):
+        # A key no command takes is named before any value is checked, and
+        # otherwise the first rejected value in the file's order.
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        rc, _ = self.fit_config(tmp_path, config)
+        assert rc == 2 and capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_skips_quadrature():
