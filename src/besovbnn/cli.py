@@ -4,11 +4,15 @@ condition checks, covering bounds, and contraction-rate studies.
 Subcommands: design, fit, predict, check-prior, rate-study, covering.
 Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  FLAGS
 declares each option once with its range and default, and COMMANDS the
-options each command reads, so a command rejects a flag it would ignore and
---config values get the same checks; every rejection is one 'error:' line
-and exit 2.  Every command is deterministic; fit, predict and rate-study
-draw their randomness from --seed, and fit records the derived seeds in its
-manifest.
+options each command reads, so a command rejects a flag it would ignore;
+every rejection is one 'error:' line and exit 2.  --config, given before the
+command, names a JSON file of flag defaults that explicit flags override.
+Each of its values goes through its option's own argparse action, so a
+rejection reads like the flag's with "config key '<key>':" in its place.
+Faults in argv are named first, then unknown keys, then the first rejected
+value in file order; --help does not read the file.  Every command is
+deterministic; fit, predict and rate-study draw their randomness from
+--seed, and fit records the derived seeds in its manifest.
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -36,9 +40,8 @@ DESK_MAX_PARAMS = 100_000
 
 # Each built-in target's smoothness class and true function.
 BUILTIN_FUNCTIONS = {
-    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3), p=math.inf, q=math.inf, d=1, m=2),
-           testbed.cantor_function),
-    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0, d=1, m=2), testbed.log_singular_function),
+    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3)), testbed.cantor_function),
+    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0), testbed.log_singular_function),
 }
 
 
@@ -117,7 +120,6 @@ def _single_n(args) -> int:
 
 
 _SMOOTHNESS = ("--s", "--p", "--q", "--d", "--m")
-_SMOOTHNESS_DEFAULTS = dict(p=math.inf, q=math.inf, d=1, m=2)
 
 
 def _dest(option: str) -> str:
@@ -145,7 +147,7 @@ def _spec(args) -> dz.SmoothnessSpec:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
     values = {_dest(o): getattr(args, _dest(o)) for o in given}
     try:
-        return dz.SmoothnessSpec(**{**_SMOOTHNESS_DEFAULTS, **values})
+        return dz.SmoothnessSpec(**values)
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
 
@@ -549,11 +551,10 @@ COMMANDS = {
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The besovbnn parser.  Each value of `config`, by option dest as
     _read_config returns it, is the default of the commands that take it."""
-    parser = _Parser(
-        prog="besovbnn",
-        description="Bayesian ReLU-network regression on Besov targets",
-        parents=[_config_parser()],
-    )
+    parser = _Parser(prog="besovbnn",
+                     description="Bayesian ReLU-network regression on Besov targets")
+    parser.add_argument("--config", type=Path, default=None,
+                        help="JSON object of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, n, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -565,61 +566,48 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _config_parser() -> argparse.ArgumentParser:
-    """The --config option alone, so main can read it before the full parse."""
-    p = _Parser(add_help=False)
-    p.add_argument("--config", type=Path, default=None,
-                   help="JSON object of flag defaults; explicit flags win")
-    return p
-
-
-def _config_value(flag: dict, key: str, value):
-    """Convert a config value as the FLAGS entry `flag` converts the same
-    text on the command line; a range or parse error keeps its wording."""
-    if flag.get("action") == "store_true":
+def _config_value(flags: argparse.ArgumentParser, option: str, key: str, value):
+    """Convert a config value as `flags`, a parser of every FLAGS entry,
+    converts `option` given that value on the command line."""
+    if option == "--full-scale":
         if not isinstance(value, bool):
             raise ArgumentError(f"config key {key!r} must be true or false")
-        return value
-    if value is None or isinstance(value, (bool, list, dict)):
+        argv = [option] if value else []
+    elif value is None or isinstance(value, (bool, list, dict)):
         raise ArgumentError(f"config key {key!r} must be a number or a string")
-    convert, text = flag.get("type", str), str(value)
+    else:
+        argv = [f"{option}={value}"]
     try:
-        value = convert(text)
-    except argparse.ArgumentTypeError as exc:
-        raise ArgumentError(f"config key {key!r}: {exc}") from None
-    except ValueError:
-        raise ArgumentError(
-            f"config key {key!r}: invalid {convert.__name__} value: {text!r}") from None
-    choices = flag.get("choices")
-    if choices is not None and value not in choices:
-        raise ArgumentError(f"config key {key!r}: {value!r} is not one of {choices}")
-    return value
+        return getattr(flags.parse_args(argv), _dest(option))
+    except argparse.ArgumentError as exc:
+        raise ArgumentError(f"config key {key!r}: {exc.message}") from None
 
 
 def _read_config(path: Path) -> dict:
-    """The config file's values by option dest, each converted and checked
-    once by its FLAGS entry.  Keys may use - or _.  Keys that no option
-    matches are named before any value is read; otherwise the first
-    rejected value in file order is."""
+    """The config file's values by option dest, each converted once by its
+    option's argparse action.  Keys may use - or _."""
     try:
         config = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"bad config file: {exc}") from exc
     if not isinstance(config, dict):
         raise ArgumentError("bad config file: expected a JSON object")
-    flags = {_dest(o): FLAGS[o] for o in FLAGS}
+    options = {_dest(o): o for o in FLAGS}
     dests = {k: k.replace("-", "_") for k in config}
-    unknown = sorted(k for k, dest in dests.items() if dest not in flags)
+    unknown = sorted(k for k, dest in dests.items() if dest not in options)
     if unknown:
         raise ArgumentError(f"config keys no command takes: {', '.join(unknown)}")
-    return {dests[k]: _config_value(flags[dests[k]], k, v) for k, v in config.items()}
+    flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    for option, kwargs in FLAGS.items():
+        flags.add_argument(option, **kwargs)
+    return {dests[k]: _config_value(flags, options[dests[k]], k, v) for k, v in config.items()}
 
 
 def main(argv=None) -> int:
     try:
-        path = _config_parser().parse_known_args(argv)[0].config
-        config = None if path is None else _read_config(path)
-        args = build_parser(config).parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config is not None:
+            args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

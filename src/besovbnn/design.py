@@ -52,10 +52,10 @@ class SmoothnessSpec:
     """
 
     s: float
-    p: float
-    q: float
-    d: int
-    m: int
+    p: float = math.inf
+    q: float = math.inf
+    d: int = 1
+    m: int = 2
 
     def __post_init__(self):
         if not (self.s > 0 and self.p > 0 and self.q > 0):

@@ -78,7 +78,7 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
         raise ValueError("non-finite target at the initial point")
 
     sd = config.proposal_sd
-    kept = []
+    chain = np.empty((config.steps - config.burn_in, T))
     accepted_post = 0
     accept_window = 0
     window = 100
@@ -101,9 +101,9 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
                 accept_window = 0
         else:
             accepted_post += accept
-            kept.append(theta.copy())
+            chain[step - config.burn_in] = theta
     return MHResult(
-        chain=np.asarray(kept),
+        chain=chain,
         acceptance_rate=accepted_post / (config.steps - config.burn_in),
         proposal_sd=sd,
         shape=shape,

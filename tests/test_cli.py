@@ -448,10 +448,12 @@ def config_twin(tmp_path, name, command, extra, checkpoint):
 
 
 def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
-    # Every numeric option of every command at its edge values, and an
-    # unknown flag for each command: main returns 0, 1 or 2 and never raises
-    # or prints a traceback.  Every exit 2 writes one error: line and makes
-    # no output directory; a non-number or an unknown flag always exits 2.
+    # Every numeric option of every command at its edge values, a value
+    # outside each choices option's choices, and an unknown flag for each
+    # command: main returns 0, 1 or 2 and never raises or prints a
+    # traceback.  Every exit 2 writes one error: line and makes no output
+    # directory; a non-number, a value outside the choices or an unknown
+    # flag always exits 2.
     # The closed-form commands write at most one stderr line.  Each rejected
     # value, given in --config instead, exits 2 with the same line, the
     # option named as a config key ('--X ' reads "config key 'X': ").
@@ -460,7 +462,9 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     cases = [(command, f"{flag}={value}") for command in CONTRACT_ARGS
              for flag, kind in numeric_options(command) for value in edge_values(kind)]
     assert len({(command, extra.split("=")[0]) for command, extra in cases}) >= 50
-    cases += [(command, "--bogus") for command in CONTRACT_ARGS]
+    outside_choices = [("design", "--function=f3"), ("design", "--counting=x"),
+                       ("check-prior", "--density=x")]
+    cases += outside_choices + [(command, "--bogus") for command in CONTRACT_ARGS]
     broken = []
     for i, (command, extra) in enumerate(cases):
         out_dir = tmp_path / str(i)
@@ -478,7 +482,7 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
             err.count("\n") == 1 and err.startswith("error: ") and not out_dir.exists()))
         if command not in FIT_COMMANDS:
             ok = ok and err.count("\n") <= 1
-        if extra == "--bogus" or extra.endswith("=abc"):
+        if extra == "--bogus" or extra.endswith("=abc") or (command, extra) in outside_choices:
             ok = ok and rc == 2
         if not ok:
             broken.append((argv, rc, err))
@@ -1041,6 +1045,33 @@ class TestConfigFile:
         rc, _ = self.fit_config(tmp_path, config)
         assert rc == 2 and capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_config_after_the_command_is_unrecognized(self, tmp_path, capsys):
+        # --config belongs before the command; after it, the file is not read.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.5}))
+        rc = main(["design", "--function", "f1", "--out-dir", str(tmp_path / "out"),
+                   "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"error: unrecognized arguments: --config {cfg}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["{broken", '{"iteratons": 3}', '{"alpha": 1.5}'],
+                             ids=["broken-file", "unknown-key", "rejected-value"])
+    def test_argv_fault_is_named_before_the_file(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "fit", "--function", "f2", "--alpha", "2",
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: --alpha must lie in (0, 1), got 2.0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_help_does_not_read_the_file(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(tmp_path / "missing.json"), "fit", "--help"])
+        assert exc.value.code == 0 and "--learning-rate" in capsys.readouterr().out
 
 
 def test_cli_import_skips_quadrature():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ class TestSmoothnessSpec:
         # nu = (1.5 - 1) / 2 = 0.25, 1/nu + 1/d = 5 -> xi capped at 1
         assert F2_SPEC.nu == pytest.approx(0.25)
         assert F2_SPEC.xi == 1.0
+
+    def test_documented_defaults(self):
+        # p = q = inf, d = 1, m = 2 unless given; asdict keeps the field order.
+        assert SmoothnessSpec(s=F1_SPEC.s) == F1_SPEC
+        assert list(asdict(SmoothnessSpec(s=0.5))) == ["s", "p", "q", "d", "m"]
 
     def test_delta_violation(self):
         with pytest.raises(ValueError):
