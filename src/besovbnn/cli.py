@@ -131,9 +131,15 @@ def _given(args, options) -> list[str]:
     return [o for o in options if getattr(args, _dest(o)) is not None]
 
 
-def _exclusive(first: list[str], second: list[str]) -> None:
+def _exclusive(args, first: list[str], second: list[str]) -> None:
+    """Reject given options of both lists, each named as the user gave it:
+    the flag, or the config key it came from."""
+    def named(options):
+        return "/".join(f"config key {_dest(o)!r}" if _dest(o) in args.from_config else o
+                        for o in options)
+
     if first and second:
-        raise ArgumentError(f"{'/'.join(first)} cannot be combined with {'/'.join(second)}")
+        raise ArgumentError(f"{named(first)} cannot be combined with {named(second)}")
 
 
 def _spec(args) -> dz.SmoothnessSpec:
@@ -141,7 +147,7 @@ def _spec(args) -> dz.SmoothnessSpec:
     --s/--p/--q/--d/--m."""
     given = _given(args, _SMOOTHNESS)
     if args.function:
-        _exclusive(["--function"], given)
+        _exclusive(args, ["--function"], given)
         return BUILTIN_FUNCTIONS[args.function][0]
     if args.s is None:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
@@ -464,7 +470,7 @@ def cmd_rate_study(args) -> int:
 
 def cmd_covering(args) -> int:
     derived = _given(args, ("--function", *_SMOOTHNESS))
-    _exclusive(_given(args, ("--L", "--W", "--S", "--B")), derived)
+    _exclusive(args, _given(args, ("--L", "--W", "--S", "--B")), derived)
     if derived:
         spec = _spec(args)
         arch = dz.design_architecture(spec, _single_n(args), args.cB)
@@ -476,15 +482,16 @@ def cmd_covering(args) -> int:
             raise ArgumentError("give --function/--n or all of --L --W --S --B --delta")
         L, W, S, B, delta = args.L, args.W, args.S, args.B, args.delta
         n_eps_sq = None
+    if args.a is not None:  # an inadmissible --a exits 2 before any line is printed
+        try:
+            tb = dz.covering_bound_truncated(L, W, S, B, args.a, delta)
+        except dz.TruncationThresholdError as exc:
+            raise ArgumentError(str(exc)) from exc
     bound = dz.covering_bound(L, W, S, B, delta)
     print(f"covering bound: {bound:.6g}")
     if n_eps_sq is not None:
         print(f"n eps^2: {n_eps_sq:.6g}  ratio bound/(n eps^2): {bound / n_eps_sq:.6g}")
     if args.a is not None:
-        try:
-            tb = dz.covering_bound_truncated(L, W, S, B, args.a, delta)
-        except dz.TruncationThresholdError as exc:
-            raise ArgumentError(str(exc)) from exc
         print(f"truncated covering bound: {tb:.6g}")
     return 0
 
@@ -562,7 +569,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         for option in ("--function", *options):
             p.add_argument(option, **FLAGS[option])
         taken = {_dest(o) for o in ("--n", "--function", *options)}
-        p.set_defaults(func=func, **{k: v for k, v in (config or {}).items() if k in taken})
+        p.set_defaults(func=func, from_config=frozenset(),
+                       **{k: v for k, v in (config or {}).items() if k in taken})
     return parser
 
 
@@ -607,7 +615,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.config is not None:
-            args = build_parser(_read_config(args.config)).parse_args(argv)
+            config = _read_config(args.config)
+            typed = args
+            args = build_parser(config).parse_args(argv)
+            # The options argv left at None that the file sets.
+            args.from_config = frozenset(k for k in config if getattr(typed, k, None) is None)
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,10 +163,15 @@ class PassBuffers:
     shape, n data points and a stack of R networks (stack=R) or one
     (stack=None): the hidden activations, their ReLU masks, the backward
     deltas, the output column and the flat gradient, each with a leading
-    axis R for a stack.  `grad_w[l]` and `grad_b[l]` are views into `grad`
-    in the flattening order, so the layers' gradients land in the flat
-    vectors without a copy.  `loglik` uses only the activations and the
-    output column."""
+    axis R for a stack.  The backward pass reads each mask once and each
+    delta only until the next exists, so the masks are views of one bool
+    buffer and the deltas views of two float buffers, alternating by layer,
+    each of R·n·max(w) elements: a pass holds 8·R·n·Σw + 17·R·n·max(w)
+    bytes of activations, masks and deltas.  Every view is a C-contiguous
+    head of its buffer, as `np.matmul(out=)` needs.  `grad_w[l]` and
+    `grad_b[l]` are views into `grad` in the flattening order, so the
+    layers' gradients land in the flat vectors without a copy.  `loglik`
+    uses only the activations and the output column."""
 
     def __init__(self, shape: NetworkShape, n: int, stack: int | None = None):
         hidden = shape.layer_widths[1:-1]
@@ -175,8 +180,12 @@ class PassBuffers:
         self.n = n
         self.stack = stack
         self.acts = [np.empty((*lead, n, w)) for w in hidden]
-        self.masks = [np.empty((*lead, n, w), dtype=bool) for w in hidden]
-        self.deltas = [np.empty((*lead, n, w)) for w in hidden]
+        rows = (stack or 1) * n
+        mask = np.empty(rows * max(hidden), dtype=bool)
+        deltas = [np.empty(rows * max(hidden)) for _ in range(2)]
+        self.masks = [mask[: rows * w].reshape(*lead, n, w) for w in hidden]
+        self.deltas = [deltas[l % 2][: rows * w].reshape(*lead, n, w)
+                       for l, w in enumerate(hidden)]
         self.out = np.empty((*lead, n, 1))
         self.grad = np.empty((*lead, shape.n_params))
         self.grad_w, self.grad_b = _layer_views(shape, self.grad)

@@ -133,9 +133,14 @@ def _spike_cut(spec: MixturePriorSpec) -> float:
 
 def _two_component(a: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     """Indices of the 1-d a = |t| that need the full two-component formulas:
-    inside the spike cut, NaN, or so large that the slab's square overflows."""
-    slab = a > _spike_cut(spec)
-    slab &= a < 1e154 * spec.sigma2
+    inside the spike cut, NaN, or so large that the slab's square overflows.
+    When every |t| lies between the two bounds, which a NaN's min or max
+    fails, there are none, and no T-length mask is built."""
+    cut, big = _spike_cut(spec), 1e154 * spec.sigma2
+    if a.size and a.min() > cut and a.max() < big:
+        return np.empty(0, dtype=np.intp)
+    slab = a > cut
+    slab &= a < big
     return np.flatnonzero(np.logical_not(slab, out=slab))
 
 

@@ -148,11 +148,12 @@ class TrainConfig:
 
 class _BlockSet:
     """One thread's block-wide arrays of the step's tail: sigmoid(rho)
-    `sig`, g_mu, g_rho, the scratch pair `work` and the bool `mask`."""
+    `sig`, g_mu, g_rho, the scratch `work` and the bool `mask`.  sig is
+    dead once g_rho is formed, so it is Adam's second scratch."""
 
     def __init__(self, lead: tuple, width: int):
-        self.sig, self.g_mu, self.g_rho, *self.work = (
-            np.empty((*lead, width)) for _ in range(5))
+        self.sig, self.g_mu, self.g_rho, self.work = (
+            np.empty((*lead, width)) for _ in range(4))
         self.mask = np.empty((*lead, width), dtype=bool)
 
 
@@ -162,15 +163,17 @@ class StepBuffers:
 
     Length T, with a leading axis R for a stack: the noise draw zeta, a
     spare of its shape, sigma_q and theta, plus the network pass's
-    PassBuffers, whose `grad` is the fifth, and `params`, the NetworkParams
-    views of theta.  zeta holds the noise of the seeds `noise_of`, or of
-    none.  The spare is the ELBO sums' scratch; when `next_seeds` is set,
+    PassBuffers, whose `grad` is the fifth and whose activations, mask and
+    deltas take 8·R·n·Σw + 17·R·n·max(w) bytes, and `params`, the
+    NetworkParams views of theta.  zeta holds the noise of the seeds
+    `noise_of`, or of none.  The spare is the ELBO sums' scratch; when `next_seeds` is set,
     `elbo_gradient` then draws their noise into it, behind the sums on the
     `helper` (from `_helper`, or None: inline), and keeps the call that
     waits for that draw in `next_drawn`.  The elementwise tail after the
     network pass runs over column blocks of `width` (TAIL_BLOCK elements
-    across the stack), in `sets`, one block-wide `_BlockSet` per thread
-    that takes blocks: the calling thread's, and one more for the helper.
+    across the stack), in `sets`, one block-wide `_BlockSet` (four float
+    arrays and a bool mask, 33·R·width bytes) per thread that takes blocks:
+    the calling thread's, and one more for the helper.
     `train_replicates` builds one set per stack, reuses it on every step
     and swaps zeta with the spare once a step's tail is done.  Its tail
     leaves sq holding softplus of the updated rho, which it marks with
@@ -301,7 +304,7 @@ def _gradient_block(b: StepBuffers, own: _BlockSet, rho, cols: slice, prior, n_w
     values do not depend on the blocks.  zeta is read from `b` on each
     call, since `train_replicates` swaps it with the spare."""
     w = cols.stop - cols.start
-    work, mask = own.work[0][..., :w], own.mask[..., :w]
+    work, mask = own.work[..., :w], own.mask[..., :w]
     sig = _sigmoid(rho[..., cols], out=own.sig[..., :w], work=work, mask=mask)
     g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=own.g_mu[..., :w])
     g_mu += prior.grad_log_pdf(b.theta[..., cols])
@@ -408,7 +411,7 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
                 return
             g_mu, g_rho = _gradient_block(buffers, own, state.rho, cols, prior, n_weight)
             g_mu[~live], g_rho[~live] = 0.0, 0.0
-            scratch = [a[..., : cols.stop - cols.start] for a in own.work]
+            scratch = [a[..., : cols.stop - cols.start] for a in (own.work, own.sig)]
             for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
                                    (state.rho, g_rho, m_rho, v_rho)):
                 _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], t,

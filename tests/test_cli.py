@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -329,10 +330,16 @@ class TestCovering:
         out = capsys.readouterr().out
         assert "n eps^2" in out
 
-    def test_truncation_threshold_violation_exits_2(self):
-        rc = main(["covering", "--L", "3", "--W", "8", "--S", "10",
-                   "--B", "2.0", "--a", "1.0", "--delta", "0.5"])
-        assert rc == 2
+    def test_truncation_threshold_violation_exits_2(self, capsys):
+        # in both modes the one error line comes before any bound is printed
+        for argv in (["--L", "3", "--W", "8", "--S", "10", "--B", "2.0", "--delta", "0.5"],
+                     ["--function", "f2", "--n", "100"]):
+            rc = main(["covering", *argv, "--a", "1.0"])
+            assert rc == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: delta below the truncation floor")
+            assert err.count("\n") == 1
 
     def test_admissible_truncation(self, capsys):
         rc = main(["covering", "--L", "3", "--W", "8", "--S", "10",
@@ -456,7 +463,8 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     # flag always exits 2.
     # The closed-form commands write at most one stderr line.  Each rejected
     # value, given in --config instead, exits 2 with the same line, the
-    # option named as a config key ('--X ' reads "config key 'X': ").
+    # option named as a config key ('--X ' reads "config key 'X': ", and
+    # '--X' in a "cannot be combined" line "config key 'X'").
     checkpoint = tmp_path / "fit" / "checkpoint"
     assert main([*CONTRACT_ARGS["fit"], "--out-dir", str(checkpoint.parent)]) == 0
     cases = [(command, f"{flag}={value}") for command in CONTRACT_ARGS
@@ -489,6 +497,8 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
         if rc == 2 and extra != "--bogus":
             flag = extra.split("=")[0]
             want = err.replace(f"error: {flag} ", f"error: config key {flag[2:]!r}: ", 1)
+            if "cannot be combined" in want:  # the other side stays a flag
+                want = re.sub(rf"{flag}(?=[/ \n])", f"config key {flag[2:]!r}", want)
             argv, config_out = config_twin(tmp_path, f"{i}-config", command, extra, checkpoint)
             rc = main(argv)
             err = capsys.readouterr().err
@@ -559,16 +569,25 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
     (["check-prior", "--function", "f2", "--p", "1", "--m", "3"], {},
      "--function cannot be combined with --p/--m"),
     (["covering", "--function", "f1", "--d", "1"], {}, "--function cannot be combined with --d"),
-    (["design", "--q", "2"], {"function": "f1"}, "--function cannot be combined with --q"),
+    (["design", "--q", "2"], {"function": "f1"},
+     "config key 'function' cannot be combined with --q"),
     (["covering", "--function", "f1", "--L", "3"], {}, "--L cannot be combined with --function"),
     (["covering", "--s", "1.5", "--p", "1", "--q", "1", "--W", "8", "--S", "10"], {},
      "--W/--S cannot be combined with --s/--p/--q"),
-    (["covering", "--function", "f2"], {"B": 2.0}, "--B cannot be combined with --function"),
+    (["covering", "--function", "f2"], {"B": 2.0},
+     "config key 'B' cannot be combined with --function"),
+    (["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2"], {"function": "f1"},
+     "--L/--W/--S/--B cannot be combined with config key 'function'"),
+    (["design"], {"function": "f1", "q": 2}, "config key 'function' cannot be combined "
+     "with config key 'q'"),
+    (["covering", "--function", "f2", "--B", "3"], {"B": 2.0},
+     "--B cannot be combined with --function"),
 ], ids=["design", "check-prior", "covering", "design-config", "covering-L",
-        "covering-smoothness", "covering-config"])
+        "covering-smoothness", "covering-config", "covering-geometry-config",
+        "both-config", "flag-over-config"])
 def test_overriding_flags_exit_2(tmp_path, capsys, argv, config, message):
     # Either set of flags would ignore the other; a --config value counts
-    # as given.
+    # as given, and is named by its key unless a flag overrides it.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     argv = ["--config", str(cfg), *argv]

@@ -31,7 +31,10 @@ CASES = {
     # whose finite p and q differ from the built-ins'.
     **{f"{c}-explicit": [c, "--s", "0.9", "--p", "2", "--q", "3", "--d", "1", "--m", "2",
                          "--n", "100,1000"] for c in ("design", "check-prior")},
+    # --a 1e-9 is inadmissible at this design: exit 2 with nothing printed.
     "covering-derived": ["covering", "--function", "f1", "--n", "100", "--a", "1e-9"],
+    "covering-derived-admissible": ["covering", "--function", "f1", "--n", "100",
+                                    "--a", "1e-70"],
     "covering-explicit": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
                           "--delta", "0.5", "--a", "1e-9"],
 }

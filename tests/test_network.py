@@ -240,6 +240,12 @@ shapes = st.builds(
     d_in=st.integers(1, 3),
     hidden_widths=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
 )
+# Up to 5 hidden layers, so the backward pass reuses both delta buffers.
+deep_shapes = st.builds(
+    NetworkShape,
+    d_in=st.integers(1, 3),
+    hidden_widths=st.lists(st.integers(1, 6), min_size=1, max_size=5).map(tuple),
+)
 
 
 def relu_pattern(shape, theta, x):
@@ -298,7 +304,7 @@ class TestProperties:
             assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(grad[i])), f"coord {i}"
 
     @settings(max_examples=60, deadline=None, database=None)
-    @given(shape=shapes, n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    @given(shape=deep_shapes, n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
     def test_reused_buffers_match_fresh_calls(self, shape, n, seed):
         rng = np.random.default_rng(seed)
         buffers = PassBuffers(shape, n)
@@ -314,6 +320,33 @@ class TestProperties:
             assert grad_buf.tobytes() == grad.tobytes()
             fresh.append(grad)
         assert not np.shares_memory(fresh[0], fresh[1])
+
+    def test_deep_stack_shares_one_mask_and_two_deltas(self):
+        # every hidden activation, but one mask and two deltas of the widest
+        # layer, alternating by layer: 8 R n sum(w) + 17 R n max(w) bytes
+        shape = NetworkShape(d_in=2, hidden_widths=(5, 9, 3, 9, 4, 7, 2))
+        R, n = 3, 11
+        buffers = PassBuffers(shape, n, R)
+        widths = shape.hidden_widths
+        for views in (buffers.masks, buffers.deltas):
+            assert [v.shape for v in views] == [(R, n, w) for w in widths]
+            assert all(v.flags.c_contiguous for v in views)
+        shared = {id(v.base): v.base for v in buffers.masks + buffers.deltas}
+        bases = [*buffers.acts, *shared.values()]
+        assert len(bases) == len(widths) + 3 and all(a.base is None for a in bases)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(bases) for b in bases[:i])
+        assert sum(a.nbytes for a in bases) == 8 * R * n * sum(widths) + 17 * R * n * max(widths)
+        # consecutive layers' deltas never share memory
+        assert not any(np.shares_memory(a, b) for a, b in zip(buffers.deltas, buffers.deltas[1:]))
+        rng = np.random.default_rng(4)
+        theta = 0.5 * rng.standard_normal((R, shape.n_params))
+        x, y = rng.uniform(-1, 1, (R, n, 2)), rng.standard_normal((R, n))
+        params = NetworkParams.from_flat(shape, theta)
+        ll, grad = loglik_and_grad(params, x, y, 0.3, buffers=buffers)
+        for r in range(R):
+            ll_r, grad_r = loglik_and_grad(NetworkParams.from_flat(shape, theta[r]),
+                                           x[r], y[r], 0.3)
+            assert ll[r] == ll_r and grad[r].tobytes() == grad_r.tobytes()
 
     def test_mismatched_buffers_raise(self):
         shape = NetworkShape(d_in=1, hidden_widths=(3,))

@@ -13,6 +13,7 @@ from besovbnn.design import (
     design_architecture,
     mixture_hyperparams,
 )
+from besovbnn import priors
 from besovbnn.priors import (
     MixtureDensity,
     SparseDraw,
@@ -297,6 +298,38 @@ class TestMixtureFastPath:
         assert np.any(reference_grad_log_pdf(ts, spec) != slab_only)
         g = make_density("mixture", mixture_spec=spec)
         assert_bitwise(g.grad_log_pdf(ts), reference_grad_log_pdf(ts, spec))
+
+
+def mask_two_component(a, spec):
+    """The indices `_two_component` returns, by the whole-array mask."""
+    cut = priors._spike_cut(spec)
+    return np.flatnonzero(~((a > cut) & (a < 1e154 * spec.sigma2)))
+
+
+class TestTwoComponentShortcut:
+    # cut = 0: a spike scale that underflows; cut = inf: a spike as wide as the slab
+    SPECS = {
+        "designed": DESIGNED_SPECS["f2-n100"],
+        "cut-0": friendly_mixture(log_sigma1=-800.0),
+        "cut-inf": OTHER_SPECS["spike-wider-than-slab"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equal_to_the_mask_path(self, name):
+        spec = self.SPECS[name]
+        cut, big = priors._spike_cut(spec), 1e154 * spec.sigma2
+        assert (cut == 0.0) == (name == "cut-0") and (cut == math.inf) == (name == "cut-inf")
+        finite_cut = cut if 0.0 < cut < math.inf else 1.0
+        slab = np.linspace(1.5, 3.0, 7) * finite_cut
+        odd = [0.0, -0.0, math.nan, -math.nan, cut, np.nextafter(cut, math.inf),
+               big, np.nextafter(big, 0.0), 2.0 * big, math.inf]
+        cases = [slab, -slab, np.array([], dtype=float)]
+        cases += [np.insert(slab, 3, v) for v in odd]
+        for t in cases:
+            a = np.abs(t)
+            got = priors._two_component(a, spec)
+            want = mask_two_component(a, spec)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (name, t)
 
 
 class TestSupportCondition:

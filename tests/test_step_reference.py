@@ -262,6 +262,33 @@ def test_train_keeps_eleven_full_length_arrays(monkeypatch):
     assert peak <= (11 + 1) * T * 8, f"{peak / (T * 8):.2f} T-vectors"
 
 
+def test_deep_pass_keeps_one_mask_and_two_deltas():
+    # A deep network with n large relative to W: besides the eleven
+    # T-vectors (R = 1), the pass holds every hidden activation but only one
+    # ReLU mask and two backward deltas of the widest layer, and the tail
+    # one block set of four block-wide arrays and a bool mask.  A mask and a
+    # delta per layer would need 17 n (sum(w) - max(w)) bytes more.
+    widths = (8, 12, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8)
+    shape, data, prior = designed_problem(2000, widths, seed=5)
+    T, n = shape.n_params, data.n
+    width = min(T, vi.TAIL_BLOCK)
+    assert T == 885 and width == T
+    config = TrainConfig(iterations=2, learning_rate=0.01, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train(shape, data, prior, config, sigma=0.1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    pass_bytes = 8 * n * sum(widths) + 17 * n * max(widths)
+    bound = 11 * T * 8 + pass_bytes + 33 * width
+    slack = 16 * n * 8  # the stacked data, the output column and other n-length temporaries
+    assert peak <= bound + slack, f"{(peak - bound) / (n * 8):.2f} n-vectors over"
+    assert 17 * n * (sum(widths) - max(widths)) > 2 * slack
+
+
 def test_sigmoid_matches_two_branch_formula():
     tiny = np.nextafter(0.0, 1.0)
     rho = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,

@@ -288,6 +288,17 @@ class TestTrainReplicates:
                    for seed in (7, 8, 9)]
         self.assert_fits_match(shape, datasets, prior, configs)
 
+    def test_deep_uneven_stack_matches_separate_fits(self):
+        # five hidden layers of uneven width, so the backward pass passes its
+        # two deltas back and forth and views them at every width
+        prior, _ = designed_f2(60)
+        shape = NetworkShape(1, (7, 12, 5, 9, 3))
+        f0 = log_singular_function()
+        datasets = [generate_dataset(f0, 60, 0.1, seed) for seed in (4, 5, 6, 7)]
+        configs = [TrainConfig(iterations=80, learning_rate=0.01, seed=seed)
+                   for seed in (4, 5, 6, 7)]
+        self.assert_fits_match(shape, datasets, prior, configs)
+
     @staticmethod
     def one_diverging_stack():
         """Three replicates of a designed desk fit whose second diverges at
