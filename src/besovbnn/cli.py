@@ -12,7 +12,9 @@ rejection reads like the flag's with "config key '<key>':" in its place.
 Faults in argv are named first, then unknown keys, then the first rejected
 value in file order; --help does not read the file.  Every command is
 deterministic; fit, predict and rate-study draw their randomness from
---seed, and fit records the derived seeds in its manifest.
+--seed, and fit records the derived seeds in its manifest.  `priors` is
+imported inside the functions that need it, so scipy loads only in the
+commands that build a prior (fit, rate-study, design and check-prior).
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import design as dz
-from . import priors, testbed, vi
+from . import testbed, vi
 from .network import NetworkShape
 
 SCHEMA_VERSION = 1
@@ -222,6 +224,8 @@ def cmd_design(args) -> int:
 def _designed_model(spec, n, args):
     """The designed mixture prior for sample size n and the network shape:
     the designed geometry with --full-scale, else its desk-scale reduction."""
+    from . import priors
+
     arch, mix = _design(spec, n, args)
     prior = priors.make_density("mixture", mixture_spec=mix)
     if args.full_scale and arch.T > DESK_MAX_PARAMS:
@@ -326,6 +330,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check_prior(args) -> int:
+    from . import priors
+
     spec = _spec(args)
     reports = []
     all_pass = True
@@ -509,7 +515,7 @@ FLAGS = {
     "--cB": dict(type=_real(0.0), default=10.0),
     "--K0": dict(type=_real(4.0), default=5.0),
     "--counting": dict(choices=["canonical", "compat"], default="canonical"),
-    "--density": dict(choices=priors.DENSITY_NAMES, default="mixture"),
+    "--density": dict(choices=dz.DENSITY_NAMES, default="mixture"),
     "--iterations": dict(type=_count(1), default=2000),
     "--batch-size": dict(type=_count(0), default=0),
     "--learning-rate": dict(type=_real(0.0), default=0.01),
@@ -626,6 +632,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"failure: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

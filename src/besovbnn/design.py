@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .network import NetworkShape
 
@@ -32,9 +31,14 @@ __all__ = [
     "covering_bound",
     "covering_bound_truncated",
     "TruncationThresholdError",
+    "DENSITY_NAMES",
 ]
 
 DESK_DEPTH, DESK_WIDTH = 2, 24  # caps of the reduced network trained at desk scale
+
+# The coordinatewise priors `priors.make_density` builds, by name.  They are
+# listed here so that the command line can offer them without loading scipy.
+DENSITY_NAMES = ("mixture", "gauss", "laplace", "uniform-slab")
 
 # Constants of the shrinkage-condition check: the tail budget is
 # TAIL_BUDGET * n eps^2, the support bound SUPPORT_FACTOR * exp(-K0 n eps^2),
@@ -234,6 +238,8 @@ def mixture_hyperparams(
     of about 8.1 matches the reported spike scales.  This is documented as an
     order-of-magnitude quantity only.
     """
+    from scipy.special import log_ndtr, ndtri  # scipy loads only when a prior is designed
+
     eta = _eta(arch, K0)
     pi2 = arch.sparsity_fraction(counting)
     pi1 = 1.0 - pi2

@@ -16,6 +16,9 @@ import numpy as np
 
 from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik
 from .network import loglik_and_grad  # unused: kept as the benchmark tracer's lookup site
+# This import also makes `import besovbnn.mh` load the priors, whose import
+# time the benchmark's per-module probe reads.
+from .priors import DensityHandle
 from .testbed import Dataset
 
 __all__ = ["MHConfig", "MHResult", "mh_sample", "compare_vi_mh"]
@@ -46,7 +49,7 @@ class MHResult:
     shape: NetworkShape
 
 
-def _log_target(theta, params, data, prior, sigma, buffers):
+def _log_target(theta, params, data, prior: DensityHandle, sigma, buffers):
     """log prior + log-likelihood at theta, whose network views are params;
     the prior alone without data, and a non-finite prior as it is."""
     lp = prior.log_density_sum(theta)
@@ -55,7 +58,7 @@ def _log_target(theta, params, data, prior, sigma, buffers):
     return lp + loglik(params, data.x, data.y, sigma, buffers=buffers)
 
 
-def mh_sample(shape: NetworkShape, data: Dataset | None, prior, sigma: float,
+def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, sigma: float,
               config: MHConfig) -> MHResult:
     """Spherical-Gaussian random-walk Metropolis targeting prior x likelihood,
     started at theta = 0.

@@ -162,16 +162,19 @@ class PassBuffers:
     """Work arrays of one `loglik_and_grad` or `loglik` call for a network
     shape, n data points and a stack of R networks (stack=R) or one
     (stack=None): the hidden activations, their ReLU masks, the backward
-    deltas, the output column and the flat gradient, each with a leading
-    axis R for a stack.  The backward pass reads each mask once and each
-    delta only until the next exists, so the masks are views of one bool
-    buffer and the deltas views of two float buffers, alternating by layer,
-    each of R·n·max(w) elements: a pass holds 8·R·n·Σw + 17·R·n·max(w)
-    bytes of activations, masks and deltas.  Every view is a C-contiguous
+    deltas, the output and residual columns and the flat gradient, each
+    with a leading axis R for a stack.  The backward pass reads each mask
+    once and each delta only until the next exists, so the masks are views
+    of one bool buffer and the deltas views of two float buffers,
+    alternating by layer, each of R·n·max(w) elements: a pass holds
+    8·R·n·Σw + 17·R·n·max(w) bytes of activations, masks and deltas, and
+    16·R·n bytes of the two columns.  Every view is a C-contiguous
     head of its buffer, as `np.matmul(out=)` needs.  `grad_w[l]` and
     `grad_b[l]` are views into `grad` in the flattening order, so the
-    layers' gradients land in the flat vectors without a copy.  `loglik`
-    uses only the activations and the output column."""
+    layers' gradients land in the flat vectors without a copy.  The
+    residuals y - f go to `resid`, their squares to the output column once
+    f is read, and the backward pass scales `resid` in place into its first
+    delta."""
 
     def __init__(self, shape: NetworkShape, n: int, stack: int | None = None):
         hidden = shape.layer_widths[1:-1]
@@ -186,7 +189,7 @@ class PassBuffers:
         self.masks = [mask[: rows * w].reshape(*lead, n, w) for w in hidden]
         self.deltas = [deltas[l % 2][: rows * w].reshape(*lead, n, w)
                        for l, w in enumerate(hidden)]
-        self.out = np.empty((*lead, n, 1))
+        self.out, self.resid = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
         self.grad = np.empty((*lead, shape.n_params))
         self.grad_w, self.grad_b = _layer_views(shape, self.grad)
 
@@ -202,8 +205,8 @@ class PassBuffers:
 def _forward_loglik(params: NetworkParams, x, y, sigma: float,
                     buffers: PassBuffers | None):
     """Checked forward pass shared by `loglik` and `loglik_and_grad`: the
-    log-likelihood, the residuals y - f, the layer inputs (x, then the hidden
-    post-activations) and the buffer set the pass ran in."""
+    log-likelihood, the residual column y - f, the layer inputs (x, then
+    the hidden post-activations) and the buffer set the pass ran in."""
     if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
         raise ValueError(f"need sigma > 0 whose square is a positive finite double, got {sigma}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -218,11 +221,10 @@ def _forward_loglik(params: NetworkParams, x, y, sigma: float,
     else:
         buffers.check(params.shape, n, params.stack)
     # The hidden post-activations stay in the buffers for the backward pass.
-    f = _layers(params, x, [*buffers.acts, buffers.out])[..., 0]
-
-    resid = y - f
+    f = _layers(params, x, [*buffers.acts, buffers.out])
+    resid = np.subtract(y[..., None], f, out=buffers.resid)
     ll = (-0.5 * n * np.log(2.0 * np.pi * sigma**2)
-          - 0.5 * (resid**2).sum(axis=-1) / sigma**2)
+          - 0.5 * np.square(resid, out=buffers.out)[..., 0].sum(axis=-1) / sigma**2)
     if params.stack is None:
         ll = float(ll)
     return ll, resid, [x, *buffers.acts], buffers
@@ -255,7 +257,7 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
 
     # Backward pass: dL/df = resid / sigma^2.  A post-activation is > 0
     # exactly where its pre-activation is.
-    delta = (resid / sigma**2)[..., None]
+    delta = np.divide(resid, sigma**2, out=resid)
     for l in range(len(weights) - 1, -1, -1):
         np.matmul(acts[l].swapaxes(-1, -2), delta, out=buffers.grad_w[l])
         np.sum(delta, axis=-2, out=buffers.grad_b[l])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, logsumexp
 
-from .design import MixturePriorSpec
+from .design import DENSITY_NAMES, MixturePriorSpec
 from .network import _integer
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "UniformSlabDensity",
     "MixtureDensity",
     "make_density",
-    "DENSITY_NAMES",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -312,9 +311,6 @@ class MixtureDensity(DensityHandle):
         term1 = math.log(self.spec.pi1) + float(log_ndtr(-z1)) if math.isfinite(z1) else -math.inf
         term2 = math.log(self.spec.pi2) + float(log_ndtr(-c / self.spec.sigma2))
         return math.log(2.0) + float(logsumexp([term1, term2]))
-
-
-DENSITY_NAMES = ("mixture", "gauss", "laplace", "uniform-slab")
 
 
 def make_density(name: str, *, mixture_spec: MixturePriorSpec | None = None,

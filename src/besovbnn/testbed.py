@@ -104,12 +104,12 @@ def tabulated_function(x, values) -> TrueFunction:
 class Dataset:
     """Regression sample (x_i, y_i)."""
 
-    x: np.ndarray  # (n, d)
-    y: np.ndarray  # (n,)
+    x: np.ndarray  # (n, d), C-contiguous
+    y: np.ndarray  # (n,), C-contiguous
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        self.y = np.asarray(self.y, dtype=float)
+        self.x = np.atleast_2d(np.asarray(self.x, dtype=float, order="C"))
+        self.y = np.asarray(self.y, dtype=float, order="C")
         if self.x.shape[0] != self.y.shape[0] or self.y.shape[0] == 0:
             raise ValueError("x and y must be nonempty and the same length")
 

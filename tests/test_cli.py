@@ -24,10 +24,23 @@ from besovbnn.cli import build_parser, fit_rate_slope, main
 from besovbnn.network import NetworkShape
 
 
+def src_env(**extra) -> dict:
+    """The environment, with `extra`, for a fresh interpreter that imports
+    besovbnn from the sources under test."""
+    env = dict(os.environ, **extra)
+    src = str(Path(besovbnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
 
+
+# numpy's words when an array cannot be allocated
+OOM_MESSAGE = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+               "and data type float64")
 
 FAST_FIT = [
     "--iterations", "60",
@@ -124,6 +137,16 @@ class TestFit:
         rc = main(["fit", "--s", "1.5", "--p", "1", "--q", "1",
                    "--out-dir", str(tmp_path), *FAST_FIT])
         assert rc == 2
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(OOM_MESSAGE)
+
+        monkeypatch.setattr(vi, "train", exhausted)
+        rc = main(["fit", "--function", "f2", "--n", "20", "--out-dir", str(tmp_path),
+                   *FAST_FIT])
+        assert rc == 1
+        assert capsys.readouterr().err == f"failure: out of memory: {OOM_MESSAGE}\n"
 
 
 class TestDrawsValidation:
@@ -633,9 +656,7 @@ def test_help_exits_0(capsys):
 def test_huge_learning_rate_diverges_with_one_line(tmp_path, argv, line, result):
     # Training runs without numpy's floating-point warnings; the divergence
     # itself is the one line, and no result file is written.
-    env = dict(os.environ)
-    src = str(Path(besovbnn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env()
     proc = subprocess.run(
         [sys.executable, "-m", "besovbnn.cli", *argv, "--function", "f2",
          "--draws", "2", "--out-dir", str(tmp_path / "out")],
@@ -856,6 +877,23 @@ class TestRateStudyConcurrency:
         assert err == f"failure: bad fit at n={failing_n}\n"
         assert not (tmp_path / "rate_study.json").exists()
 
+    @pytest.mark.parametrize("failing_n", [20, 80], ids=["worker", "caller"])
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                 failing_n):
+        train = vi.train_replicates
+
+        def exhausted_at(shape, datasets, *args, **kwargs):
+            if datasets[0].n == failing_n:
+                raise MemoryError(OOM_MESSAGE)
+            return train(shape, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(vi, "train_replicates", exhausted_at)
+        set_cpus(monkeypatch, 3)
+        assert self.run(tmp_path, [20, 40, 80]) == 1
+        assert capsys.readouterr().err == f"failure: out of memory: {OOM_MESSAGE}\n"
+        assert not multiprocessing.active_children()
+        assert not (tmp_path / "rate_study.json").exists()
+
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_error_cancels_tasks_not_started(self, tmp_path, monkeypatch, error):
         # Two CPUs: n=80 in the calling process, n=40 then n=20 on one worker.
@@ -913,9 +951,7 @@ class TestRateStudyConcurrency:
                         reason="needs 2 usable CPUs")
     def test_forked_workers_match_one_cpu_with_blas_threads(self, tmp_path):
         # Workers fork while OpenBLAS's own threads are alive.
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        src = str(Path(besovbnn.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = src_env(OPENBLAS_NUM_THREADS="2")
         one_cpu = min(os.sched_getaffinity(0))
 
         def run(out, preexec_fn=None):
@@ -1093,13 +1129,37 @@ class TestConfigFile:
         assert exc.value.code == 0 and "--learning-rate" in capsys.readouterr().out
 
 
-def test_cli_import_skips_quadrature():
-    """The CLI needs no numerical integration; importing it must not pull in
-    scipy.integrate."""
-    env = dict(os.environ)
-    src = str(Path(besovbnn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, besovbnn.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+def run_cli(argv) -> str:
+    """Code that runs the CLI on `argv` and prints its exit code."""
+    return ("from besovbnn.cli import main\n"
+            "try:\n"
+            f"    print(main({argv!r}))\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code)\n")
+
+
+@pytest.mark.parametrize("code, tail", [
+    ("import besovbnn.cli as c; c.build_parser()", ["False False"]),
+    (run_cli(["--help"]), ["0", "False False"]),
+    (run_cli(["fit", "--function", "f3"]), ["2", "False False"]),
+    (run_cli(["covering", "--L", "3", "--W", "10", "--S", "20", "--B", "1",
+              "--delta", "0.01"]), ["0", "False False"]),
+    (run_cli(["predict", "--function", "f2", "--n", "20", "--draws", "2",
+              "--grid-points", "3", "--checkpoint", "checkpoint", "--out-dir", "out"]),
+     ["0", "False False"]),
+    ("import besovbnn.priors", ["True True"]),
+], ids=["build-parser", "help", "exit-2", "covering", "predict", "priors"])
+def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
+    """scipy.special, the CLI's one heavy import, loads with the priors,
+    which only fit, rate-study, design and check-prior build; the other
+    commands load no scipy module at all, scipy.integrate included.  The
+    last lines a fresh interpreter prints are the exit code, if any, and
+    whether it loaded any scipy module and scipy.special."""
+    shape = NetworkShape(d_in=1, hidden_widths=(2,))
+    vi.save_checkpoint(tmp_path / "checkpoint",
+                       vi.VariationalState(mu=np.zeros(shape.n_params),
+                                           rho=np.zeros(shape.n_params)), shape)
+    code += "\nimport sys; print('scipy' in sys.modules, 'scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-len(tail):] == tail, proc.stderr

@@ -284,7 +284,9 @@ def test_deep_pass_keeps_one_mask_and_two_deltas():
         tracemalloc.stop()
     pass_bytes = 8 * n * sum(widths) + 17 * n * max(widths)
     bound = 11 * T * 8 + pass_bytes + 33 * width
-    slack = 16 * n * 8  # the stacked data, the output column and other n-length temporaries
+    # The output and residual columns, numpy's 64 KiB ufunc buffer (4.1
+    # n-vectors here) and small temporaries: 7.9 n-vectors measured.
+    slack = 10 * n * 8
     assert peak <= bound + slack, f"{(peak - bound) / (n * 8):.2f} n-vectors over"
     assert 17 * n * (sum(widths) - max(widths)) > 2 * slack
 
