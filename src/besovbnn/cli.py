@@ -2,7 +2,7 @@
 condition checks, covering bounds, and contraction-rate studies.
 
 Subcommands: design, fit, predict, check-prior, rate-study, covering.
-Exit codes: 0 success, 1 runtime failure, 2 invalid arguments.  FLAGS
+Exit codes: 0 success, 1 runtime failure or Ctrl-C, 2 invalid arguments.  FLAGS
 declares each option once with its range and default, and COMMANDS the
 options each command reads, so a command rejects a flag it would ignore;
 every rejection is one 'error:' line and exit 2.  --config, given before the
@@ -284,6 +284,8 @@ def cmd_fit(args) -> int:
                    if o not in ("--seed", "--out-dir")},
         "status": "pending",
     }
+    # A fit that fails after this leaves its outputs marked unfinished.
+    _write_json(out_dir / "manifest.json", manifest)
     t0 = time.monotonic()
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     try:
@@ -635,6 +637,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"failure: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("failure: interrupted", file=sys.stderr)
         return 1
 
 

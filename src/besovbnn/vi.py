@@ -162,39 +162,26 @@ class StepBuffers:
     size and a stack of R states (stack=R) or one (stack=None).
 
     Length T, with a leading axis R for a stack: the noise draw zeta, a
-    spare of its shape, sigma_q and theta, plus the network pass's
-    PassBuffers, whose `grad` is the fifth and whose activations, mask and
-    deltas take 8·R·n·Σw + 17·R·n·max(w) bytes, and `params`, the
-    NetworkParams views of theta.  zeta holds the noise of the seeds
-    `noise_of`, or of none.  The spare is the ELBO sums' scratch; when `next_seeds` is set,
-    `elbo_gradient` then draws their noise into it, behind the sums on the
-    `helper` (from `_helper`, or None: inline), and keeps the call that
-    waits for that draw in `next_drawn`.  The elementwise tail after the
-    network pass runs over column blocks of `width` (TAIL_BLOCK elements
-    across the stack), in `sets`, one block-wide `_BlockSet` (four float
-    arrays and a bool mask, 33·R·width bytes) per thread that takes blocks:
-    the calling thread's, and one more for the helper.
-    `train_replicates` builds one set per stack, reuses it on every step
-    and swaps zeta with the spare once a step's tail is done.  Its tail
-    leaves sq holding softplus of the updated rho, which it marks with
-    `sq_of`; the next call takes that mark and skips its own softplus, and
-    any other call computes sq afresh.
+    spare of its shape (the ELBO sums' scratch), sigma_q `sq` and theta,
+    plus the network pass's PassBuffers, whose `grad` is the fifth and whose
+    activations, mask and deltas take 8·R·n·Σw + 17·R·n·max(w) bytes, and
+    `params`, the NetworkParams views of theta.  The elementwise tail after
+    the network pass runs over column blocks of `width` (TAIL_BLOCK
+    elements across the stack), in `sets`, one block-wide `_BlockSet` (four
+    float arrays and a bool mask, 33·R·width bytes) for each of the
+    `threads` threads that take blocks.  The buffers keep no record of what
+    they hold: the caller that fills zeta and sq knows.
     """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,
-                 helper=None):
+                 threads: int = 1):
         T = shape.n_params
         lead = () if stack is None else (stack,)
         self.zeta, self.spare, self.sq, self.theta = (np.empty((*lead, T)) for _ in range(4))
         self.network = PassBuffers(shape, batch, stack)
         self.params = NetworkParams.from_flat(shape, self.theta)
         self.width = min(T, max(1, TAIL_BLOCK // (stack or 1)))
-        self.sets = [_BlockSet(lead, self.width) for _ in range(1 if helper is None else 2)]
-        self.helper = helper
-        self.sq_of = None  # the rho array whose softplus sq holds, set by train's tail
-        self.noise_of = None  # the seeds whose noise zeta holds
-        self.next_seeds = None  # seeds to draw into the spare during the pass, set by train
-        self.next_drawn = None  # waits for that draw
+        self.sets = [_BlockSet(lead, self.width) for _ in range(threads)]
 
     def blocks(self):
         """The column slices of the tail's blocks, in order."""
@@ -246,7 +233,8 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
 
 def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
                   sigma: float, seed, n_weight: float = 1.0,
-                  buffers: StepBuffers | None = None, gradients: bool = True):
+                  buffers: StepBuffers | None = None, gradients: bool = True,
+                  helper=None, next_seeds=None):
     """Pathwise gradient of the single-sample ELBO with respect to (mu, rho)
     for the noise draw of `seed`.
 
@@ -257,38 +245,39 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     (R, T)), `seed` holds one seed per row, x and y are stacked (R, n, d)
     and (R, n), and objective is an (R,) array; each row equals a separate
     call bit for bit.  The step runs in `buffers` (a StepBuffers for shape,
-    n and the stack; without one a fresh set is allocated): zeta is drawn
-    unless it holds the noise of `seed` already, the helper sums the ELBO's
-    other terms and then draws the noise of `buffers.next_seeds`, if set,
-    during the network pass, and g_mu and g_rho are new arrays filled block
-    by block through `_gradient_block`.
-    With gradients=False they are None: the step stops before the tail,
-    which the caller runs on `buffers` block by block.
+    n and the stack; without one a fresh set is allocated), and g_mu and
+    g_rho are new arrays filled block by block through `_gradient_block`.
+
+    A caller that steps on its own buffers passes seed=None once it has
+    filled buffers.zeta with the noise and buffers.sq with softplus(rho).
+    The ELBO's other terms are summed on `helper` (None: inline) during the
+    network pass, and then the noise of `next_seeds`, if given, is drawn
+    into buffers.spare.  gradients=False stops the step before the tail,
+    which the caller runs on `buffers` block by block, and returns
+    (objective, wait), where wait() waits for that draw (None without one).
     """
     stack = None if state.mu.ndim == 1 else state.mu.shape[0]
     n = np.shape(y)[-1]
+    if seed is None and buffers is None:
+        raise ValueError("seed=None needs the buffers that hold the noise")
     b = StepBuffers(shape, n, stack) if buffers is None else buffers
     b.network.check(shape, n, stack)
-    seeds = [seed] if stack is None else list(seed)
-    if stack is not None and len(seeds) != stack:
-        raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
-    sq = b.sq if b.sq_of is state.rho else softplus(state.rho, out=b.sq)
-    b.sq_of = None
-    if b.noise_of != seeds:
-        b.noise_of = None
+    if seed is not None:
+        seeds = [seed] if stack is None else list(seed)
+        if stack is not None and len(seeds) != stack:
+            raise ValueError(f"need {stack} seeds, one per row of the stack, got {len(seeds)}")
+        softplus(state.rho, out=b.sq)
         _draw_noise(b.zeta, seeds)
-        b.noise_of = seeds
-    theta = np.multiply(sq, b.zeta, out=b.theta)
+    theta = np.multiply(b.sq, b.zeta, out=b.theta)
     theta += state.mu
     # Row sums over the last axis equal separate per-row sums bit for bit
     # (pinned in tests/test_priors.py), so a stack's rows match lone fits.
-    terms = _start(b.helper, _elbo_terms, theta, b.zeta, sq, prior, b.spare)
-    if b.next_seeds is not None:
-        b.next_drawn = _start(b.helper, _draw_noise, b.spare, b.next_seeds)
+    terms = _start(helper, _elbo_terms, theta, b.zeta, b.sq, prior, b.spare)
+    drawn = None if next_seeds is None else _start(helper, _draw_noise, b.spare, next_seeds)
     ll, _ = loglik_and_grad(b.params, x, y, sigma, buffers=b.network)
     objective = _elbo(ll, *terms(), n_weight)
     if not gradients:
-        return objective, None, None
+        return objective, drawn
     g_mu, g_rho = np.empty_like(theta), np.empty_like(theta)
     for cols in b.blocks():
         g_mu[..., cols], g_rho[..., cols] = _gradient_block(
@@ -353,11 +342,15 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     stack without being updated while the others go on, and one pass after
     the last update checks the state each fit returns.
 
-    From HELPER_MIN doubles per noise draw a helper thread sums the ELBO's
-    terms and then draws the next step's noise during each network pass,
-    and it shares the tail's blocks (the gradient, the Adam updates and the
-    next step's softplus) with the calling thread; the last step's draws
-    serve the check.  Below it the same tasks run inline in the same order.
+    The loop owns the hand-off from step to step: it fills zeta and sq for
+    step 0, the tail leaves sq at softplus of the updated rho, and each
+    `elbo_gradient` call (seed=None) draws the next step's noise into the
+    spare, which the loop waits for and swaps with zeta once the tail is
+    done.  From HELPER_MIN doubles per noise draw a helper thread, alive for
+    the loop, runs the ELBO's sums and that draw during each network pass
+    and shares the tail's blocks (the gradient, the Adam updates and the
+    next step's softplus) with the calling thread.  The last step's draws
+    serve the check.  Below HELPER_MIN the same tasks run inline in order.
     """
     datasets, configs = list(datasets), list(configs)
     if not configs or len(datasets) != len(configs):
@@ -405,7 +398,7 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     def ascend(own: _BlockSet, blocks: deque, t: int):
         """Take blocks until none is left: on each, the gradient, Adam step
         t of mu and rho, and then sigma_q of the updated rho into
-        buffers.sq, so the next pass needs no softplus of its own."""
+        buffers.sq, which the next call (seed=None) takes as it is."""
         while True:
             try:
                 cols = blocks.popleft()  # deque.popleft is thread-safe
@@ -424,17 +417,18 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     # so numpy need not warn.  Pass `iterations` checks the last update's
     # state on the last step's draws and updates nothing.
     with np.errstate(all="ignore"), _helper(R * T) as helper:
-        buffers = StepBuffers(shape, batch, R, helper=helper)
+        buffers = StepBuffers(shape, batch, R, threads=1 if helper is None else 2)
         picks, seeds = next_inputs()
         load_batch(picks)
+        softplus(state.rho, out=buffers.sq)
+        _draw_noise(buffers.zeta, seeds)
         for it in range(common.iterations + 1):
             # Step it+1's inputs come first, so that its noise is drawn into
             # the spare during this step's network pass.
-            upcoming = next_inputs() if it + 1 < common.iterations else None
-            buffers.next_seeds = None if upcoming is None else upcoming[1]
-            obj, _, _ = elbo_gradient(
-                state, shape, xb, yb, prior, sigma, seeds, n_weight=n_weight,
-                buffers=buffers, gradients=False,
+            next_picks, next_seeds = next_inputs() if it + 1 < common.iterations else (None, None)
+            obj, drawn = elbo_gradient(
+                state, shape, xb, yb, prior, sigma, None, n_weight=n_weight,
+                buffers=buffers, gradients=False, helper=helper, next_seeds=next_seeds,
             )
             # A diverged row stays in the stack, frozen: its gradient is
             # zeroed and its Adam moments are reset, so no later update moves
@@ -455,14 +449,10 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
             helped = _start(helper, ascend, buffers.sets[-1], blocks, it + 1)
             ascend(buffers.sets[0], blocks, it + 1)
             helped()
-            buffers.sq_of = state.rho
-            if upcoming is not None:  # this step's batch and noise are read
-                buffers.next_drawn()
+            if drawn is not None:  # this step's batch and noise are read
+                drawn()
                 buffers.zeta, buffers.spare = buffers.spare, buffers.zeta
-                picks, seeds = upcoming
-                load_batch(picks)
-                buffers.noise_of = seeds
-    buffers.helper = None  # _helper has shut its pool down
+                load_batch(next_picks)
     for r in np.flatnonzero(live):
         results[r] = (VariationalState(mu=state.mu[r], rho=state.rho[r],
                                        step=common.iterations, seed=configs[r].seed),

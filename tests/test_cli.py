@@ -41,6 +41,9 @@ def read_csv(path):
 # numpy's words when an array cannot be allocated
 OOM_MESSAGE = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
                "and data type float64")
+# Exceptions that end a command with exit 1 and this one stderr line.
+FATAL = [pytest.param(MemoryError, f"failure: out of memory: {OOM_MESSAGE}", id="MemoryError"),
+         pytest.param(KeyboardInterrupt, "failure: interrupted", id="KeyboardInterrupt")]
 
 FAST_FIT = [
     "--iterations", "60",
@@ -138,15 +141,31 @@ class TestFit:
                    "--out-dir", str(tmp_path), *FAST_FIT])
         assert rc == 2
 
-    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("error, line", FATAL)
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                 error, line):
         def exhausted(*args, **kwargs):
-            raise MemoryError(OOM_MESSAGE)
+            raise error(OOM_MESSAGE)
 
         monkeypatch.setattr(vi, "train", exhausted)
         rc = main(["fit", "--function", "f2", "--n", "20", "--out-dir", str(tmp_path),
                    *FAST_FIT])
         assert rc == 1
-        assert capsys.readouterr().err == f"failure: out of memory: {OOM_MESSAGE}\n"
+        assert capsys.readouterr().err == f"{line}\n"
+        assert not multiprocessing.active_children()
+
+    def test_failure_after_the_checkpoint_leaves_a_pending_manifest(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        def unwritable(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("besovbnn.cli._write_predictive", unwritable)
+        rc = main(["fit", "--function", "f2", "--n", "20", "--out-dir", str(tmp_path),
+                   *FAST_FIT])
+        assert rc == 1
+        assert capsys.readouterr().err == "failure: disk full\n"
+        assert (tmp_path / "checkpoint.bin").is_file()
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "pending"
 
 
 class TestDrawsValidation:
@@ -877,20 +896,21 @@ class TestRateStudyConcurrency:
         assert err == f"failure: bad fit at n={failing_n}\n"
         assert not (tmp_path / "rate_study.json").exists()
 
+    @pytest.mark.parametrize("error, line", FATAL)
     @pytest.mark.parametrize("failing_n", [20, 80], ids=["worker", "caller"])
     def test_out_of_memory_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys,
-                                                 failing_n):
+                                                 failing_n, error, line):
         train = vi.train_replicates
 
         def exhausted_at(shape, datasets, *args, **kwargs):
             if datasets[0].n == failing_n:
-                raise MemoryError(OOM_MESSAGE)
+                raise error(OOM_MESSAGE)
             return train(shape, datasets, *args, **kwargs)
 
         monkeypatch.setattr(vi, "train_replicates", exhausted_at)
         set_cpus(monkeypatch, 3)
         assert self.run(tmp_path, [20, 40, 80]) == 1
-        assert capsys.readouterr().err == f"failure: out of memory: {OOM_MESSAGE}\n"
+        assert capsys.readouterr().err == f"{line}\n"
         assert not multiprocessing.active_children()
         assert not (tmp_path / "rate_study.json").exists()
 
@@ -918,11 +938,7 @@ class TestRateStudyConcurrency:
 
         monkeypatch.setattr(vi, "train_replicates", fake)
         set_cpus(monkeypatch, 2)
-        if error is KeyboardInterrupt:
-            with pytest.raises(KeyboardInterrupt):
-                self.run(tmp_path, [20, 40, 80])
-        else:
-            assert self.run(tmp_path, [20, 40, 80]) == 1
+        assert self.run(tmp_path, [20, 40, 80]) == 1
         assert not multiprocessing.active_children()
         assert sorted(started_in(starts)) == [40, 80]
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from besovbnn import design as dz
-from besovbnn.network import NetworkShape, forward, NetworkParams
+from besovbnn.network import NetworkShape, forward, NetworkParams, PassBuffers
 from besovbnn.priors import make_density
 from besovbnn.testbed import (
     Dataset,
@@ -154,6 +154,29 @@ class TestElboGradient:
         for wrong in (StepBuffers(shape, 11), StepBuffers(NetworkShape(1, (4,)), 12)):
             with pytest.raises(ValueError, match="buffers built for"):
                 elbo_gradient(state, shape, data.x, data.y, prior, 0.2, seed=5, buffers=wrong)
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_noise_and_softplus_filled_by_the_caller_match_a_seeded_call(self, stack):
+        # seed=None reads zeta and sq as the caller left them in the buffers
+        shape = NetworkShape(d_in=1, hidden_widths=(4, 4))
+        _, data = small_data(n=12, seed=2)
+        prior = make_density("gauss")
+        state, x, y, seeds = make_state(shape, mu_val=0.3, sigma_q=0.08), data.x, data.y, [5]
+        if stack is not None:
+            state = VariationalState(mu=np.stack([state.mu, -state.mu]),
+                                     rho=np.stack([state.rho, state.rho - 1.0]))
+            x, y, seeds = np.stack([x, x]), np.stack([y, y[::-1]]), [5, 6]
+        want = elbo_gradient(state, shape, x, y, prior, 0.2,
+                             seed=seeds[0] if stack is None else seeds)
+        buffers = StepBuffers(shape, 12, stack)
+        for z, seed in zip(buffers.zeta.reshape(len(seeds), -1), seeds):
+            z[:] = np.random.default_rng(seed).standard_normal(state.T)
+        buffers.sq[:] = softplus(state.rho)
+        got = elbo_gradient(state, shape, x, y, prior, 0.2, seed=None, buffers=buffers)
+        for a, b in zip(got, want, strict=True):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        with pytest.raises(ValueError, match="seed=None needs the buffers"):
+            elbo_gradient(state, shape, x, y, prior, 0.2, seed=None)
 
 
 class TestTrain:
@@ -553,6 +576,27 @@ class TestHelperThread:
         assert all(0 < exc.step < 5 for exc in want)  # a draw was still pending
         assert ([(exc.step, repr(exc.value)) for exc in got]
                 == [(exc.step, repr(exc.value)) for exc in want])
+
+    def test_a_fit_leaves_its_buffers_holding_arrays_only(self, monkeypatch):
+        # The hand-off from step to step is train_replicates' loop state: no
+        # helper, seeds, pending draw or softplus mark stays in the buffers.
+        monkeypatch.setattr(vi, "HELPER_MIN", 0)
+        built = []
+
+        class RecordedBuffers(StepBuffers):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(vi, "StepBuffers", RecordedBuffers)
+        self.diverging_minibatch_fit(iterations=5)()
+        (buffers,) = built
+        fields = vars(buffers).copy()
+        assert type(fields.pop("width")) is int
+        sets = fields.pop("sets")
+        assert len(sets) == 2 and all(type(s) is vi._BlockSet for s in sets)
+        assert [name for name, value in fields.items()
+                if not isinstance(value, (np.ndarray, PassBuffers, NetworkParams))] == []
 
     @staticmethod
     def gate_tail(monkeypatch, on_helper=None):
