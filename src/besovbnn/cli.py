@@ -324,6 +324,17 @@ def cmd_predict(args) -> int:
             raise ArgumentError(f"checkpoint file not found: {path}")
     _, f0 = _builtin(args)
     n = _single_n(args)
+    manifest = checkpoint.parent / "manifest.json"  # fit writes one beside its checkpoint
+    if manifest.is_file():
+        try:
+            record = json.loads(manifest.read_text())
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            raise ValueError(f"{manifest} is not a JSON object")
+        if record.get("status") != "ok":
+            raise RuntimeError(f"checkpoint {checkpoint} is from an unfinished fit: "
+                               f"{manifest} has status {record.get('status')!r}")
     state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     summary = _write_predictive(_out_dir(args), state, shape, f0, data, args)

@@ -194,14 +194,6 @@ def _mixture_grad_log_density(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarr
 # Density handles
 
 
-def _into(values, out):
-    """values, copied into out when an out array is given."""
-    if out is None:
-        return values
-    np.copyto(out, values)
-    return out
-
-
 class DensityHandle:
     """Symmetric univariate density usable as a coordinatewise prior.
 
@@ -274,7 +266,11 @@ class UniformSlabDensity(DensityHandle):
 
     def log_pdf(self, t, out=None):
         t = np.asarray(t, dtype=float)
-        return _into(np.where(np.abs(t) <= self.B, -math.log(2.0 * self.B), -np.inf), out)
+        values = np.where(np.abs(t) <= self.B, -math.log(2.0 * self.B), -np.inf)
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
 
     def grad_log_pdf(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (NetworkParams, NetworkShape, PassBuffers, _layer_views, forward,
+from .network import (NetworkParams, NetworkShape, PassBuffers, _layer_views, forward, loglik,
                       loglik_and_grad)
 from .testbed import Dataset, empirical_norm
 
@@ -227,7 +227,7 @@ def frozen_elbo(mu, rho, zeta, shape: NetworkShape, x, y, prior, sigma: float,
     """
     sq = softplus(rho)
     theta = np.asarray(mu, dtype=float) + sq * zeta
-    ll, _ = loglik_and_grad(NetworkParams.from_flat(shape, theta), x, y, sigma)
+    ll = loglik(NetworkParams.from_flat(shape, theta), x, y, sigma)
     return _elbo(ll, *_elbo_terms(theta, zeta, sq, prior), n_weight)
 
 
@@ -342,15 +342,15 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     stack without being updated while the others go on, and one pass after
     the last update checks the state each fit returns.
 
-    The loop owns the hand-off from step to step: it fills zeta and sq for
-    step 0, the tail leaves sq at softplus of the updated rho, and each
-    `elbo_gradient` call (seed=None) draws the next step's noise into the
-    spare, which the loop waits for and swaps with zeta once the tail is
-    done.  From HELPER_MIN doubles per noise draw a helper thread, alive for
-    the loop, runs the ELBO's sums and that draw during each network pass
-    and shares the tail's blocks (the gradient, the Adam updates and the
-    next step's softplus) with the calling thread.  The last step's draws
-    serve the check.  Below HELPER_MIN the same tasks run inline in order.
+    The loop owns the hand-off from step to step: step 0's call fills zeta
+    and sq from its seeds, the tail leaves sq at softplus of the updated
+    rho, and each call draws the next step's noise into the spare, which
+    the loop waits for and swaps with zeta once the tail is done; later
+    calls take seed=None.  From HELPER_MIN doubles per noise draw a helper
+    thread, alive for the loop, runs the ELBO's sums and that draw during
+    each network pass and shares the tail's blocks (the gradient, the Adam
+    updates and the next step's softplus) with the calling thread.  The
+    last step's draws serve the check.  Below HELPER_MIN they run inline in order.
     """
     datasets, configs = list(datasets), list(configs)
     if not configs or len(datasets) != len(configs):
@@ -420,15 +420,14 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
         buffers = StepBuffers(shape, batch, R, threads=1 if helper is None else 2)
         picks, seeds = next_inputs()
         load_batch(picks)
-        softplus(state.rho, out=buffers.sq)
-        _draw_noise(buffers.zeta, seeds)
         for it in range(common.iterations + 1):
             # Step it+1's inputs come first, so that its noise is drawn into
             # the spare during this step's network pass.
             next_picks, next_seeds = next_inputs() if it + 1 < common.iterations else (None, None)
             obj, drawn = elbo_gradient(
-                state, shape, xb, yb, prior, sigma, None, n_weight=n_weight,
-                buffers=buffers, gradients=False, helper=helper, next_seeds=next_seeds,
+                state, shape, xb, yb, prior, sigma, seeds if it == 0 else None,
+                n_weight=n_weight, buffers=buffers, gradients=False, helper=helper,
+                next_seeds=next_seeds,
             )
             # A diverged row stays in the stack, frozen: its gradient is
             # zeroed and its Adam moments are reset, so no later update moves
@@ -528,8 +527,7 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
             fx = fvals[k] if on_design else forward(params, data.x)
             errors[k] = empirical_norm(fx - fx_true)
     mean = fvals.mean(axis=0)
-    lower = np.quantile(fvals, alpha / 2.0, axis=0)
-    upper = np.quantile(fvals, 1.0 - alpha / 2.0, axis=0)
+    lower, upper = np.quantile(fvals, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
     return PredictiveSummary(grid=grid, mean=mean, lower=lower, upper=upper,
                              errors=errors)
 

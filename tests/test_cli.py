@@ -166,6 +166,15 @@ class TestFit:
         assert capsys.readouterr().err == "failure: disk full\n"
         assert (tmp_path / "checkpoint.bin").is_file()
         assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "pending"
+        # predict refuses the unfinished fit's checkpoint before making its out-dir
+        rc = main(["predict", "--function", "f2", "--n", "20", "--checkpoint",
+                   str(tmp_path / "checkpoint"), "--out-dir", str(tmp_path / "pred"),
+                   *fast_fit("predict")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"failure: checkpoint {tmp_path / 'checkpoint'} is from an unfinished fit: "
+            f"{tmp_path / 'manifest.json'} has status 'pending'\n")
+        assert not (tmp_path / "pred").exists()
 
 
 class TestDrawsValidation:
@@ -299,6 +308,28 @@ class TestPredict:
                    "--checkpoint", str(fit_dir / "checkpoint"),
                    "--out-dir", str(tmp_path / "pred"), *fast_fit("predict")])
         assert rc == 1
+
+    @pytest.mark.parametrize("manifest", [None, '{"status": "ok"}', "[]", '"ok"', "{no json"],
+                             ids=["none", "ok", "list", "string", "not-json"])
+    def test_manifest_beside_the_checkpoint(self, tmp_path, capsys, manifest):
+        # A checkpoint written through the library has no manifest and loads
+        # as before; a manifest that is no JSON object is one failure line.
+        shape = NetworkShape(d_in=1, hidden_widths=(2,))
+        T = shape.n_params
+        vi.save_checkpoint(tmp_path / "checkpoint",
+                           vi.VariationalState(mu=np.zeros(T), rho=np.zeros(T)), shape)
+        if manifest is not None:
+            (tmp_path / "manifest.json").write_text(manifest)
+        rc = main(["predict", "--function", "f2", "--n", "50",
+                   "--checkpoint", str(tmp_path / "checkpoint"),
+                   "--out-dir", str(tmp_path / "pred"), *fast_fit("predict")])
+        err = capsys.readouterr().err
+        if manifest in (None, '{"status": "ok"}'):
+            assert (rc, err) == (0, "")
+            assert (tmp_path / "pred" / "predictive.csv").is_file()
+        else:
+            assert (rc, err) == (1, f"failure: {tmp_path / 'manifest.json'} is not a JSON object\n")
+            assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("malform, field", [
         (lambda env: {k: v for k, v in env.items() if k != "flatten_order"}, "flatten_order"),
