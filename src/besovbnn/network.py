@@ -41,10 +41,6 @@ class NetworkShape:
             raise ValueError("all widths must be >= 1")
 
     @property
-    def depth(self) -> int:
-        return len(self.hidden_widths)
-
-    @property
     def layer_widths(self) -> tuple[int, ...]:
         return (self.d_in, *self.hidden_widths, 1)
 

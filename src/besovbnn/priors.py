@@ -90,6 +90,15 @@ def spike_slab_sample(spec: SpikeSlabSpec, seed: int) -> SparseDraw:
 # Gaussian mixture shrinkage density
 
 
+def _inverse_sigma1(spec: MixturePriorSpec) -> float:
+    """1 / sigma1 from log sigma1: math.exp's value where it is finite, and
+    inf where it overflows a double, which every caller's mask handles."""
+    try:
+        return math.exp(-spec.log_sigma1)
+    except OverflowError:
+        return math.inf
+
+
 def _mixture_log_terms(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     """Per-component log densities, shape (2,) + t.shape.
 
@@ -98,7 +107,7 @@ def _mixture_log_terms(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        z1_sq = np.square(t * math.exp(-spec.log_sigma1))
+        z1_sq = np.square(t * _inverse_sigma1(spec))
         z1_sq = np.where(t == 0.0, 0.0, z1_sq)  # 0 * inf guard for tiny sigma1
         spike = math.log(spec.pi1) - spec.log_sigma1 - 0.5 * _LOG_2PI - 0.5 * z1_sq
         spike = np.where(np.isfinite(z1_sq), spike, -np.inf)
@@ -303,7 +312,7 @@ class MixtureDensity(DensityHandle):
 
     def log_tail_mass(self, c: float) -> float:
         with np.errstate(over="ignore"):
-            z1 = c * math.exp(-self.spec.log_sigma1)
+            z1 = c * _inverse_sigma1(self.spec)
         term1 = math.log(self.spec.pi1) + float(log_ndtr(-z1)) if math.isfinite(z1) else -math.inf
         term2 = math.log(self.spec.pi2) + float(log_ndtr(-c / self.spec.sigma2))
         return math.log(2.0) + float(logsumexp([term1, term2]))

@@ -8,7 +8,9 @@ designs with additive Gaussian noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -67,29 +69,21 @@ def eval_log_singular(x: float) -> float:
 
 @dataclass(frozen=True)
 class TrueFunction:
-    """A scalar target function on [0, 1]."""
+    """A scalar target function on [0, 1]; `evaluate` maps a float array to
+    the function's values at each of its entries."""
 
-    kind: str
-    table: tuple | None = None  # (x grid, values) for tabulated functions
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "cantor":
-            return np.vectorize(eval_cantor, otypes=[float])(x)
-        if self.kind == "log_singular":
-            return np.vectorize(eval_log_singular, otypes=[float])(x)
-        if self.kind == "tabulated":
-            xs, vals = self.table
-            return np.interp(x, xs, vals)
-        raise ValueError(f"unknown function kind {self.kind!r}")
+        return self.evaluate(np.asarray(x, dtype=float))
 
 
 def cantor_function() -> TrueFunction:
-    return TrueFunction(kind="cantor")
+    return TrueFunction(np.vectorize(eval_cantor, otypes=[float]))
 
 
 def log_singular_function() -> TrueFunction:
-    return TrueFunction(kind="log_singular")
+    return TrueFunction(np.vectorize(eval_log_singular, otypes=[float]))
 
 
 def tabulated_function(x, values) -> TrueFunction:
@@ -97,7 +91,7 @@ def tabulated_function(x, values) -> TrueFunction:
     values = np.asarray(values, dtype=float)
     if x.shape != values.shape or x.ndim != 1:
         raise ValueError("tabulated function needs matching 1-d x and value arrays")
-    return TrueFunction(kind="tabulated", table=(x, values))
+    return TrueFunction(partial(np.interp, xp=x, fp=values))
 
 
 @dataclass

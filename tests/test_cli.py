@@ -386,6 +386,16 @@ class TestCheckPrior:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("function, n", [("f1", "1000000000"), ("f2", "1000000000000")])
+    def test_spike_scale_past_a_double_keeps_the_exit_contract(self, tmp_path, capsys,
+                                                               function, n):
+        # the designed log sigma1 lies below -709.78, where exp(-log sigma1)
+        # overflows a double
+        rc = main(["check-prior", "--function", function, "--n", n,
+                   "--out-dir", str(tmp_path)])
+        assert rc in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestCovering:
     def test_explicit_geometry(self, capsys):

@@ -1,9 +1,10 @@
 """Golden outputs of the closed-form commands.
 
 `design`, `check-prior` and `covering` draw no random numbers and call no
-BLAS, so their result files, stdout and exit codes are pinned byte for byte
-against the files under tests/golden/<case>/.  After a deliberate output
-change, rewrite those files with
+BLAS, so their result files, stdout, stderr and exit codes are pinned byte
+for byte against the files under tests/golden/<case>/.  These cases are the
+only check of their bytes: tools/identity.py leaves them out.  After a
+deliberate output change, rewrite those files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -31,7 +32,7 @@ CASES = {
     # whose finite p and q differ from the built-ins'.
     **{f"{c}-explicit": [c, "--s", "0.9", "--p", "2", "--q", "3", "--d", "1", "--m", "2",
                          "--n", "100,1000"] for c in ("design", "check-prior")},
-    # --a 1e-9 is inadmissible at this design: exit 2 with nothing printed.
+    # --a 1e-9 is inadmissible at this design: exit 2 with one stderr line.
     "covering-derived": ["covering", "--function", "f1", "--n", "100", "--a", "1e-9"],
     "covering-derived-admissible": ["covering", "--function", "f1", "--n", "100",
                                     "--a", "1e-70"],
@@ -41,15 +42,15 @@ CASES = {
 
 
 def outputs(argv, out_dir: Path) -> dict[str, bytes]:
-    """The exit code, stdout and result files of one in-process run."""
+    """The exit code, stdout, stderr and result files of one in-process run."""
     if argv[0] != "covering":  # covering writes no files
         argv = [*argv, "--out-dir", str(out_dir)]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = main(argv)
     files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
     return {"exit_code.txt": f"{rc}\n".encode(), "stdout.txt": stdout.getvalue().encode(),
-            **files}
+            "stderr.txt": stderr.getvalue().encode(), **files}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,6 +1,7 @@
 """`tools/identity.py`, the byte-identity check against another revision,
-without its training runs: its case matrix and its compare-and-write step
-on fake digests.  Real digests depend on the BLAS build, so no test pins
+without its training runs: its case matrix, which leaves the closed-form
+commands to tests/test_golden.py, and its compare-and-write step on fake
+digests.  Real digests depend on the BLAS build, so no test pins
 them.  The tool is imported, not written: no bytecode is cached next to
 it.
 """
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import test_golden
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -41,6 +44,20 @@ def test_matrix_lists_each_case_once_with_its_own_out_dir(identity):
         if "--checkpoint" in argv and "missing" not in argv[argv.index("--checkpoint") + 1]:
             fit = argv[argv.index("--checkpoint") + 1].rsplit("/", 1)[0]
             assert fit in out_dirs[:out_dirs.index(case["out_dir"])]
+
+
+def test_matrix_leaves_the_golden_commands_to_test_golden(identity):
+    # tests/test_golden.py is the one owner of the closed-form commands
+    golden = list(test_golden.CASES.values())
+    for case in identity.matrix():
+        argv = case["argv"]
+        if argv[:2] != ["-m", "besovbnn.cli"]:
+            continue
+        argv = argv[2:]
+        if "--out-dir" in argv:
+            i = argv.index("--out-dir")
+            argv = argv[:i] + argv[i + 2:]
+        assert argv not in golden, case["name"]
 
 
 def fake_run(identity):

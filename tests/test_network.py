@@ -30,7 +30,6 @@ class TestShapes:
         # (1*4 + 4) + (4*4 + 4) + (4*1 + 1) = 33
         assert shape.n_params == 33
         assert shape.layer_widths == (1, 4, 4, 1)
-        assert shape.depth == 2
 
     def test_dict_roundtrip(self):
         shape = NetworkShape(d_in=2, hidden_widths=(5, 3))

@@ -146,6 +146,15 @@ class TestMixtureDensity:
         assert np.all(np.isfinite(grad))
         assert grad[2] == 0.0
 
+    def test_spike_scale_past_a_double_is_a_point_mass(self):
+        # 1 / sigma1 = exp(800) overflows: the spike counts at t = 0 only
+        spec = friendly_mixture(log_sigma1=-800.0)
+        g = MixtureDensity(spec)
+        assert math.isfinite(mixture_log_density(0.0, spec))
+        assert g.log_tail_mass(1e-300) == pytest.approx(math.log(spec.pi2))
+        np.testing.assert_array_equal(g.grad_log_pdf([0.0, 1.0]),
+                                      [0.0, -1.0 / spec.sigma2**2])
+
     def test_analytic_tail_mass(self):
         spec = friendly_mixture()
         g = make_density("mixture", mixture_spec=spec)

@@ -6,11 +6,13 @@ Extracts REV's `src/` with `git archive` into a temporary directory and
 runs one fixed matrix of cases against it and against this tree's `src/`,
 each case in a fresh interpreter, at 1 and at 2 BLAS threads
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS) with
-PYTHONHASHSEED=0.  The matrix holds the golden closed-form commands, desk,
-minibatch and full-scale fits, predict from the desk and full-scale
-checkpoints, criterion 7's rate-study and a full-scale one, diverging runs,
-exit-2 cases, `--help`, and criterion 8's VI-versus-Metropolis pipeline
-through the library.
+PYTHONHASHSEED=0.  The matrix holds desk, minibatch and full-scale fits,
+predict from the desk and full-scale checkpoints, criterion 7's rate-study
+and a full-scale one, diverging runs, exit-2 cases, `--help`, and criterion
+8's VI-versus-Metropolis pipeline through the library.  The closed-form
+commands (`design`, `check-prior`, `covering`) are not in it: they draw no
+random numbers and call no BLAS, and tests/test_golden.py pins their exit
+codes, stdout, stderr and result files byte for byte.
 
 For each case and thread count both trees' exit codes and the SHA-256 of
 stdout, stderr and every file under the case's out-dir but `timings.txt`
@@ -94,18 +96,6 @@ def matrix() -> list[dict]:
     is where its result files go.  A predict case reads the checkpoint of a
     fit listed before it."""
     cli = {
-        # the golden commands (tests/test_golden.py)
-        **{f"design-{f}-{c}": ["design", "--function", f, "--counting", c]
-           for f in ("f1", "f2") for c in ("canonical", "compat")},
-        **{f"check-prior-{d}": ["check-prior", "--function", "f1", "--density", d]
-           for d in ("mixture", "gauss", "laplace", "uniform-slab")},
-        **{f"{c}-explicit": [c, "--s", "0.9", "--p", "2", "--q", "3", "--d", "1", "--m", "2",
-                             "--n", "100,1000"] for c in ("design", "check-prior")},
-        "covering-derived": ["covering", "--function", "f1", "--n", "100", "--a", "1e-9"],
-        "covering-derived-admissible": ["covering", "--function", "f1", "--n", "100",
-                                        "--a", "1e-70"],
-        "covering-explicit": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
-                              "--delta", "0.5", "--a", "1e-9"],
         # fits, then predict from their checkpoints
         "fit-desk-f2": ["fit", "--function", "f2", "--n", "100", "--seed", "3", *FAST],
         "fit-desk-f1": ["fit", "--function", "f1", "--n", "100", "--seed", "4", *FAST],
@@ -150,8 +140,7 @@ def matrix() -> list[dict]:
     cases = []
     for name, argv in cli.items():
         out_dir = f"out/{name}"
-        # covering writes no files and takes no --out-dir; --help exits first
-        if argv[0] != "covering" and "--help" not in argv:
+        if "--help" not in argv:  # --help writes no files
             argv = [*argv, "--out-dir", out_dir]
         cases.append({"name": name, "argv": ["-m", "besovbnn.cli", *argv], "out_dir": out_dir})
     cases.append({"name": "criterion-8-pipeline", "argv": ["-c", PIPELINE, "out/criterion-8"],
