@@ -12,8 +12,11 @@ rejection reads like the flag's with "config key '<key>':" in its place.
 Faults in argv are named first, then unknown keys, then the first rejected
 value in file order; --help does not read the file.  Every command is
 deterministic; fit, predict and rate-study draw their randomness from
---seed, and fit records the derived seeds in its manifest.  `priors` is
-imported inside the functions that need it, so scipy loads only in the
+--seed, and fit records the derived seeds in its manifest.  Parsing the
+command line loads only the standard library and `design`: numpy, `testbed`,
+`vi`, `network` and `priors` are imported inside the functions that compute.
+So --help, every rejected flag or --config value and `covering` with
+explicit --L/--W/--S/--B/--delta load no numpy, and scipy loads only in the
 commands that build a prior (fit, rate-study, design and check-prior).
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
@@ -31,19 +34,16 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import design as dz
-from . import testbed, vi
-from .network import NetworkShape
 
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
 
-# Each built-in target's smoothness class and true function.
+# Each built-in target's smoothness class and the name of its true
+# function's factory in `testbed`.
 BUILTIN_FUNCTIONS = {
-    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3)), testbed.cantor_function),
-    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0), testbed.log_singular_function),
+    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3)), "cantor_function"),
+    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0), "log_singular_function"),
 }
 
 
@@ -165,8 +165,10 @@ def _builtin(args) -> tuple[dz.SmoothnessSpec, object]:
     which fit, predict and rate-study require."""
     if not args.function:
         raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
-    spec, function = BUILTIN_FUNCTIONS[args.function]
-    return spec, function()
+    from . import testbed
+
+    spec, factory = BUILTIN_FUNCTIONS[args.function]
+    return spec, getattr(testbed, factory)()
 
 
 def _out_dir(args) -> Path:
@@ -225,6 +227,7 @@ def _designed_model(spec, n, args):
     """The designed mixture prior for sample size n and the network shape:
     the designed geometry with --full-scale, else its desk-scale reduction."""
     from . import priors
+    from .network import NetworkShape
 
     arch, mix = _design(spec, n, args)
     prior = priors.make_density("mixture", mixture_spec=mix)
@@ -238,7 +241,9 @@ def _designed_model(spec, n, args):
     return prior, NetworkShape(d_in=spec.d, hidden_widths=widths)
 
 
-def _train_config(args, seed: int) -> vi.TrainConfig:
+def _train_config(args, seed: int):
+    from . import vi
+
     # A --batch-size of n or more trains on the full batch, as 0 does.
     return vi.TrainConfig(
         iterations=args.iterations,
@@ -255,6 +260,10 @@ def _predictive_seed(args) -> int:
 
 def _write_predictive(out_dir: Path, state, shape, f0, data, args):
     """Summarize q on the grid and write predictive.csv; returns the summary."""
+    import numpy as np
+
+    from . import vi
+
     grid = np.linspace(0.0, 1.0, args.grid_points)
     summary = vi.posterior_predictive(
         state, shape, grid, args.draws, f0, data, alpha=args.alpha,
@@ -269,6 +278,8 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
 def cmd_fit(args) -> int:
     spec, f0 = _builtin(args)
     n = _single_n(args)
+    from . import testbed, vi  # once the arguments are accepted
+
     prior, shape = _designed_model(spec, n, args)
     out_dir = _out_dir(args)
     manifest = {
@@ -335,6 +346,8 @@ def cmd_predict(args) -> int:
         if record.get("status") != "ok":
             raise RuntimeError(f"checkpoint {checkpoint} is from an unfinished fit: "
                                f"{manifest} has status {record.get('status')!r}")
+    from . import testbed, vi  # once the arguments and the manifest are accepted
+
     state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     summary = _write_predictive(_out_dir(args), state, shape, f0, data, args)
@@ -363,6 +376,8 @@ def cmd_check_prior(args) -> int:
 
 def fit_rate_slope(ns, errors) -> float:
     """Least-squares slope of log error against log n."""
+    import numpy as np
+
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if np.any(errors <= 0):
@@ -437,6 +452,10 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
     The replicates share everything but their seed, so they train together
     as one stack, each as its own fit would.  Each call uses only its own
     seeds, data and buffers, so calls at several n may run concurrently."""
+    import numpy as np
+
+    from . import testbed, vi
+
     seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
     datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
     fits = vi.train_replicates(shape, datasets, prior,
@@ -458,6 +477,10 @@ def cmd_rate_study(args) -> int:
     spec, f0 = _builtin(args)
     if len(args.n) < 3:
         raise ArgumentError("rate-study needs at least 3 sample sizes")
+    import numpy as np
+
+    from . import vi  # unused here: loaded before _largest_first forks, not in each worker
+
     # Models first, on this thread, so --full-scale warnings come in n order.
     models = [_designed_model(spec, n, args) for n in args.n]
     out_dir = _out_dir(args)

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from .network import NetworkShape
 
 __all__ = [
     "SmoothnessSpec",
@@ -154,6 +151,8 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
     N = ceil(n^(d/(2s+d))), W = N * W0, S = (L-1) W0^2 N + N, B = cB * N^xi,
     with the depth rule L = 3 + 2 ceil(log2(3^(d v m) / (tau c)) + 5) ceil(log2(d v m)).
     """
+    from .network import NetworkShape  # numpy loads only when an architecture is designed
+
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0 < cB < math.inf:
@@ -255,7 +254,8 @@ def mixture_hyperparams(
     a_lin = math.exp(log_a)  # may be 0.0 for extreme geometries; Q(0) = 1/2
     q_a = math.exp(float(log_ndtr(-(a_lin / sigma2))))
     w = (pi2 / pi1) * (0.5 * eta - q_a)
-    w = min(max(w, np.finfo(float).eps), 1.0 - np.finfo(float).eps)
+    eps = sys.float_info.epsilon
+    w = min(max(w, eps), 1.0 - eps)
     log_sigma1 = log_a - math.log(float(-ndtri(w)))
     return MixturePriorSpec(
         log_a=log_a, eta=eta, log_sigma1=log_sigma1, sigma2=sigma2,
@@ -297,6 +297,8 @@ class ConditionReport:
 
 
 def _spot_check_symmetry(g, scale: float) -> None:
+    import numpy as np
+
     ts = np.linspace(0.1, 3.0, 7) * scale
     lp = g.log_pdf(ts)
     lm = g.log_pdf(-ts)

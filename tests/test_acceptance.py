@@ -256,7 +256,7 @@ def test_criterion_7_contraction(tmp_path):
                         posterior_mean_error(state, DESK_SHAPE, data, f0, 50, 900 + r)
                     )
                 medians[n] = float(np.median(errs))
-            assert medians[1000] < medians[100], (f0.kind, medians)
+            assert medians[1000] < medians[100], (spec, medians)
 
         # part 2: fitted log-log slope for the second target is below -0.1
         rc = main(["rate-study", "--function", "f2", "--n", "100,300,1000",

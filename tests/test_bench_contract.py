@@ -4,31 +4,59 @@
 their callers look them up by, and raises `PatchError` when a lookup site
 is gone.  A change that deletes or renames such a site would otherwise show
 up only when the traced benchmark runs, so this test installs the benchmark's
-own patch map and undoes it.  The benchmark's files are imported, not
-written: no bytecode is cached next to them.
+own patch map and undoes it.  Likewise `perfbench/run.py` times each
+module's import from one probe program, so a test runs that program.  The
+benchmark's files are imported, not written: no bytecode is cached next to
+them.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _import_bench(monkeypatch, names):
+    """Import the first of `names` from perfbench/, which imports the rest;
+    yield it and forget all of them afterwards."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert not any(name in sys.modules for name in names)
+    try:
+        yield importlib.import_module(names[0])
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
 
 
 @pytest.fixture
 def bench(monkeypatch):
     """The benchmark's `child` and `tracer` modules, imported from perfbench/."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    names = ("child", "tracer")
-    assert not any(name in sys.modules for name in names)
-    try:
-        yield importlib.import_module("child")
-    finally:
-        for name in names:
-            sys.modules.pop(name, None)
+    yield from _import_bench(monkeypatch, ("child", "tracer"))
+
+
+@pytest.fixture
+def run(monkeypatch):
+    """The benchmark's entry point, `perfbench/run.py`."""
+    yield from _import_bench(monkeypatch, ("run",))
+
+
+def test_the_import_probe_loads_every_module(run):
+    # The traced benchmark reads each module's import time from one fresh
+    # interpreter running IMPORT_PROGRAM, and fails with 'no import time for
+    # <module>' when the program leaves one of MODULES unloaded.
+    code = run.IMPORT_PROGRAM + "\nimport sys; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert [m for m in run.MODULES if f"besovbnn.{m}" not in loaded] == []
 
 
 def test_patch_map_installs_and_restores(bench):

@@ -1196,27 +1196,33 @@ def run_cli(argv) -> str:
 
 
 @pytest.mark.parametrize("code, tail", [
-    ("import besovbnn.cli as c; c.build_parser()", ["False False"]),
-    (run_cli(["--help"]), ["0", "False False"]),
-    (run_cli(["fit", "--function", "f3"]), ["2", "False False"]),
+    ("import besovbnn.cli as c; c.build_parser()", ["False False False"]),
+    (run_cli(["--help"]), ["0", "False False False"]),
+    (run_cli(["fit", "--function", "f3"]), ["2", "False False False"]),
+    (run_cli(["--config", "bad.json", "fit", "--function", "f2"]), ["2", "False False False"]),
     (run_cli(["covering", "--L", "3", "--W", "10", "--S", "20", "--B", "1",
-              "--delta", "0.01"]), ["0", "False False"]),
+              "--delta", "0.01"]), ["0", "False False False"]),
     (run_cli(["predict", "--function", "f2", "--n", "20", "--draws", "2",
               "--grid-points", "3", "--checkpoint", "checkpoint", "--out-dir", "out"]),
-     ["0", "False False"]),
-    ("import besovbnn.priors", ["True True"]),
-], ids=["build-parser", "help", "exit-2", "covering", "predict", "priors"])
+     ["0", "True False False"]),
+    ("import besovbnn.priors", ["True True True"]),
+], ids=["build-parser", "help", "exit-2", "bad-config", "covering", "predict", "priors"])
 def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
-    """scipy.special, the CLI's one heavy import, loads with the priors,
+    """scipy.special, the CLI's heaviest import, loads with the priors,
     which only fit, rate-study, design and check-prior build; the other
-    commands load no scipy module at all, scipy.integrate included.  The
-    last lines a fresh interpreter prints are the exit code, if any, and
-    whether it loaded any scipy module and scipy.special."""
+    commands load no scipy module at all, scipy.integrate included.  numpy,
+    the next heaviest, loads only in the commands that compute with arrays:
+    parsing the command line, --help, a rejected flag, a rejected --config
+    value and `covering` with explicit --L/--W/--S/--B/--delta load none.
+    The last lines a fresh interpreter prints are the exit code, if any, and
+    whether it loaded numpy, any scipy module and scipy.special."""
     shape = NetworkShape(d_in=1, hidden_widths=(2,))
     vi.save_checkpoint(tmp_path / "checkpoint",
                        vi.VariationalState(mu=np.zeros(shape.n_params),
                                            rho=np.zeros(shape.n_params)), shape)
-    code += "\nimport sys; print('scipy' in sys.modules, 'scipy.special' in sys.modules)"
+    (tmp_path / "bad.json").write_text('{"alpha": 1.5}')
+    code += ("\nimport sys; print(*(m in sys.modules for m in "
+             "('numpy', 'scipy', 'scipy.special')))")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-len(tail):] == tail, proc.stderr
