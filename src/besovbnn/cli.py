@@ -9,15 +9,19 @@ every rejection is one 'error:' line and exit 2.  --config, given before the
 command, names a JSON file of flag defaults that explicit flags override.
 Each of its values goes through its option's own argparse action, so a
 rejection reads like the flag's with "config key '<key>':" in its place.
-Faults in argv are named first, then unknown keys, then the first rejected
-value in file order; --help does not read the file.  Every command is
-deterministic; fit, predict and rate-study draw their randomness from
---seed, and fit records the derived seeds in its manifest.  Parsing the
-command line loads only the standard library and `design`: numpy, `testbed`,
-`vi`, `network` and `priors` are imported inside the functions that compute.
-So --help, every rejected flag or --config value and `covering` with
-explicit --L/--W/--S/--B/--delta load no numpy, and scipy loads only in the
-commands that build a prior (fit, rate-study, design and check-prior).
+Faults in argv are named first, then unknown keys, then an option the file
+names twice (as 'grid-points' and 'grid_points', or one key repeated), then
+the first rejected value in file order; --help does not read the file.
+Every command is deterministic; fit, predict and rate-study draw their
+randomness from --seed, and fit records the derived seeds in its manifest.
+Parsing the command line loads only the standard library and `design`:
+numpy, `testbed`, `vi`, `network` and `priors` are imported inside the
+functions that compute, after their argument checks, and fit, predict and
+rate-study build their true function there too.  So --help, every rejected
+flag or --config value, every usage error of fit, predict and rate-study
+and `covering` with explicit --L/--W/--S/--B/--delta load no numpy, and
+scipy loads only in the commands that build a prior (fit, rate-study,
+design and check-prior).
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -160,15 +164,13 @@ def _spec(args) -> dz.SmoothnessSpec:
         raise ArgumentError(str(exc)) from exc
 
 
-def _builtin(args) -> tuple[dz.SmoothnessSpec, object]:
-    """The smoothness class and true function of the built-in --function,
-    which fit, predict and rate-study require."""
+def _builtin(args) -> tuple[dz.SmoothnessSpec, str]:
+    """The smoothness class of the built-in --function, which fit, predict
+    and rate-study require, and the name of its true function's factory in
+    `testbed`."""
     if not args.function:
         raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
-    from . import testbed
-
-    spec, factory = BUILTIN_FUNCTIONS[args.function]
-    return spec, getattr(testbed, factory)()
+    return BUILTIN_FUNCTIONS[args.function]
 
 
 def _out_dir(args) -> Path:
@@ -270,16 +272,17 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
         seed=_predictive_seed(args),
     )
     _write_csv(out_dir / "predictive.csv", ["x", "mean", "lo", "hi"],
-               zip(summary.grid.tolist(), summary.mean.tolist(),
+               zip(grid.tolist(), summary.mean.tolist(),
                    summary.lower.tolist(), summary.upper.tolist()))
     return summary
 
 
 def cmd_fit(args) -> int:
-    spec, f0 = _builtin(args)
+    spec, factory = _builtin(args)
     n = _single_n(args)
     from . import testbed, vi  # once the arguments are accepted
 
+    f0 = getattr(testbed, factory)()
     prior, shape = _designed_model(spec, n, args)
     out_dir = _out_dir(args)
     manifest = {
@@ -333,7 +336,7 @@ def cmd_predict(args) -> int:
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")
-    _, f0 = _builtin(args)
+    _, factory = _builtin(args)
     n = _single_n(args)
     manifest = checkpoint.parent / "manifest.json"  # fit writes one beside its checkpoint
     if manifest.is_file():
@@ -348,6 +351,7 @@ def cmd_predict(args) -> int:
                                f"{manifest} has status {record.get('status')!r}")
     from . import testbed, vi  # once the arguments and the manifest are accepted
 
+    f0 = getattr(testbed, factory)()
     state, shape = vi.load_checkpoint(checkpoint)
     data = testbed.generate_dataset(f0, n, args.noise_sd, args.seed)
     summary = _write_predictive(_out_dir(args), state, shape, f0, data, args)
@@ -446,8 +450,9 @@ def _run_in_worker(index):
     return None if stop.is_set() else tasks[index]()
 
 
-def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
-    """The posterior-mean errors of rate-study's converged replicates at n.
+def _rate_study_errors(factory: str, n, prior, shape, args) -> list[float]:
+    """The posterior-mean errors of rate-study's converged replicates at n,
+    for the true function of the `testbed` factory named `factory`.
 
     The replicates share everything but their seed, so they train together
     as one stack, each as its own fit would.  Each call uses only its own
@@ -457,6 +462,7 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
     from . import testbed, vi
 
     seeds = [args.seed + 1000 * r + n for r in range(args.replicates)]
+    f0 = getattr(testbed, factory)()
     datasets = [testbed.generate_dataset(f0, n, args.noise_sd, s) for s in seeds]
     fits = vi.train_replicates(shape, datasets, prior,
                                [_train_config(args, s) for s in seeds],
@@ -474,17 +480,15 @@ def _rate_study_errors(f0, n, prior, shape, args) -> list[float]:
 
 
 def cmd_rate_study(args) -> int:
-    spec, f0 = _builtin(args)
+    spec, factory = _builtin(args)
     if len(args.n) < 3:
         raise ArgumentError("rate-study needs at least 3 sample sizes")
     import numpy as np
 
-    from . import vi  # unused here: loaded before _largest_first forks, not in each worker
-
     # Models first, on this thread, so --full-scale warnings come in n order.
     models = [_designed_model(spec, n, args) for n in args.n]
     out_dir = _out_dir(args)
-    errors = _largest_first([functools.partial(_rate_study_errors, f0, n, prior, shape, args)
+    errors = _largest_first([functools.partial(_rate_study_errors, factory, n, prior, shape, args)
                              for n, (prior, shape) in zip(args.n, models)])
     per_n = []
     for n, rep_errors in zip(args.n, errors):
@@ -635,9 +639,12 @@ def _config_value(flags: argparse.ArgumentParser, option: str, key: str, value):
 
 def _read_config(path: Path) -> dict:
     """The config file's values by option dest, each converted once by its
-    option's argparse action.  Keys may use - or _."""
+    option's argparse action.  Keys may use - or _, but name each option
+    once."""
+    objects = []  # each JSON object's (key, value) pairs; the file's own comes last
     try:
-        config = json.loads(path.read_text())
+        config = json.loads(path.read_text(),
+                            object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"bad config file: {exc}") from exc
     if not isinstance(config, dict):
@@ -647,6 +654,12 @@ def _read_config(path: Path) -> dict:
     unknown = sorted(k for k, dest in dests.items() if dest not in options)
     if unknown:
         raise ArgumentError(f"config keys no command takes: {', '.join(unknown)}")
+    keys = [k for k, _ in objects[-1]]
+    for dest in dict.fromkeys(dests[k] for k in keys):  # in file order
+        named = [k for k in keys if dests[k] == dest]
+        if len(named) > 1:
+            raise ArgumentError(f"config file gives {options[dest]} more than once: "
+                                + ", ".join(named))
     flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     for option, kwargs in FLAGS.items():
         flags.add_argument(option, **kwargs)

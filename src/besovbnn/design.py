@@ -231,10 +231,14 @@ def mixture_hyperparams(
     which reproduces the reported slab scales to four digits.
 
     The spike scale comes from a / Qinv(w) with
-    w = (pi2/pi1) (eta/2 - Q(a/sigma2)) evaluated in double precision.  For
-    table-sized networks Q(a/sigma2) rounds to 1/2 and the expression goes
-    nonpositive, so w saturates at machine epsilon; the resulting a/sigma_1
-    of about 8.1 matches the reported spike scales.  This is documented as an
+    w = (pi2/pi1) (eta/2 - Q(a/sigma2)), floored at machine epsilon.  At the
+    designed geometries w is negative in exact arithmetic, not through
+    rounding: a is e^-119 (f2, n=100) or smaller, so Q(a/sigma2) is 1/2 less
+    a negligible amount, while eta < 1; at 60 digits eta/2 - Q(a/sigma2) is
+    -0.0064 at f2 n=100 and -0.098 at f2 n=1e6.  The equation has a root only
+    where a/sigma2 exceeds Qinv(eta/2), about 0.016 at f2 n=100.  So the
+    floor is a convention, not a root: it sets a/sigma_1 = Qinv(eps), about
+    8.1, which matches the reported spike scales.  This is documented as an
     order-of-magnitude quantity only.
     """
     from scipy.special import log_ndtr, ndtri  # scipy loads only when a prior is designed

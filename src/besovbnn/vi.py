@@ -303,17 +303,16 @@ def _gradient_block(b: StepBuffers, own: _BlockSet, rho, cols: slice, prior, n_w
     return g_mu, g_rho
 
 
-def _init_state(shape: NetworkShape, config: TrainConfig, mu, rho) -> VariationalState:
-    """Weights N(0, 1/fan_in) drawn from the config's seed, zero biases and
-    every scale INIT_SIGMA_Q, written into mu and rho (vectors of length T),
-    so a stack's rows need no temporaries."""
-    rng = np.random.default_rng(config.seed)
+def _init_state(shape: NetworkShape, seed: int, mu, rho) -> None:
+    """Write weights N(0, 1/fan_in) drawn from seed, zero biases and every
+    scale INIT_SIGMA_Q into mu and rho (vectors of length T), so a stack's
+    rows need no temporaries."""
+    rng = np.random.default_rng(seed)
     for w, b in zip(*_layer_views(shape, mu)):
         rng.standard_normal(out=w)
         w /= math.sqrt(w.shape[0])  # fan-in
         b.fill(0.0)
     rho.fill(float(_inv_softplus(INIT_SIGMA_Q)))
-    return VariationalState(mu=mu, rho=rho, step=0, seed=config.seed)
 
 
 def train(shape: NetworkShape, data: Dataset, prior, config: TrainConfig,
@@ -367,7 +366,7 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
 
     state = VariationalState(mu=np.empty((R, T)), rho=np.empty((R, T)))
     for r, config in enumerate(configs):
-        _init_state(shape, config, state.mu[r], state.rho[r])
+        _init_state(shape, config.seed, state.mu[r], state.rho[r])
     rngs = [np.random.default_rng(config.seed + 1) for config in configs]
     if batch < n:
         xb, yb = np.empty((R, batch, d)), np.empty((R, batch))
@@ -479,10 +478,10 @@ def _adam_ascent(param, g, m, v, t: int, lr: float, scratch) -> None:
 
 @dataclass
 class PredictiveSummary:
-    """Posterior-predictive mean, pointwise quantile band, and per-draw
-    empirical errors against the truth on the training design."""
+    """Posterior-predictive mean and pointwise quantile band on the
+    caller's grid, and per-draw empirical errors against the truth on the
+    training design."""
 
-    grid: np.ndarray
     mean: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -528,8 +527,7 @@ def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
             errors[k] = empirical_norm(fx - fx_true)
     mean = fvals.mean(axis=0)
     lower, upper = np.quantile(fvals, [alpha / 2.0, 1.0 - alpha / 2.0], axis=0)
-    return PredictiveSummary(grid=grid, mean=mean, lower=lower, upper=upper,
-                             errors=errors)
+    return PredictiveSummary(mean=mean, lower=lower, upper=upper, errors=errors)
 
 
 def save_checkpoint(path, state: VariationalState, shape: NetworkShape) -> None:

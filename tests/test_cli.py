@@ -1146,15 +1146,28 @@ class TestConfigFile:
         assert rc == 2 and err == "error: config key 'alpha': must lie in (0, 1), got 1.5\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("config, line", [
-        ({"iteratons": 3, "alpha": 1.5}, "config keys no command takes: iteratons"),
-        ({"alpha": 1.5, "cB": -1}, "config key 'alpha': must lie in (0, 1), got 1.5"),
-    ], ids=["unknown-key-first", "first-value-in-file-order"])
-    def test_which_fault_is_named(self, tmp_path, monkeypatch, capsys, config, line):
-        # A key no command takes is named before any value is checked, and
-        # otherwise the first rejected value in the file's order.
+    @pytest.mark.parametrize("text, line", [
+        ('{"iteratons": 3, "alpha": 1.5}', "config keys no command takes: iteratons"),
+        ('{"alpha": 1.5, "cB": -1}', "config key 'alpha': must lie in (0, 1), got 1.5"),
+        ('{"grid-points": 3, "grid_points": 5}',
+         "config file gives --grid-points more than once: grid-points, grid_points"),
+        ('{"grid_points": 3, "grid_points": 5}',
+         "config file gives --grid-points more than once: grid_points, grid_points"),
+        ('{"iteratons": 3, "alpha": 0.1, "alpha": 0.2}',
+         "config keys no command takes: iteratons"),
+        ('{"alpha": 1.5, "seed": 1, "seed": 2}',
+         "config file gives --seed more than once: seed, seed"),
+    ], ids=["unknown-key-first", "first-value-in-file-order", "two-spellings", "repeated-key",
+            "unknown-key-before-repeated", "repeated-before-rejected-value"])
+    def test_which_fault_is_named(self, tmp_path, monkeypatch, capsys, text, line):
+        # A key no command takes is named before anything else, then an
+        # option the file names twice (whose last value would otherwise win
+        # silently), and otherwise the first rejected value in file order.
         monkeypatch.setattr("besovbnn.vi.train", lambda *a, **k: pytest.fail("trained"))
-        rc, _ = self.fit_config(tmp_path, config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "fit", "--function", "f2",
+                   "--out-dir", str(tmp_path / "out")])
         assert rc == 2 and capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
 
@@ -1205,17 +1218,25 @@ def run_cli(argv) -> str:
     (run_cli(["predict", "--function", "f2", "--n", "20", "--draws", "2",
               "--grid-points", "3", "--checkpoint", "checkpoint", "--out-dir", "out"]),
      ["0", "True False False"]),
+    (run_cli(["fit", "--function", "f2", "--n", "100,1000"]), ["2", "False False False"]),
+    (run_cli(["rate-study", "--function", "f2", "--n", "100,300"]),
+     ["2", "False False False"]),
+    (run_cli(["predict", "--function", "f2", "--n", "20,40", "--checkpoint", "checkpoint",
+              "--out-dir", "out"]), ["2", "False False False"]),
     ("import besovbnn.priors", ["True True True"]),
-], ids=["build-parser", "help", "exit-2", "bad-config", "covering", "predict", "priors"])
+], ids=["build-parser", "help", "exit-2", "bad-config", "covering", "predict",
+        "fit-two-sizes", "rate-study-two-sizes", "predict-two-sizes", "priors"])
 def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
     """scipy.special, the CLI's heaviest import, loads with the priors,
     which only fit, rate-study, design and check-prior build; the other
     commands load no scipy module at all, scipy.integrate included.  numpy,
     the next heaviest, loads only in the commands that compute with arrays:
     parsing the command line, --help, a rejected flag, a rejected --config
-    value and `covering` with explicit --L/--W/--S/--B/--delta load none.
-    The last lines a fresh interpreter prints are the exit code, if any, and
-    whether it loaded numpy, any scipy module and scipy.special."""
+    value, a usage error of fit, predict or rate-study and `covering` with
+    explicit --L/--W/--S/--B/--delta load none.  The last lines a fresh
+    interpreter prints are the exit code, if any, and whether it loaded
+    numpy, any scipy module and scipy.special; an exit 2 prints one
+    'error:' line."""
     shape = NetworkShape(d_in=1, hidden_widths=(2,))
     vi.save_checkpoint(tmp_path / "checkpoint",
                        vi.VariationalState(mu=np.zeros(shape.n_params),
@@ -1226,3 +1247,5 @@ def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-len(tail):] == tail, proc.stderr
+    if tail[0] == "2":
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")

@@ -88,13 +88,14 @@ def test_report_lists_each_difference_and_sets_the_exit_code(identity, tmp_path,
         this["fit-desk-f2@2"] = {"exit": change.get("exit", entry["exit"]),
                                  "digests": {**entry["digests"], **change.get("digests", {})}}
     header = {"against_rev": "HEAD", "against_commit": "0" * 40, "this_head": "0" * 40,
+              "this_dirty": False,
               "versions": {"python": "3", "numpy": "2", "scipy": "1", "openblas": "0"},
               "wall_s": 1.0}
     rc = identity.report(tmp_path / "IDENTITY.json", header, identity.matrix(), this, against)
     record = json.loads((tmp_path / "IDENTITY.json").read_text())
     assert set(record) == {"schema_version", "against_rev", "against_commit", "this_head",
-                           "versions", "wall_s", "threads", "skipped", "cases", "this",
-                           "against", "items_compared", "differences"}
+                           "this_dirty", "versions", "wall_s", "threads", "skipped", "cases",
+                           "this", "against", "items_compared", "differences"}
     assert record["threads"] == [1, 2] and record["skipped"] == ["timings.txt"]
     assert set(record["cases"]) == {case["name"] for case in identity.matrix()}
     # per run: the exit code and its three digests

@@ -225,7 +225,8 @@ class TestTrain:
         config = TrainConfig(iterations=3, batch_size=batch_size, learning_rate=0.01, seed=2)
         _, trace = train(shape, data, prior, config, sigma=0.1)
 
-        init = _init_state(shape, config, np.empty(shape.n_params), np.empty(shape.n_params))
+        mu, rho = np.empty(shape.n_params), np.empty(shape.n_params)
+        _init_state(shape, config.seed, mu, rho)
         rng = np.random.default_rng(config.seed + 1)
         if batch_size:
             idx = rng.choice(data.n, size=batch_size, replace=False)
@@ -233,8 +234,8 @@ class TestTrain:
         else:
             x, y, n_weight = data.x, data.y, 1.0
         step_seed = int(rng.integers(0, 2**63 - 1))
-        zeta = np.random.default_rng(step_seed).standard_normal((1, init.T))[0]
-        want = frozen_elbo(init.mu, init.rho, zeta, shape, x, y, prior, 0.1, n_weight)
+        zeta = np.random.default_rng(step_seed).standard_normal((1, shape.n_params))[0]
+        want = frozen_elbo(mu, rho, zeta, shape, x, y, prior, 0.1, n_weight)
         assert trace[0] == want
 
     def test_negative_batch_size_rejected(self):

@@ -17,11 +17,12 @@ codes, stdout, stderr and result files byte for byte.
 For each case and thread count both trees' exit codes and the SHA-256 of
 stdout, stderr and every file under the case's out-dir but `timings.txt`
 (wall-clock only) are written to IDENTITY.json, with the numpy, scipy and
-OpenBLAS versions.  Each item that differs is printed, and the exit code is
-1 if any does, 0 if none does, and 2 if no comparison was made (REV cannot
-be read, or Ctrl-C).  Training digests depend on
-the BLAS build, so compare two trees on one machine, never against a file
-from another.
+OpenBLAS versions, this tree's HEAD commit (`this_head`) and whether its
+`src/` has uncommitted changes (`this_dirty`).  Each item that differs is
+printed, and the exit code is 1 if any does, 0 if none does, and 2 if no
+comparison was made (REV cannot be read, or Ctrl-C).  Training digests
+depend on the BLAS build, so compare two trees on one machine, never
+against a file from another.
 
 The two trees run at the same time, each case with its own working
 directory under one temporary directory that is removed on exit.
@@ -233,6 +234,17 @@ def versions(src: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def this_tree() -> dict:
+    """This checkout's HEAD commit, and whether its src/ has uncommitted
+    changes: if it has, the run checked a change, not HEAD against itself."""
+    def git(*args) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args],
+                              capture_output=True, text=True).stdout.strip()
+
+    return {"this_head": git("rev-parse", "HEAD"),
+            "this_dirty": bool(git("status", "--porcelain", "--", "src"))}
+
+
 def compare(this: dict, against: dict) -> tuple[list[str], int]:
     """The items that differ between two trees' runs of one matrix, both
     keyed "<case>@<threads>", one line each, and the number of items
@@ -314,9 +326,7 @@ def main(argv=None) -> int:
     results = {side: {} for side in trees}
     for (side, threads), run in zip(lanes, runs):
         results[side].update({f"{name}@{threads}": r for name, r in run.items()})
-    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                          capture_output=True, text=True).stdout.strip()
-    header = {"against_rev": args.against, "against_commit": commit, "this_head": head,
+    header = {"against_rev": args.against, "against_commit": commit, **this_tree(),
               "versions": found["this"], "wall_s": round(time.monotonic() - t0, 1)}
     rc = report(args.out, header, cases, results["this"], results["against"])
     print(f"identity: wall time {header['wall_s']} s")
