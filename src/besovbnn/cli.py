@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 runtime failure or Ctrl-C, 2 invalid arguments.  FLAGS
 declares each option once with its range and default, and COMMANDS the
 options each command reads, so a command rejects a flag it would ignore;
 every rejection is one 'error:' line and exit 2.  --config, given before the
-command, names a JSON file of flag defaults that explicit flags override.
-Each of its values goes through its option's own argparse action, so a
+command, names a JSON file of flag defaults.  argv is parsed once, into only
+the options it gives; each option of the command that argv leaves out takes
+the file's value, else its default, and counts as given if the file gives
+it.  Each file value goes through its option's own argparse action, so a
 rejection reads like the flag's with "config key '<key>':" in its place.
 Faults in argv are named first, then unknown keys, then an option the file
 names twice (as 'grid-points' and 'grid_points', or one key repeated), then
@@ -134,7 +136,7 @@ def _dest(option: str) -> str:
 
 def _given(args, options) -> list[str]:
     """The `options` given on the command line or in --config."""
-    return [o for o in options if getattr(args, _dest(o)) is not None]
+    return [o for o in options if _dest(o) in args.given]
 
 
 def _exclusive(args, first: list[str], second: list[str]) -> None:
@@ -155,7 +157,7 @@ def _spec(args) -> dz.SmoothnessSpec:
     if args.function:
         _exclusive(args, ["--function"], given)
         return BUILTIN_FUNCTIONS[args.function][0]
-    if args.s is None:
+    if "--s" not in given:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
     values = {_dest(o): getattr(args, _dest(o)) for o in given}
     try:
@@ -516,7 +518,8 @@ def cmd_rate_study(args) -> int:
 
 def cmd_covering(args) -> int:
     derived = _given(args, ("--function", *_SMOOTHNESS))
-    _exclusive(args, _given(args, ("--L", "--W", "--S", "--B")), derived)
+    _exclusive(args, _given(args, ("--L", "--W", "--S", "--B")),
+               derived or _given(args, ("--n", "--cB")))  # which an explicit geometry ignores
     if derived:
         spec = _spec(args)
         arch = dz.design_architecture(spec, _single_n(args), args.cB)
@@ -542,8 +545,7 @@ def cmd_covering(args) -> int:
     return 0
 
 
-# Every option, declared once with its range and default: None where none is
-# given, so that a given option can be told from one left out.
+# Every option, declared once with its range and default (None if it names none).
 FLAGS = {
     "--n": dict(type=_sizes),
     "--function": dict(choices=sorted(BUILTIN_FUNCTIONS)),
@@ -559,7 +561,7 @@ FLAGS = {
     "--iterations": dict(type=_count(1), default=2000),
     "--batch-size": dict(type=_count(0), default=0),
     "--learning-rate": dict(type=_real(0.0), default=0.01),
-    "--full-scale": dict(action="store_true"),
+    "--full-scale": dict(action="store_true", default=False),
     "--noise-sd": dict(default=0.1, type=_flag_type(
         float, "be positive with a positive finite square",
         lambda v: v > 0.0 and 0.0 < v * v < math.inf, low=0.0)),
@@ -585,38 +587,34 @@ _TRAIN = ("--iterations", "--batch-size", "--learning-rate", "--full-scale", "--
 # Each subcommand's handler, help and default --n, and the options it reads
 # besides --n and --function, which every command takes.
 COMMANDS = {
-    "design": (cmd_design, "emit architecture/prior tables", "100,1000",
+    "design": (cmd_design, "emit architecture/prior tables", [100, 1000],
                (*_SMOOTHNESS, *_DESIGN, "--out-dir")),
-    "fit": (cmd_fit, "generate data, train VI, summarize", "100",
+    "fit": (cmd_fit, "generate data, train VI, summarize", [100],
             (*_DESIGN, *_TRAIN, "--alpha", "--grid-points", "--seed", "--out-dir")),
-    "predict": (cmd_predict, "posterior predictive from a checkpoint", "100",
+    "predict": (cmd_predict, "posterior predictive from a checkpoint", [100],
                 ("--noise-sd", "--draws", "--alpha", "--grid-points", "--seed",
                  "--checkpoint", "--out-dir")),
-    "check-prior": (cmd_check_prior, "shrinkage-condition report", "100,1000",
+    "check-prior": (cmd_check_prior, "shrinkage-condition report", [100, 1000],
                     (*_SMOOTHNESS, *_DESIGN, "--density", "--out-dir")),
-    "rate-study": (cmd_rate_study, "empirical contraction-rate slope", "100,300,1000",
+    "rate-study": (cmd_rate_study, "empirical contraction-rate slope", [100, 300, 1000],
                    (*_DESIGN, *_TRAIN, "--seed", "--replicates", "--out-dir")),
-    "covering": (cmd_covering, "covering-number bounds", "100",
+    "covering": (cmd_covering, "covering-number bounds", [100],
                  (*_SMOOTHNESS, "--cB", "--L", "--W", "--S", "--B", "--a", "--delta")),
 }
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The besovbnn parser.  Each value of `config`, by option dest as
-    _read_config returns it, is the default of the commands that take it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The besovbnn parser; a command's namespace holds only the options argv gives."""
     parser = _Parser(prog="besovbnn",
                      description="Bayesian ReLU-network regression on Besov targets")
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON object of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, n, options) in COMMANDS.items():
+    for name, (func, help_text, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", default=n, **FLAGS["--n"])
-        for option in ("--function", *options):
-            p.add_argument(option, **FLAGS[option])
-        taken = {_dest(o) for o in ("--n", "--function", *options)}
-        p.set_defaults(func=func, from_config=frozenset(),
-                       **{k: v for k, v in (config or {}).items() if k in taken})
+        for option in ("--n", "--function", *options):
+            p.add_argument(option, **{**FLAGS[option], "default": argparse.SUPPRESS})
+        p.set_defaults(func=func)
     return parser
 
 
@@ -669,17 +667,19 @@ def _read_config(path: Path) -> dict:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.config is not None:
-            config = _read_config(args.config)
-            typed = args
-            args = build_parser(config).parse_args(argv)
-            # The options argv left at None that the file sets.
-            args.from_config = frozenset(k for k in config if getattr(typed, k, None) is None)
+        config = {} if args.config is None else _read_config(args.config)
+        given = set(vars(args))
+        args.from_config = config.keys() - given
+        args.given = given | args.from_config
+        _, _, n, options = COMMANDS[args.command]
+        for option in ("--n", "--function", *options):  # argv, else the file, else the default
+            dest, default = _dest(option), n if option == "--n" else FLAGS[option].get("default")
+            setattr(args, dest, getattr(args, dest, config.get(dest, default)))
         return args.func(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

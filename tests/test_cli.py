@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -10,16 +11,19 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besovbnn
 from besovbnn import design as dz
-from besovbnn import priors, testbed, vi
+from besovbnn import cli, priors, testbed, vi
 from besovbnn.cli import build_parser, fit_rate_slope, main
 from besovbnn.network import NetworkShape
 
@@ -590,6 +594,64 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     assert not broken, broken
 
 
+# Each value is drawn from an ordinary range or from the extremes of its
+# option's range and past them: integers past any double, reals from 1e-300
+# to 1e300, and inf where SmoothnessSpec allows it.
+SIZES = st.one_of(st.integers(2, 10**4), st.integers(2, 10**300))
+REALS = st.one_of(st.floats(0.1, 100.0), st.floats(1e-300, 1e300))
+SMOOTHNESS = st.one_of(st.floats(0.1, 3.0), st.floats(1e-300, 1e300), st.just(math.inf))
+DIMENSIONS = st.one_of(st.integers(1, 4), st.integers(1, 10**5))
+GEOMETRY_COUNTS = st.one_of(st.integers(1, 100), st.integers(1, 10**400))
+
+
+@st.composite
+def closed_form_argv(draw):
+    """argv of design, check-prior or covering with every value it reads."""
+    command = draw(st.sampled_from(["design", "check-prior", "covering"]))
+    argv = [command]
+    if command == "covering" and draw(st.booleans()):  # explicit geometry
+        for flag in ("--L", "--W", "--S"):
+            argv += [flag, str(draw(GEOMETRY_COUNTS))]
+        argv += ["--B", repr(draw(REALS)), "--delta", repr(draw(REALS))]
+    else:
+        if draw(st.booleans()):
+            argv += ["--function", draw(st.sampled_from(["f1", "f2"]))]
+        else:
+            argv += ["--s", repr(draw(SMOOTHNESS)), "--p", repr(draw(SMOOTHNESS)),
+                     "--q", repr(draw(SMOOTHNESS)), "--d", str(draw(DIMENSIONS)),
+                     "--m", str(draw(DIMENSIONS))]
+        ns = draw(st.lists(SIZES, min_size=1, max_size=1 if command == "covering" else 3,
+                           unique=True))
+        argv += ["--n", ",".join(map(str, sorted(ns))), "--cB", repr(draw(REALS))]
+        if command != "covering":
+            argv += ["--K0", repr(draw(st.one_of(st.floats(4.0, 10.0, exclude_min=True),
+                                                    st.floats(4.0, 1e300)))),
+                     "--counting", draw(st.sampled_from(["canonical", "compat"]))]
+        if command == "check-prior":
+            argv += ["--density", draw(st.sampled_from(dz.DENSITY_NAMES))]
+    if command == "covering" and draw(st.booleans()):
+        argv += ["--a", repr(draw(st.one_of(st.just(0.0), REALS)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(argv=closed_form_argv())
+def test_closed_form_commands_keep_the_exit_contract_at_the_extremes(argv):
+    # Exit 0, 1 or 2, no exception (a RuntimeWarning is one here), and one
+    # stderr line for every nonzero exit but check-prior's failed
+    # condition, which exits 1 with its report on stdout alone.
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] != "covering":
+            argv = [*argv, "--out-dir", tmp]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+    err = stderr.getvalue()
+    assert rc in (0, 1, 2)
+    if rc and not (argv[0] == "check-prior" and rc == 1 and err == ""):
+        assert err.count("\n") == 1 and err.startswith(("error: ", "failure: ")), err
+
+
 @pytest.mark.parametrize("argv", [[], ["--config"]], ids=["no-command", "no-config-file"])
 def test_usage_error_is_one_line(capsys, argv):
     try:
@@ -647,6 +709,9 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+GEOMETRY = ["--L", "3", "--W", "8", "--S", "10", "--B", "2", "--delta", "0.5"]
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["design", "--function", "f1", "--s", "0.5"], {}, "--function cannot be combined with --s"),
     (["check-prior", "--function", "f2", "--p", "1", "--m", "3"], {},
@@ -665,12 +730,20 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
      "with config key 'q'"),
     (["covering", "--function", "f2", "--B", "3"], {"B": 2.0},
      "--B cannot be combined with --function"),
+    (["covering", *GEOMETRY, "--n", "1000"], {}, "--L/--W/--S/--B cannot be combined with --n"),
+    (["covering", *GEOMETRY, "--cB", "3"], {}, "--L/--W/--S/--B cannot be combined with --cB"),
+    (["covering", *GEOMETRY], {"n": "1000"},
+     "--L/--W/--S/--B cannot be combined with config key 'n'"),
+    (["covering", *GEOMETRY], {"cB": 3},
+     "--L/--W/--S/--B cannot be combined with config key 'cB'"),
 ], ids=["design", "check-prior", "covering", "design-config", "covering-L",
         "covering-smoothness", "covering-config", "covering-geometry-config",
-        "both-config", "flag-over-config"])
+        "both-config", "flag-over-config", "covering-geometry-n", "covering-geometry-cB",
+        "covering-geometry-n-config", "covering-geometry-cB-config"])
 def test_overriding_flags_exit_2(tmp_path, capsys, argv, config, message):
     # Either set of flags would ignore the other; a --config value counts
-    # as given, and is named by its key unless a flag overrides it.
+    # as given, and is named by its key unless a flag overrides it.  An
+    # explicit covering geometry reads neither --n nor --cB.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     argv = ["--config", str(cfg), *argv]
@@ -1192,6 +1265,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert rc == 2 and err == "error: --alpha must lie in (0, 1), got 2.0\n"
         assert not (tmp_path / "out").exists()
+
+    def test_one_parse_of_argv(self, tmp_path, monkeypatch):
+        # The parser holds only what argv gives, and main parses argv once,
+        # with or without a file, and fills in the rest itself.
+        assert {k: v for k, v in vars(build_parser().parse_args(["fit", "--seed", "3"])).items()
+                if k != "func"} == {"config": None, "command": "fit", "seed": 3}
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build_parser(*a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"function": "f1"}))
+        assert main(["--config", str(cfg), "covering", "--n", "100"]) == 0
+        assert calls == [()]
 
     def test_help_does_not_read_the_file(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

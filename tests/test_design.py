@@ -1,6 +1,8 @@
 import math
+import sys
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,6 +193,35 @@ class TestMixtureHyperparams:
             + (a.L - 1) * math.log(max(a.B, 1.0)) + a.L * math.log(a.W + 1)
         )
         assert lhs == pytest.approx(math.log(a.eps), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10**6])
+    @pytest.mark.parametrize("spec", [F1_SPEC, F2_SPEC], ids=["f1", "f2"])
+    def test_matches_a_60_digit_oracle(self, spec, n):
+        # The design rules at 60 digits, from the same inputs: s, cB and K0
+        # as doubles and the geometry's integers.  The spike equation's
+        # eta/2 - Q(a/sigma2) is negative in exact arithmetic, so w's floor
+        # at machine epsilon is a convention and sets a/sigma1 = Qinv(eps).
+        arch = design_architecture(spec, n)
+        mix = mixture_hyperparams(arch)
+        with mpmath.workdps(60):
+            def upper_tail(x):  # Q(x) = P(Z > x)
+                return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+            s, d, K0 = mpmath.mpf(spec.s), spec.d, mpmath.mpf(5.0)
+            eps = mpmath.mpf(n) ** (-s / (2 * s + d)) * mpmath.log(n) ** 1.5
+            n_eps_sq = n * eps**2
+            B = 10 * mpmath.mpf(arch.N) ** spec.xi
+            eta = mpmath.exp(-K0 * n_eps_sq / arch.S)
+            sigma2 = mpmath.sqrt(B**2 / (2 * (K0 + 1) * n_eps_sq))
+            log_a = (mpmath.log(eps) - mpmath.log(72) - mpmath.log(arch.L)
+                     - (arch.L - 1) * mpmath.log(max(B, 1)) - arch.L * mpmath.log(arch.W + 1))
+            assert eta / 2 - upper_tail(mpmath.exp(log_a) / sigma2) < 0
+            floor = mpmath.mpf(sys.float_info.epsilon)
+            log_sigma1 = log_a - mpmath.log(
+                mpmath.findroot(lambda x: mpmath.log(upper_tail(x) / floor), 8))
+            for got, exact in [(mix.eta, eta), (mix.sigma2, sigma2), (mix.log_a, log_a),
+                               (mix.log_sigma1, log_sigma1)]:
+                assert abs(got - exact) <= 1e-14 * abs(exact), (got, exact)
 
 
 class TestShrinkageConditions:

@@ -38,6 +38,9 @@ CASES = {
                                     "--a", "1e-70"],
     "covering-explicit": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
                           "--delta", "0.5", "--a", "1e-9"],
+    # An explicit geometry reads no --n: exit 2 with one stderr line.
+    "covering-explicit-n": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
+                            "--delta", "0.5", "--n", "1000"],
 }
 
 

@@ -8,8 +8,9 @@ each case in a fresh interpreter, at 1 and at 2 BLAS threads
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS) with
 PYTHONHASHSEED=0.  The matrix holds desk, minibatch and full-scale fits,
 predict from the desk and full-scale checkpoints, criterion 7's rate-study
-and a full-scale one, diverging runs, exit-2 cases, `--help`, and criterion
-8's VI-versus-Metropolis pipeline through the library.  The closed-form
+and a full-scale one, diverging runs, exit-2 cases, `--help`, a fit whose
+options come from a `--config` file and one flag, and criterion 8's
+VI-versus-Metropolis pipeline through the library.  The closed-form
 commands (`design`, `check-prior`, `covering`) are not in it: they draw no
 random numbers and call no BLAS, and tests/test_golden.py pins their exit
 codes, stdout, stderr and result files byte for byte.
@@ -91,6 +92,20 @@ print(sorted(compare_vi_mh(summary.mean, res, grid, tolerance=0.1).items()))
 """
 
 
+# A desk fit whose options come from a --config file written into the
+# working directory, one of them overridden by a flag; results go to argv[1].
+CONFIG_FIT = """\
+import json, sys
+from besovbnn.cli import main
+
+with open("config-fit.json", "w") as fh:
+    json.dump({"function": "f1", "n": "150", "seed": 5, "iterations": 90,
+               "learning-rate": 0.02, "draws": 20, "grid_points": 21, "batch_size": 16}, fh)
+sys.exit(main(["--config", "config-fit.json", "fit", "--iterations", "60",
+               "--out-dir", sys.argv[1]]))
+"""
+
+
 def matrix() -> list[dict]:
     """The cases in run order, each {"name", "argv", "out_dir"}: argv follows
     the interpreter, and out_dir, relative to the case's working directory,
@@ -144,6 +159,8 @@ def matrix() -> list[dict]:
         if "--help" not in argv:  # --help writes no files
             argv = [*argv, "--out-dir", out_dir]
         cases.append({"name": name, "argv": ["-m", "besovbnn.cli", *argv], "out_dir": out_dir})
+    cases.append({"name": "config-fit", "argv": ["-c", CONFIG_FIT, "out/config-fit"],
+                  "out_dir": "out/config-fit"})
     cases.append({"name": "criterion-8-pipeline", "argv": ["-c", PIPELINE, "out/criterion-8"],
                   "out_dir": "out/criterion-8"})
     return cases
