@@ -21,9 +21,11 @@ numpy, `testbed`, `vi`, `network` and `priors` are imported inside the
 functions that compute, after their argument checks, and fit, predict and
 rate-study build their true function there too.  So --help, every rejected
 flag or --config value, every usage error of fit, predict and rate-study
-and `covering` with explicit --L/--W/--S/--B/--delta load no numpy, and
-scipy loads only in the commands that build a prior (fit, rate-study,
-design and check-prior).
+and `covering` with explicit --L/--W/--S/--B/--delta load no numpy.
+scipy.special loads only where a value needs it: in check-prior's tail
+masses, in a spike scale that is not floored at machine epsilon, and in the
+mixture prior's two-component branch, which a designed fit leaves empty.
+So fit, design and rate-study at a designed geometry load no scipy.
 Plot emission is data-only (CSV); figures are left to external tooling.
 """
 
@@ -44,6 +46,7 @@ from . import design as dz
 
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
+MAX_REPLICATES = 100  # rate-study's replicates per sample size
 
 # Each built-in target's smoothness class and the name of its true
 # function's factory in `testbed`.
@@ -102,9 +105,10 @@ def _real(low: float, closed: bool = False, high: float = math.inf):
                       low, high)
 
 
-def _count(low: int):
-    """An integer of at least `low`."""
-    return _flag_type(int, f"be at least {low}", lambda v: v >= low, low)
+def _count(low: int, high: float = math.inf):
+    """An integer of at least `low` and at most `high`."""
+    rule = f"be at least {low}" if high == math.inf else f"lie in [{low}, {high}]"
+    return _flag_type(int, rule, lambda v: low <= v <= high, low, high)
 
 
 def _sizes(text: str) -> list[int]:
@@ -569,7 +573,7 @@ FLAGS = {
     "--alpha": dict(type=_real(0.0, high=1.0), default=0.05),
     "--grid-points": dict(type=_count(1), default=101),
     "--seed": dict(type=_count(0), default=0),
-    "--replicates": dict(type=_count(1), default=5),
+    "--replicates": dict(type=_count(1, MAX_REPLICATES), default=5),
     "--checkpoint": dict(),
     "--out-dir": dict(default="out"),
     "--L": dict(type=_count(1)),

@@ -44,6 +44,14 @@ TAIL_BUDGET = 10.0
 SUPPORT_FACTOR = 1.0
 SPIKE_SLACK = 1e-9
 
+# log Qinv(eps), eps = machine epsilon: log(-scipy.special.ndtri(eps)), the
+# spike scale's offset from log a wherever the spike equation's w is floored.
+_LOG_QINV_EPS = 2.0950553424789424
+# How far below 0 the bound eta/2 - 1/2 + phi(0) a/sigma2 of the spike
+# equation's eta/2 - Q(a/sigma2) must lie for the floor to be certain; it
+# dwarfs the bound's rounding error.
+_FLOOR_MARGIN = -1e-12
+
 
 @dataclass(frozen=True)
 class SmoothnessSpec:
@@ -240,9 +248,13 @@ def mixture_hyperparams(
     floor is a convention, not a root: it sets a/sigma_1 = Qinv(eps), about
     8.1, which matches the reported spike scales.  This is documented as an
     order-of-magnitude quantity only.
-    """
-    from scipy.special import log_ndtr, ndtri  # scipy loads only when a prior is designed
 
+    Since Q(x) >= 1/2 - x phi(0) for x >= 0, eta/2 - 1/2 + phi(0) a/sigma2
+    below _FLOOR_MARGIN, with pi1 > 0, makes w negative both exactly and as
+    scipy computes it, so the floor applies and log sigma_1 =
+    log a - _LOG_QINV_EPS, the same double, without scipy.  Only other
+    inputs, where w may be a root, load scipy.special to evaluate Q and Qinv.
+    """
     eta = _eta(arch, K0)
     pi2 = arch.sparsity_fraction(counting)
     pi1 = 1.0 - pi2
@@ -256,11 +268,17 @@ def mixture_hyperparams(
         raise ValueError(f"the slab scale sigma2 underflows to 0 at B={arch.B:.6g}; raise cB")
     log_a = arch.log_a
     a_lin = math.exp(log_a)  # may be 0.0 for extreme geometries; Q(0) = 1/2
-    q_a = math.exp(float(log_ndtr(-(a_lin / sigma2))))
-    w = (pi2 / pi1) * (0.5 * eta - q_a)
-    eps = sys.float_info.epsilon
-    w = min(max(w, eps), 1.0 - eps)
-    log_sigma1 = log_a - math.log(float(-ndtri(w)))
+    bound = 0.5 * eta - 0.5 + (a_lin / sigma2) / math.sqrt(2.0 * math.pi)
+    if pi1 > 0.0 and bound < _FLOOR_MARGIN:
+        log_sigma1 = log_a - _LOG_QINV_EPS
+    else:
+        from scipy.special import log_ndtr, ndtri
+
+        q_a = math.exp(float(log_ndtr(-(a_lin / sigma2))))
+        w = (pi2 / pi1) * (0.5 * eta - q_a)
+        eps = sys.float_info.epsilon
+        w = min(max(w, eps), 1.0 - eps)
+        log_sigma1 = log_a - math.log(float(-ndtri(w)))
     return MixturePriorSpec(
         log_a=log_a, eta=eta, log_sigma1=log_sigma1, sigma2=sigma2,
         pi1=pi1, pi2=pi2, B=arch.B, K0=K0,

@@ -17,8 +17,7 @@ import numpy as np
 from .network import NetworkParams, NetworkShape, PassBuffers, forward, loglik
 from .network import loglik_and_grad  # unused: kept as the benchmark tracer's lookup site
 # These imports also make `import besovbnn.mh` load `vi` and the priors, whose
-# import times the benchmark's per-module probe reads.  `vi` comes first so
-# that it, `network` and `testbed` load before scipy does.
+# import times the benchmark's per-module probe reads.
 from . import vi  # unused
 from .priors import DensityHandle
 from .testbed import Dataset

@@ -4,6 +4,11 @@ Gaussian-mixture shrinkage, and generic coordinatewise product priors.
 Density handles expose vectorized `log_pdf` / `grad_log_pdf` plus analytic
 two-sided tail masses where available, and are registered by name for CLI
 selection.
+
+scipy.special loads only where a value needs it: in the Gaussian and
+mixture tail masses, and in the mixture's two-component branch, which takes
+the coordinates inside the spike cut, NaN or past 1e154 sigma2 and is empty
+in a designed fit.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, logsumexp
 
 from .design import DENSITY_NAMES, MixturePriorSpec
 from .network import _integer
@@ -172,6 +176,8 @@ def mixture_log_density(theta, spec: MixturePriorSpec, out=None):
     flat *= 0.5
     np.subtract(c, flat, out=flat)
     if near.size:
+        from scipy.special import logsumexp
+
         flat[near] = logsumexp(_mixture_log_terms(t[near], spec), axis=0)
     if out is not None:
         return out
@@ -182,6 +188,8 @@ def mixture_log_density(theta, spec: MixturePriorSpec, out=None):
 
 def _mixture_grad_log_density(t: np.ndarray, spec: MixturePriorSpec) -> np.ndarray:
     """d/dt log g(t) through both components' responsibilities."""
+    from scipy.special import logsumexp
+
     terms = _mixture_log_terms(t, spec)
     lse = logsumexp(terms, axis=0)
     log_w_spike = terms[0] - lse
@@ -244,6 +252,8 @@ class GaussianDensity(DensityHandle):
         return -np.asarray(t, dtype=float) / self.sigma**2
 
     def log_tail_mass(self, c: float) -> float:
+        from scipy.special import log_ndtr
+
         return math.log(2.0) + float(log_ndtr(-c / self.sigma))
 
 
@@ -311,6 +321,8 @@ class MixtureDensity(DensityHandle):
         return grad.reshape(t.shape)
 
     def log_tail_mass(self, c: float) -> float:
+        from scipy.special import log_ndtr, logsumexp
+
         with np.errstate(over="ignore"):
             z1 = c * _inverse_sigma1(self.spec)
         term1 = math.log(self.spec.pi1) + float(log_ndtr(-z1)) if math.isfinite(z1) else -math.inf

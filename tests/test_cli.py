@@ -547,7 +547,8 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     # command: main returns 0, 1 or 2 and never raises or prints a
     # traceback.  Every exit 2 writes one error: line and makes no output
     # directory; a non-number, a value outside the choices or an unknown
-    # flag always exits 2.
+    # flag always exits 2, and so does a count of rate-study replicates as
+    # large as 10**30, before it builds a seed for each.
     # The closed-form commands write at most one stderr line.  Each rejected
     # value, given in --config instead, exits 2 with the same line, the
     # option named as a config key ('--X ' reads "config key 'X': ", and
@@ -559,7 +560,8 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
     assert len({(command, extra.split("=")[0]) for command, extra in cases}) >= 50
     outside_choices = [("design", "--function=f3"), ("design", "--counting=x"),
                        ("check-prior", "--density=x")]
-    cases += outside_choices + [(command, "--bogus") for command in CONTRACT_ARGS]
+    past_range = [("rate-study", f"--replicates={10**30}")]
+    cases += outside_choices + past_range + [(command, "--bogus") for command in CONTRACT_ARGS]
     broken = []
     for i, (command, extra) in enumerate(cases):
         out_dir = tmp_path / str(i)
@@ -577,7 +579,8 @@ def test_numeric_flags_keep_the_exit_contract(tmp_path, capsys):
             err.count("\n") == 1 and err.startswith("error: ") and not out_dir.exists()))
         if command not in FIT_COMMANDS:
             ok = ok and err.count("\n") <= 1
-        if extra == "--bogus" or extra.endswith("=abc") or (command, extra) in outside_choices:
+        if (extra == "--bogus" or extra.endswith("=abc")
+                or (command, extra) in outside_choices + past_range):
             ok = ok and rc == 2
         if not ok:
             broken.append((argv, rc, err))
@@ -1308,20 +1311,31 @@ def run_cli(argv) -> str:
      ["2", "False False False"]),
     (run_cli(["predict", "--function", "f2", "--n", "20,40", "--checkpoint", "checkpoint",
               "--out-dir", "out"]), ["2", "False False False"]),
-    ("import besovbnn.priors", ["True True True"]),
+    ("import besovbnn.priors", ["True False False"]),
+    (run_cli(["fit", "--function", "f2", "--n", "100", "--iterations", "2", "--draws", "2",
+              "--grid-points", "3", "--out-dir", "out"]), ["0", "True False False"]),
+    (run_cli(["design", "--function", "f2", "--n", "100,1000", "--out-dir", "out"]),
+     ["0", "True False False"]),
+    (run_cli(["rate-study", "--function", "f2", "--iterations", "2", "--draws", "2",
+              "--replicates", "2", "--out-dir", "out"]), ["0", "True False False"]),
+    (run_cli(["check-prior", "--function", "f2", "--n", "100", "--out-dir", "out"]),
+     ["0", "True True True"]),
 ], ids=["build-parser", "help", "exit-2", "bad-config", "covering", "predict",
-        "fit-two-sizes", "rate-study-two-sizes", "predict-two-sizes", "priors"])
+        "fit-two-sizes", "rate-study-two-sizes", "predict-two-sizes", "priors",
+        "fit-desk", "design", "rate-study-desk", "check-prior"])
 def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
-    """scipy.special, the CLI's heaviest import, loads with the priors,
-    which only fit, rate-study, design and check-prior build; the other
-    commands load no scipy module at all, scipy.integrate included.  numpy,
-    the next heaviest, loads only in the commands that compute with arrays:
-    parsing the command line, --help, a rejected flag, a rejected --config
-    value, a usage error of fit, predict or rate-study and `covering` with
-    explicit --L/--W/--S/--B/--delta load none.  The last lines a fresh
-    interpreter prints are the exit code, if any, and whether it loaded
-    numpy, any scipy module and scipy.special; an exit 2 prints one
-    'error:' line."""
+    """scipy.special, the CLI's heaviest import, loads only where a value
+    needs it: in check-prior's tail masses, in a spike scale that is not
+    floored at machine epsilon and in the mixture's two-component branch.
+    So importing the priors, and fit, design and rate-study at a designed
+    geometry, load no scipy module at all, and neither do the commands that
+    build no prior.  numpy, the next heaviest, loads only in the commands
+    that compute with arrays: parsing the command line, --help, a rejected
+    flag, a rejected --config value, a usage error of fit, predict or
+    rate-study and `covering` with explicit --L/--W/--S/--B/--delta load
+    none.  The last lines a fresh interpreter prints are the exit code, if
+    any, and whether it loaded numpy, any scipy module and scipy.special;
+    an exit 2 prints one 'error:' line."""
     shape = NetworkShape(d_in=1, hidden_widths=(2,))
     vi.save_checkpoint(tmp_path / "checkpoint",
                        vi.VariationalState(mu=np.zeros(shape.n_params),

@@ -1,13 +1,20 @@
 import math
 import sys
 from dataclasses import asdict
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtri
 
+from besovbnn import design
 from besovbnn.design import (
     ArchSpec,
+    MixturePriorSpec,
     SmoothnessSpec,
     TruncationThresholdError,
     base_width,
@@ -222,6 +229,107 @@ class TestMixtureHyperparams:
             for got, exact in [(mix.eta, eta), (mix.sigma2, sigma2), (mix.log_a, log_a),
                                (mix.log_sigma1, log_sigma1)]:
                 assert abs(got - exact) <= 1e-14 * abs(exact), (got, exact)
+
+
+def scipy_mixture_hyperparams(arch, K0=5.0, counting="canonical"):
+    """mixture_hyperparams as it was before the floored spike scale skipped
+    scipy: the spike equation's w always through log_ndtr and ndtri."""
+    if not 4 < K0 < math.inf:
+        raise ValueError(f"need finite K0 > 4, got {K0}")
+    eta = math.exp(-K0 * arch.n_eps_sq / arch.S)
+    pi2 = arch.sparsity_fraction(counting)
+    pi1 = 1.0 - pi2
+    try:
+        sigma2 = math.sqrt(arch.B**2 / (2.0 * (K0 + 1.0) * arch.n_eps_sq))
+    except OverflowError as exc:
+        raise ValueError(
+            f"the slab variance overflows doubles at B={arch.B:.6g}; lower cB") from exc
+    if sigma2 == 0.0:
+        raise ValueError(f"the slab scale sigma2 underflows to 0 at B={arch.B:.6g}; raise cB")
+    log_a = arch.log_a
+    a_lin = math.exp(log_a)
+    q_a = math.exp(float(log_ndtr(-(a_lin / sigma2))))
+    w = (pi2 / pi1) * (0.5 * eta - q_a)
+    eps = sys.float_info.epsilon
+    w = min(max(w, eps), 1.0 - eps)
+    log_sigma1 = log_a - math.log(float(-ndtri(w)))
+    return MixturePriorSpec(log_a=log_a, eta=eta, log_sigma1=log_sigma1, sigma2=sigma2,
+                            pi1=pi1, pi2=pi2, B=arch.B, K0=K0)
+
+
+def hyperparams_outcome(arch, K0, counting, rule=mixture_hyperparams):
+    """Each field of `rule`'s MixturePriorSpec as its exact hex digits, or
+    the error it raises."""
+    try:
+        return {k: float(v).hex() for k, v in asdict(rule(arch, K0, counting)).items()}
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def roots_arch(S=10**6, T=4 * 10**6):
+    """A one-layer geometry built directly: a = 1/144 and, at K0 = 5,
+    a/sigma2 = 0.24, so with eta near 1 (S large) the spike equation has a
+    root, w = (pi2/pi1)(eta/2 - Q(0.24)) > 0."""
+    return ArchSpec(n=100, N=1, W0=1, L=1, W=1, S=S, B=1.0, T=T, eps=1.0)
+
+
+@st.composite
+def designed_inputs(draw):
+    """(SmoothnessSpec fields, n, cB, K0, counting) over the command line's
+    flag ranges, s drawn inside d/p < s < min(m, m - 1 + 1/p)."""
+    d = draw(st.one_of(st.integers(1, 4), st.integers(1, 10**5)))
+    m = draw(st.one_of(st.integers(2, 4), st.integers(2, 10**5)))
+    # some s fits where d/p < m and d/p < m - 1 + 1/p, so where p exceeds
+    # both d/m and (d-1)/(m-1); m = 1 admits no s
+    p_min = max(d / m, (d - 1) / (m - 1))
+    p = draw(st.one_of(st.floats(p_min, 100.0 * p_min, exclude_min=True),
+                       st.floats(p_min, 1e300, exclude_min=True), st.just(math.inf)))
+    q = draw(st.one_of(st.floats(0.1, 100.0), st.floats(1e-300, 1e300), st.just(math.inf)))
+    inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    low, high = d * inv_p, min(m, m - 1 + inv_p)
+    s = low + (high - low) * draw(st.floats(0.01, 0.99))
+    n = draw(st.one_of(st.integers(2, 10**4), st.integers(2, 10**12), st.integers(2, 10**300)))
+    cB = draw(st.one_of(st.floats(0.1, 100.0), st.floats(1e-300, 1e300)))
+    K0 = draw(st.one_of(st.floats(4.0, 10.0, exclude_min=True), st.floats(4.0, 1e300)))
+    return (s, p, q, d, m), n, cB, K0, draw(st.sampled_from(["canonical", "compat"]))
+
+
+class TestFlooredSpikeScale:
+    def test_offset_is_scipys_qinv_of_eps(self):
+        assert design._LOG_QINV_EPS == math.log(float(-ndtri(sys.float_info.epsilon)))
+
+    def test_every_field_equals_the_scipy_formula_bit_for_bit(self):
+        # The floored branch, which loads no scipy, and the scipy fallback
+        # give every field of the spec the reference's bits, and raise
+        # its errors.  A spy on ndtri tells which branch each call took;
+        # the sweep must reach both.
+        branches = set()
+
+        def check(arch, K0, counting):
+            with mock.patch.object(scipy.special, "ndtri", wraps=scipy.special.ndtri) as spy:
+                got = hyperparams_outcome(arch, K0, counting)
+            want = hyperparams_outcome(arch, K0, counting, scipy_mixture_hyperparams)
+            assert got == want, (arch, K0, counting)
+            if isinstance(got, dict):
+                branches.add("scipy" if spy.called else "floor")
+
+        @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+        @given(inputs=designed_inputs())
+        def sweep(inputs):
+            smoothness, n, cB, K0, counting = inputs
+            try:
+                arch = design_architecture(SmoothnessSpec(*smoothness), n, cB)
+            except ValueError:  # outside SmoothnessSpec's range, past a double, or L < 1
+                return
+            check(arch, K0, counting)
+
+        sweep()
+        # compat counts 2 of 2 weights of the one-layer net: pi1 = 0
+        for S, T in [(10**6, 4 * 10**6), (10**6, 10**7), (3, 4)]:
+            for K0 in (4.5, 5.0, 1e3):
+                for counting in ("canonical", "compat"):
+                    check(roots_arch(S, T), K0, counting)
+        assert branches == {"floor", "scipy"}
 
 
 class TestShrinkageConditions:
