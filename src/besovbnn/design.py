@@ -158,6 +158,8 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
 
     N = ceil(n^(d/(2s+d))), W = N * W0, S = (L-1) W0^2 N + N, B = cB * N^xi,
     with the depth rule L = 3 + 2 ceil(log2(3^(d v m) / (tau c)) + 5) ceil(log2(d v m)).
+    For large m, c grows as (2e)^m faster than 3^(d v m) and the rule gives
+    L < 1; the paper states no floor, so such a geometry is a ValueError.
     """
     from .network import NetworkShape  # numpy loads only when an architecture is designed
 
@@ -178,6 +180,11 @@ def design_architecture(spec: SmoothnessSpec, n: int, cB: float = 10.0) -> ArchS
         raise ValueError(
             f"the design rules overflow doubles at n={n}, s={s}, d={d}, m={m}"
         ) from exc
+    if L < 1:
+        raise ValueError(
+            f"the depth rule L = 3 + 2 ceil(log2(3^(d v m) / (tau c)) + 5) ceil(log2(d v m)) "
+            f"gives L = {L} < 1 at s={s}, d={d}, m={m}, n={n}"
+        )
     W = N * W0
     S = (L - 1) * W0**2 * N + N
     B = cB * N**spec.xi

@@ -3,8 +3,13 @@
 Desk-scale only (a hard cap on the parameter count): the chain exists to
 cross-validate the variational posterior on tiny models, not to sample the
 table-sized networks.  The target is evaluated by a forward pass only
-(`network.loglik`), and the current point and the proposal live in two
-buffers whose network views are built once per chain.
+(`network.loglik`).  A random-walk proposal does not depend on whether the
+earlier ones were accepted, so `mh_sample` pre-fetches: it scores the next
+PROPOSALS_PER_PASS proposals along the all-rejected path in one stacked
+prior call and one stacked likelihood pass, in buffers and network views
+built once per chain, and then walks their accept decisions in order
+(Brockwell 2006).  The chain is the one-proposal-per-step chain bit for bit;
+only the number of calls falls, not the cost of one.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ __all__ = ["MHConfig", "MHResult", "mh_sample", "compare_vi_mh"]
 
 MAX_PARAMS = 200
 DRAWS_PER_PASS = 128  # chain draws per stacked network pass in compare_vi_mh
+PROPOSALS_PER_PASS = 8  # proposals scored per stacked target pass in mh_sample
 
 
 @dataclass
@@ -50,13 +56,13 @@ class MHResult:
     shape: NetworkShape
 
 
-def _log_target(theta, params, data, prior: DensityHandle, sigma, buffers):
+def _log_target(theta, params, data, prior: DensityHandle, sigma):
     """log prior + log-likelihood at theta, whose network views are params;
     the prior alone without data, and a non-finite prior as it is."""
     lp = prior.log_density_sum(theta)
-    if not math.isfinite(lp) or buffers is None:
+    if not math.isfinite(lp) or data is None:
         return lp
-    return lp + loglik(params, data.x, data.y, sigma, buffers=buffers)
+    return lp + loglik(params, data.x, data.y, sigma)
 
 
 def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, sigma: float,
@@ -66,49 +72,89 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, s
 
     The proposal scale adapts toward 0.234 acceptance during burn-in and is
     frozen afterwards, so the retained chain is a correct Metropolis chain.
+
+    Proposals are pre-fetched: the draws (z, u) of the next
+    PROPOSALS_PER_PASS steps are queued in the generator's order, the
+    proposals theta + sd * z along the all-rejected path are scored by one
+    stacked prior call and one stacked `loglik`, and the accept decisions
+    are walked in step order up to the first accept, the end of an
+    adaptation window or the end of the chain.  The unread draws move to
+    the front of the queue.  Each walked step sees the doubles of a lone
+    step, so the chain is the one-proposal-per-step chain bit for bit.
     """
     T = shape.n_params
     if T > MAX_PARAMS:
         raise ValueError(f"parameter count {T} exceeds the desk-scale cap {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
     theta = np.zeros(T)
-    prop = np.empty(T)
-    # Network views of the two points; they swap with the buffers on accept.
-    params = NetworkParams.from_flat(shape, theta)
-    prop_params = NetworkParams.from_flat(shape, prop)
-    buffers = None if data is None else PassBuffers(shape, data.n)
-    log_p = _log_target(theta, params, data, prior, sigma, buffers)
+    log_p = _log_target(theta, NetworkParams.from_flat(shape, theta), data, prior, sigma)
     if not math.isfinite(log_p):
         raise ValueError("non-finite target at the initial point")
 
-    sd = config.proposal_sd
-    chain = np.empty((config.steps - config.burn_in, T))
+    K = PROPOSALS_PER_PASS
+    z, u = np.empty((K, T)), [0.0] * K  # the queued draws of the next K steps
+    props = np.empty((K, T))
+    props_params = NetworkParams.from_flat(shape, props)
+    if data is not None:
+        buffers = PassBuffers(shape, data.n, stack=K)
+        xs, ys = np.repeat(data.x[None], K, axis=0), np.repeat(data.y[None], K, axis=0)
+
+    def draw(rows):
+        for j in rows:
+            rng.standard_normal(out=z[j])
+            u[j] = rng.random()
+
+    draw(range(K))
+    sd = float(config.proposal_sd)
+    steps, burn_in = config.steps, config.burn_in
+    chain = np.empty((steps - burn_in, T))
     accepted_post = 0
     accept_window = 0
     window = 100
-    for step in range(config.steps):
-        # prop = theta + sd * z, the same doubles written in place.
-        rng.standard_normal(out=prop)
-        prop *= sd
-        prop += theta
-        log_p_prop = _log_target(prop, prop_params, data, prior, sigma, buffers)
-        accept = math.log(rng.random()) < log_p_prop - log_p
-        if accept:
-            theta, prop = prop, theta
-            params, prop_params = prop_params, params
-            log_p = log_p_prop
-        if step < config.burn_in:
-            accept_window += accept
-            if (step + 1) % window == 0:
-                rate = accept_window / window
-                sd *= math.exp(0.5 * (rate - 0.234))
-                accept_window = 0
-        else:
-            accepted_post += accept
-            chain[step - config.burn_in] = theta
+    step = 0
+    while step < steps:
+        # props = theta + sd * z row by row, the doubles of one step's proposal.
+        np.multiply(z, sd, out=props)
+        props += theta
+        log_prior = prior.log_density_sum(props).tolist()
+        if data is not None:
+            # A row with a non-finite prior is scored by its prior alone, as
+            # `_log_target` does; zeros stand in for it in the network pass.
+            skip = [j for j, lp in enumerate(log_prior) if not math.isfinite(lp)]
+            if skip:
+                held = props[skip]
+                props[skip] = 0.0
+            log_lik = loglik(props_params, xs, ys, sigma, buffers=buffers).tolist()
+            if skip:
+                props[skip] = held
+        for j in range(K):
+            log_p_prop = log_prior[j]
+            if data is not None and math.isfinite(log_p_prop):
+                log_p_prop += log_lik[j]
+            accept = math.log(u[j]) < log_p_prop - log_p
+            if accept:
+                theta[:] = props[j]
+                log_p = log_p_prop
+            if step < burn_in:
+                accept_window += accept
+                if (step + 1) % window == 0:
+                    rate = accept_window / window
+                    sd *= math.exp(0.5 * (rate - 0.234))
+                    accept_window = 0
+            else:
+                accepted_post += accept
+                chain[step - burn_in] = theta
+            step += 1
+            # A new theta or a new sd makes the queued proposals stale.
+            if accept or step == steps or (step <= burn_in and step % window == 0):
+                break
+        used = j + 1
+        z[: K - used] = z[used:]
+        u[: K - used] = u[used:]
+        draw(range(K - used, K))
     return MHResult(
         chain=chain,
-        acceptance_rate=accepted_post / (config.steps - config.burn_in),
+        acceptance_rate=accepted_post / (steps - burn_in),
         proposal_sd=sd,
         shape=shape,
     )

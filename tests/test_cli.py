@@ -110,6 +110,16 @@ class TestDesign:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_depth_rule_below_one_layer_exits_1(self, tmp_path, capsys):
+        # c grows as (2e)^m, faster than 3^(d v m): the depth rule gives L < 1
+        rc = main(["design", "--s", "3.85", "--d", "386", "--m", "386", "--n", "5857",
+                   "--out-dir", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == ("failure: the depth rule L = 3 + 2 ceil(log2(3^(d v m) / (tau c)) + 5) "
+                       "ceil(log2(d v m)) gives L = -5919 < 1 at s=3.85, d=386, m=386, n=5857\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestFit:
     def test_outputs_and_determinism(self, tmp_path):

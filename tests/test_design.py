@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import asdict
 from unittest import mock
@@ -313,17 +314,33 @@ class TestFlooredSpikeScale:
             if isinstance(got, dict):
                 branches.add("scipy" if spy.called else "floor")
 
+        depth_rejects = []
+
         @settings(max_examples=400, deadline=None, database=None, derandomize=True)
         @given(inputs=designed_inputs())
         def sweep(inputs):
             smoothness, n, cB, K0, counting = inputs
             try:
-                arch = design_architecture(SmoothnessSpec(*smoothness), n, cB)
-            except ValueError:  # outside SmoothnessSpec's range, past a double, or L < 1
+                spec = SmoothnessSpec(*smoothness)
+            except ValueError:  # outside SmoothnessSpec's range
+                return
+            try:
+                arch = design_architecture(spec, n, cB)
+            except ValueError as exc:  # past a double, or the depth rule's L < 1
+                depth = re.fullmatch(
+                    r"the depth rule L = 3 \+ 2 ceil\(log2\(3\^\(d v m\) / \(tau c\)\) \+ 5\) "
+                    r"ceil\(log2\(d v m\)\) gives L = (-?\d+) < 1 at (.*)", str(exc))
+                if depth:
+                    assert int(depth[1]) < 1
+                    assert depth[2] == f"s={spec.s}, d={spec.d}, m={spec.m}, n={n}"
+                    depth_rejects.append(inputs)
+                else:
+                    assert "overflow" in str(exc), exc
                 return
             check(arch, K0, counting)
 
         sweep()
+        assert depth_rejects  # the sweep reaches the depth rule's rejection
         # compat counts 2 of 2 weights of the one-layer net: pi1 = 0
         for S, T in [(10**6, 4 * 10**6), (10**6, 10**7), (3, 4)]:
             for K0 in (4.5, 5.0, 1e3):

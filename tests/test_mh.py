@@ -68,8 +68,10 @@ class _ShiftedGaussianTarget:
         self.sd = sd
 
     def log_density_sum(self, theta):
+        # a float for a vector (T,), an array (R,) for a stack (R, T)
         z = (np.asarray(theta, dtype=float) - self.mean) / self.sd
-        return float(np.sum(-0.5 * z**2 - math.log(self.sd)))
+        total = np.sum(-0.5 * z**2 - math.log(self.sd), axis=-1)
+        return float(total) if np.ndim(total) == 0 else total
 
 
 class TestKnownTarget:
@@ -87,8 +89,10 @@ class TestKnownTarget:
 
 class TestWithData:
     def test_one_pass_buffer_set_per_chain(self, monkeypatch):
-        # the chain reuses one PassBuffers and equals a chain whose every
-        # likelihood call allocates afresh
+        # one lone-network call scores the start point; every later call is
+        # a stacked pass of PROPOSALS_PER_PASS proposals in one reused
+        # PassBuffers, fewer calls than half the steps; the chain equals a
+        # chain whose every likelihood call allocates afresh
         f0 = tabulated_function([0.0, 1.0], [0.5, 0.5])
         data = generate_dataset(f0, 30, 0.1, seed=1)
         config = MHConfig(steps=400, burn_in=100, proposal_sd=0.05, seed=2)
@@ -96,7 +100,7 @@ class TestWithData:
         seen = []
 
         def fresh_call(params, x, y, sigma, buffers=None):
-            seen.append(buffers)
+            seen.append((params.stack, buffers))
             return loglik(params, x, y, sigma)
 
         monkeypatch.setattr(mh, "loglik", fresh_call)
@@ -105,8 +109,12 @@ class TestWithData:
         got = mh_sample(TINY_SHAPE, data, prior, 0.1, config)
         assert got.chain.tobytes() == want.chain.tobytes()
         assert got.acceptance_rate == want.acceptance_rate
-        assert len(seen) == config.steps + 1 and isinstance(seen[0], PassBuffers)
-        assert all(b is seen[0] for b in seen)
+        assert seen[0] == (None, None)
+        stacks, passes = zip(*seen[1:])
+        assert isinstance(passes[0], PassBuffers) and passes[0].stack == mh.PROPOSALS_PER_PASS
+        assert all(r == mh.PROPOSALS_PER_PASS for r in stacks)
+        assert all(b is passes[0] for b in passes)
+        assert len(seen) < config.steps / 2
 
 
 class _NowhereFinite:

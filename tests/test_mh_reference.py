@@ -11,8 +11,9 @@ the same operation for operation, so the chains must agree bit for bit.
 import math
 
 import numpy as np
+import pytest
 
-from besovbnn.mh import MHConfig, mh_sample
+from besovbnn.mh import PROPOSALS_PER_PASS, MHConfig, mh_sample
 from besovbnn.network import NetworkParams, NetworkShape, PassBuffers, loglik_and_grad
 from besovbnn.priors import make_density
 from besovbnn.testbed import generate_dataset, tabulated_function
@@ -82,6 +83,7 @@ def _assert_same_chain(shape, data, prior, config):
     assert got.chain.tobytes() == want_chain.tobytes()
     assert got.acceptance_rate == want_rate
     assert got.proposal_sd == want_sd
+    assert type(got.acceptance_rate) is float and type(got.proposal_sd) is float
     return got
 
 
@@ -111,8 +113,9 @@ class _CountingSlab:
         self.outside = 0
 
     def log_density_sum(self, theta):
+        # a float for a vector (T,), an array (R,) for a stack (R, T)
         lp = self.density.log_density_sum(theta)
-        self.outside += lp == -math.inf
+        self.outside += int(np.count_nonzero(np.asarray(lp) == -math.inf))
         return lp
 
 
@@ -124,3 +127,52 @@ def test_proposals_outside_the_support():
     got = _assert_same_chain(CRITERION_8_SHAPE, _data(), prior, config)
     assert prior.outside > 100
     assert np.all(np.abs(got.chain) <= 0.6)
+
+
+# ------------------------------------------------- edges of the prefetch walk
+
+
+@pytest.mark.parametrize("with_data", [True, False])
+@pytest.mark.parametrize("steps, burn_in", [
+    (1, 0), (5, 2), (7, 6), (8, 0), (9, 1),  # chains shorter than or near one pass
+    (250, 0), (250, 1), (250, 99), (250, 101),  # burn-in at adaptation-window edges
+    (100, 99), (102, 101), (301, 300),  # one retained state
+])
+def test_block_edges(steps, burn_in, with_data):
+    config = MHConfig(steps=steps, burn_in=burn_in, proposal_sd=0.05, seed=3)
+    _assert_same_chain(CRITERION_8_SHAPE, _data() if with_data else None,
+                       make_density("gauss", sigma=1.0), config)
+
+
+class _CountingGauss:
+    """The gauss prior, counting the stacked calls: one per prefetch pass."""
+
+    def __init__(self):
+        self.density = make_density("gauss", sigma=1.0)
+        self.passes = 0
+
+    def log_density_sum(self, theta):
+        self.passes += np.ndim(theta) == 2
+        return self.density.log_density_sum(theta)
+
+
+@pytest.mark.parametrize("proposal_sd, passes", [
+    (1e-8, 300),  # every proposal accepted: each pass walks one row
+    (50.0, math.ceil(300 / PROPOSALS_PER_PASS)),  # none accepted: each pass runs full
+])
+def test_one_row_and_full_passes(proposal_sd, passes):
+    config = MHConfig(steps=300, burn_in=0, proposal_sd=proposal_sd, seed=4)
+    prior = _CountingGauss()
+    got = _assert_same_chain(CRITERION_8_SHAPE, _data(), prior, config)
+    assert got.acceptance_rate == (1.0 if proposal_sd < 1 else 0.0)
+    assert prior.passes == passes
+
+
+def test_rows_outside_the_support_skip_the_network():
+    # every proposal lands far outside the slab, where the old loop never ran
+    # the network; the stacked pass must not run it on those rows either,
+    # or 1e200-sized weights overflow (a RuntimeWarning, an error here)
+    config = MHConfig(steps=50, burn_in=0, proposal_sd=1e200, seed=6)
+    got = _assert_same_chain(CRITERION_8_SHAPE, _data(), make_density("uniform-slab", B=1.0),
+                             config)
+    assert got.acceptance_rate == 0.0 and not got.chain.any()

@@ -453,6 +453,57 @@ class TestPosteriorPredictive:
             posterior_predictive(state, shape, [0.5], 4, f, data, alpha=alpha)
 
 
+class TestPredictiveOracle:
+    """posterior_predictive against a loop that calls nothing in vi: the
+    draws theta_k = mu + sigma_q * zeta_k with zeta_k drawn one by one from
+    default_rng(seed), and each grid point's quantiles by the linear
+    interpolation formula on its sorted values."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    def test_mean_and_band_equal_the_oracle(self, alpha):
+        shape = NetworkShape(d_in=1, hidden_widths=(4,))  # T = 13
+        T = shape.n_params
+        mu = np.linspace(-0.6, 0.6, T)
+        rho = np.linspace(-2.0, 0.0, T)
+        state = VariationalState(mu=mu, rho=rho)
+        f, data = small_data(n=10)
+        grid = np.linspace(0.0, 1.0, 9)
+        draws, seed = 41, 12
+        got = posterior_predictive(state, shape, grid, draws, f, data, alpha=alpha, seed=seed)
+
+        sigma_q = np.log1p(np.exp(rho))
+        rng = np.random.default_rng(seed)
+        fvals = np.array([
+            forward(NetworkParams.from_flat(shape, mu + sigma_q * rng.standard_normal(T)),
+                    grid[:, None])
+            for _ in range(draws)])
+
+        def quantile(values, p):
+            v = sorted(values)
+            h = (len(v) - 1) * p
+            lo = math.floor(h)
+            return v[lo] if lo + 1 == len(v) else v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+
+        want_lower = [quantile(fvals[:, i], alpha / 2) for i in range(len(grid))]
+        want_upper = [quantile(fvals[:, i], 1 - alpha / 2) for i in range(len(grid))]
+        np.testing.assert_allclose(got.mean, fvals.mean(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.lower, want_lower, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.upper, want_upper, rtol=0, atol=1e-12)
+        assert np.all(got.upper - got.lower > 1e-3)  # a band, not a point
+
+    def test_fit_derives_its_seeds_from_seed(self, tmp_path):
+        # fit's dataset and training use --seed; its predictive draws use
+        # --seed + 10_000, which predict reuses
+        from besovbnn.cli import main
+
+        rc = main(["fit", "--function", "f1", "--n", "20", "--seed", "7",
+                   "--iterations", "2", "--draws", "2", "--grid-points", "3",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["derived_seeds"] == {"dataset": 7, "train": 7, "predictive": 10_007}
+
+
 class TestHelperThread:
     """At or above HELPER_MIN doubles per draw a helper thread runs the ELBO
     sums and the noise draws; below it the same tasks run inline.  Both
