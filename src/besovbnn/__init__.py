@@ -8,3 +8,6 @@ The package imports none of them, so each command loads only what it uses.
 """
 
 __version__ = "0.1.0"
+
+# The priors `priors.make_density` builds, offered by the CLI without loading it.
+DENSITY_NAMES = ("mixture", "gauss", "laplace", "uniform-slab")

@@ -16,7 +16,7 @@ names twice (as 'grid-points' and 'grid_points', or one key repeated), then
 the first rejected value in file order; --help does not read the file.
 Every command is deterministic; fit, predict and rate-study draw their
 randomness from --seed, and fit records the derived seeds in its manifest.
-Parsing the command line loads only the standard library and `design`:
+Parsing the command line loads only the standard library: `design`,
 numpy, `testbed`, `vi`, `network` and `priors` are imported inside the
 functions that compute, after their argument checks, and fit, predict and
 rate-study build their true function there too.  So --help, every rejected
@@ -39,20 +39,19 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
-from . import design as dz
+from . import DENSITY_NAMES
 
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
 MAX_REPLICATES = 100  # rate-study's replicates per sample size
 
-# Each built-in target's smoothness class and the name of its true
-# function's factory in `testbed`.
+# Each built-in target's smoothness class, as `design.SmoothnessSpec`
+# keywords, and the name of its true function's factory in `testbed`.
 BUILTIN_FUNCTIONS = {
-    "f1": (dz.SmoothnessSpec(s=math.log(2) / math.log(3)), "cantor_function"),
-    "f2": (dz.SmoothnessSpec(s=1.5, p=1.0, q=1.0), "log_singular_function"),
+    "f1": (dict(s=math.log(2) / math.log(3)), "cantor_function"),
+    "f2": (dict(s=1.5, p=1.0, q=1.0), "log_singular_function"),
 }
 
 
@@ -154,13 +153,14 @@ def _exclusive(args, first: list[str], second: list[str]) -> None:
         raise ArgumentError(f"{named(first)} cannot be combined with {named(second)}")
 
 
-def _spec(args) -> dz.SmoothnessSpec:
-    """The smoothness class of a built-in --function or, without one, of
-    --s/--p/--q/--d/--m."""
+def _spec(args):
+    """The smoothness class (a `design.SmoothnessSpec`) of a built-in
+    --function or, without one, of --s/--p/--q/--d/--m."""
+    from . import design as dz
     given = _given(args, _SMOOTHNESS)
     if args.function:
         _exclusive(args, ["--function"], given)
-        return BUILTIN_FUNCTIONS[args.function][0]
+        return dz.SmoothnessSpec(**BUILTIN_FUNCTIONS[args.function][0])
     if "--s" not in given:
         raise ArgumentError("give either --function or explicit --s/--p/--q/--d/--m")
     values = {_dest(o): getattr(args, _dest(o)) for o in given}
@@ -170,13 +170,13 @@ def _spec(args) -> dz.SmoothnessSpec:
         raise ArgumentError(str(exc)) from exc
 
 
-def _builtin(args) -> tuple[dz.SmoothnessSpec, str]:
-    """The smoothness class of the built-in --function, which fit, predict
-    and rate-study require, and the name of its true function's factory in
-    `testbed`."""
+def _builtin(args) -> str:
+    """The name of the `testbed` factory of the true function of the
+    built-in --function, which fit, predict and rate-study require; `_spec`
+    gives its smoothness class."""
     if not args.function:
         raise ArgumentError(f"{args.command} requires a built-in --function (f1 or f2)")
-    return BUILTIN_FUNCTIONS[args.function]
+    return BUILTIN_FUNCTIONS[args.function][1]
 
 
 def _out_dir(args) -> Path:
@@ -186,8 +186,13 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, obj) -> str:
+    """Write obj to path as strict JSON (RFC 8259) and return the text: the
+    first pass reads each non-finite float (-Infinity, Infinity, NaN) as null."""
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    path.write_text(text)
+    return text
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -198,23 +203,23 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _design(spec: dz.SmoothnessSpec, n: int, args):
+def _design(spec, n: int, args):
     """The designed architecture and its mixture hyperparameters at sample
     size n, from the --cB, --K0 and --counting flags."""
+    from . import design as dz
     arch = dz.design_architecture(spec, n, args.cB)
     return arch, dz.mixture_hyperparams(arch, K0=args.K0, counting=args.counting)
 
 
 def cmd_design(args) -> int:
+    from dataclasses import asdict
     spec = _spec(args)
-    # An infinite p or q is written as null.
-    smoothness = {k: None if math.isinf(v) else v for k, v in asdict(spec).items()}
     records = []
     csv_rows = []
     for n in args.n:
         arch, mix = _design(spec, n, args)
         # Every field of the three specs but K0, a flag; mix.B is arch.B.
-        records.append({"schema_version": SCHEMA_VERSION, **smoothness, **asdict(arch),
+        records.append({"schema_version": SCHEMA_VERSION, **asdict(spec), **asdict(arch),
                         **{k: v for k, v in asdict(mix).items() if k != "K0"}})
         log10_s1 = mix.log_sigma1 / math.log(10.0)
         sigma1_linear = math.exp(mix.log_sigma1) if mix.log_sigma1 > -700 else 0.0
@@ -234,7 +239,7 @@ def cmd_design(args) -> int:
 def _designed_model(spec, n, args):
     """The designed mixture prior for sample size n and the network shape:
     the designed geometry with --full-scale, else its desk-scale reduction."""
-    from . import priors
+    from . import design as dz, priors
     from .network import NetworkShape
 
     arch, mix = _design(spec, n, args)
@@ -284,12 +289,12 @@ def _write_predictive(out_dir: Path, state, shape, f0, data, args):
 
 
 def cmd_fit(args) -> int:
-    spec, factory = _builtin(args)
+    factory = _builtin(args)
     n = _single_n(args)
     from . import testbed, vi  # once the arguments are accepted
 
     f0 = getattr(testbed, factory)()
-    prior, shape = _designed_model(spec, n, args)
+    prior, shape = _designed_model(_spec(args), n, args)
     out_dir = _out_dir(args)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -342,7 +347,7 @@ def cmd_predict(args) -> int:
     for path in (checkpoint.with_suffix(".json"), checkpoint.with_suffix(".bin")):
         if not path.is_file():
             raise ArgumentError(f"checkpoint file not found: {path}")
-    _, factory = _builtin(args)
+    factory = _builtin(args)
     n = _single_n(args)
     manifest = checkpoint.parent / "manifest.json"  # fit writes one beside its checkpoint
     if manifest.is_file():
@@ -366,7 +371,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check_prior(args) -> int:
-    from . import priors
+    from . import design as dz, priors
 
     spec = _spec(args)
     reports = []
@@ -379,8 +384,7 @@ def cmd_check_prior(args) -> int:
         all_pass &= report.all_pass
     out = {"schema_version": SCHEMA_VERSION, "density": args.density,
            "reports": reports, "all_pass": all_pass}
-    _write_json(_out_dir(args) / "condition_report.json", out)
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(_write_json(_out_dir(args) / "condition_report.json", out), end="")
     return 0 if all_pass else 1
 
 
@@ -486,11 +490,12 @@ def _rate_study_errors(factory: str, n, prior, shape, args) -> list[float]:
 
 
 def cmd_rate_study(args) -> int:
-    spec, factory = _builtin(args)
+    factory = _builtin(args)
     if len(args.n) < 3:
         raise ArgumentError("rate-study needs at least 3 sample sizes")
     import numpy as np
 
+    spec = _spec(args)
     # Models first, on this thread, so --full-scale warnings come in n order.
     models = [_designed_model(spec, n, args) for n in args.n]
     out_dir = _out_dir(args)
@@ -521,6 +526,7 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_covering(args) -> int:
+    from . import design as dz
     derived = _given(args, ("--function", *_SMOOTHNESS))
     _exclusive(args, _given(args, ("--L", "--W", "--S", "--B")),
                derived or _given(args, ("--n", "--cB")))  # which an explicit geometry ignores
@@ -561,7 +567,7 @@ FLAGS = {
     "--cB": dict(type=_real(0.0), default=10.0),
     "--K0": dict(type=_real(4.0), default=5.0),
     "--counting": dict(choices=["canonical", "compat"], default="canonical"),
-    "--density": dict(choices=dz.DENSITY_NAMES, default="mixture"),
+    "--density": dict(choices=DENSITY_NAMES, default="mixture"),
     "--iterations": dict(type=_count(1), default=2000),
     "--batch-size": dict(type=_count(0), default=0),
     "--learning-rate": dict(type=_real(0.0), default=0.01),

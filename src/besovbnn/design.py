@@ -28,14 +28,9 @@ __all__ = [
     "covering_bound",
     "covering_bound_truncated",
     "TruncationThresholdError",
-    "DENSITY_NAMES",
 ]
 
 DESK_DEPTH, DESK_WIDTH = 2, 24  # caps of the reduced network trained at desk scale
-
-# The coordinatewise priors `priors.make_density` builds, by name.  They are
-# listed here so that the command line can offer them without loading scipy.
-DENSITY_NAMES = ("mixture", "gauss", "laplace", "uniform-slab")
 
 # Constants of the shrinkage-condition check: the tail budget is
 # TAIL_BUDGET * n eps^2, the support bound SUPPORT_FACTOR * exp(-K0 n eps^2),

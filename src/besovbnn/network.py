@@ -157,15 +157,15 @@ def truncate(params: NetworkParams, a: float) -> NetworkParams:
 class PassBuffers:
     """Work arrays of one `loglik_and_grad` or `loglik` call for a network
     shape, n data points and a stack of R networks (stack=R) or one
-    (stack=None): the hidden activations, their ReLU masks, the backward
-    deltas, the output and residual columns and the flat gradient, each
-    with a leading axis R for a stack.  The backward pass reads each mask
-    once and each delta only until the next exists, so the masks are views
-    of one bool buffer and the deltas views of two float buffers,
-    alternating by layer, each of R·n·max(w) elements: a pass holds
-    8·R·n·Σw + 17·R·n·max(w) bytes of activations, masks and deltas, and
-    16·R·n bytes of the two columns.  Every view is a C-contiguous
-    head of its buffer, as `np.matmul(out=)` needs.  `grad_w[l]` and
+    (stack=None): the hidden activations, their ReLU masks, the output and
+    residual columns and the flat gradient, each with a leading axis R for
+    a stack.  The backward pass reads each mask once, so the masks are
+    views of one bool buffer of R·n·max(w) elements, each a C-contiguous
+    head of it, as `np.matmul(out=)` needs; it writes each backward delta
+    over the activation of its width, dead once that layer's mask and
+    weight gradient are taken.  So a pass holds 8·R·n·Σw + R·n·max(w) bytes
+    of activations, deltas and masks, and 16·R·n bytes of the two columns
+    (the activations hold deltas after `loglik_and_grad`).  `grad_w[l]` and
     `grad_b[l]` are views into `grad` in the flattening order, so the
     layers' gradients land in the flat vectors without a copy.  The
     residuals y - f go to `resid`, their squares to the output column once
@@ -181,10 +181,7 @@ class PassBuffers:
         self.acts = [np.empty((*lead, n, w)) for w in hidden]
         rows = (stack or 1) * n
         mask = np.empty(rows * max(hidden), dtype=bool)
-        deltas = [np.empty(rows * max(hidden)) for _ in range(2)]
         self.masks = [mask[: rows * w].reshape(*lead, n, w) for w in hidden]
-        self.deltas = [deltas[l % 2][: rows * w].reshape(*lead, n, w)
-                       for l, w in enumerate(hidden)]
         self.out, self.resid = np.empty((*lead, n, 1)), np.empty((*lead, n, 1))
         self.grad = np.empty((*lead, shape.n_params))
         self.grad_w, self.grad_b = _layer_views(shape, self.grad)
@@ -252,13 +249,14 @@ def loglik_and_grad(params: NetworkParams, x, y, sigma: float,
     weights = params.weights
 
     # Backward pass: dL/df = resid / sigma^2.  A post-activation is > 0
-    # exactly where its pre-activation is.
+    # exactly where its pre-activation is.  The delta of layer l - 1 goes
+    # over acts[l], which nothing reads once its mask and grad_w[l] exist.
     delta = np.divide(resid, sigma**2, out=resid)
     for l in range(len(weights) - 1, -1, -1):
         np.matmul(acts[l].swapaxes(-1, -2), delta, out=buffers.grad_w[l])
         np.sum(delta, axis=-2, out=buffers.grad_b[l])
         if l > 0:
             mask = np.greater(acts[l], 0.0, out=buffers.masks[l - 1])
-            delta = np.matmul(delta, weights[l].swapaxes(-1, -2), out=buffers.deltas[l - 1])
+            delta = np.matmul(delta, weights[l].swapaxes(-1, -2), out=acts[l])
             delta *= mask
     return ll, buffers.grad

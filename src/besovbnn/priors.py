@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DENSITY_NAMES, MixturePriorSpec
+from . import DENSITY_NAMES
+from .design import MixturePriorSpec
 from .network import _integer
 
 __all__ = [

@@ -164,13 +164,13 @@ class StepBuffers:
     Length T, with a leading axis R for a stack: the noise draw zeta, a
     spare of its shape (the ELBO sums' scratch), sigma_q `sq` and theta,
     plus the network pass's PassBuffers, whose `grad` is the fifth and whose
-    activations, mask and deltas take 8·R·n·Σw + 17·R·n·max(w) bytes, and
-    `params`, the NetworkParams views of theta.  The elementwise tail after
-    the network pass runs over column blocks of `width` (TAIL_BLOCK
-    elements across the stack), in `sets`, one block-wide `_BlockSet` (four
-    float arrays and a bool mask, 33·R·width bytes) for each of the
-    `threads` threads that take blocks.  The buffers keep no record of what
-    they hold: the caller that fills zeta and sq knows.
+    activations (reused for the deltas) and mask take 8·R·n·Σw + R·n·max(w)
+    bytes, and `params`, the NetworkParams views of theta.  The elementwise
+    tail after the network pass runs over column blocks of `width`
+    (TAIL_BLOCK elements across the stack), in `sets`, one block-wide
+    `_BlockSet` (four float arrays and a bool mask, 33·R·width bytes) for
+    each of the `threads` threads that take blocks.  The buffers keep no
+    record of what they hold: the caller that fills zeta and sq knows.
     """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,

@@ -641,7 +641,7 @@ def closed_form_argv(draw):
                                                     st.floats(4.0, 1e300)))),
                      "--counting", draw(st.sampled_from(["canonical", "compat"]))]
         if command == "check-prior":
-            argv += ["--density", draw(st.sampled_from(dz.DENSITY_NAMES))]
+            argv += ["--density", draw(st.sampled_from(besovbnn.DENSITY_NAMES))]
     if command == "covering" and draw(st.booleans()):
         argv += ["--a", repr(draw(st.one_of(st.just(0.0), REALS)))]
     return argv
@@ -1306,30 +1306,37 @@ def run_cli(argv) -> str:
             "    print(exc.code)\n")
 
 
+# Whether a run loaded numpy, scipy and scipy.special, then `design` and the
+# `dataclasses` and `inspect` it loads (numpy loads `inspect` too).
+NOTHING = "False False False False False False"
+NUMPY = "True False False False True True"
+DESIGN = "False False False True True True"
+DESIGNED = "True False False True True True"
+
+
 @pytest.mark.parametrize("code, tail", [
-    ("import besovbnn.cli as c; c.build_parser()", ["False False False"]),
-    (run_cli(["--help"]), ["0", "False False False"]),
-    (run_cli(["fit", "--function", "f3"]), ["2", "False False False"]),
-    (run_cli(["--config", "bad.json", "fit", "--function", "f2"]), ["2", "False False False"]),
+    ("import besovbnn.cli as c; c.build_parser()", [NOTHING]),
+    (run_cli(["--help"]), ["0", NOTHING]),
+    (run_cli(["fit", "--function", "f3"]), ["2", NOTHING]),
+    (run_cli(["--config", "bad.json", "fit", "--function", "f2"]), ["2", NOTHING]),
     (run_cli(["covering", "--L", "3", "--W", "10", "--S", "20", "--B", "1",
-              "--delta", "0.01"]), ["0", "False False False"]),
+              "--delta", "0.01"]), ["0", DESIGN]),
     (run_cli(["predict", "--function", "f2", "--n", "20", "--draws", "2",
               "--grid-points", "3", "--checkpoint", "checkpoint", "--out-dir", "out"]),
-     ["0", "True False False"]),
-    (run_cli(["fit", "--function", "f2", "--n", "100,1000"]), ["2", "False False False"]),
-    (run_cli(["rate-study", "--function", "f2", "--n", "100,300"]),
-     ["2", "False False False"]),
+     ["0", NUMPY]),
+    (run_cli(["fit", "--function", "f2", "--n", "100,1000"]), ["2", NOTHING]),
+    (run_cli(["rate-study", "--function", "f2", "--n", "100,300"]), ["2", NOTHING]),
     (run_cli(["predict", "--function", "f2", "--n", "20,40", "--checkpoint", "checkpoint",
-              "--out-dir", "out"]), ["2", "False False False"]),
-    ("import besovbnn.priors", ["True False False"]),
+              "--out-dir", "out"]), ["2", NOTHING]),
+    ("import besovbnn.priors", [DESIGNED]),
     (run_cli(["fit", "--function", "f2", "--n", "100", "--iterations", "2", "--draws", "2",
-              "--grid-points", "3", "--out-dir", "out"]), ["0", "True False False"]),
+              "--grid-points", "3", "--out-dir", "out"]), ["0", DESIGNED]),
     (run_cli(["design", "--function", "f2", "--n", "100,1000", "--out-dir", "out"]),
-     ["0", "True False False"]),
+     ["0", DESIGNED]),
     (run_cli(["rate-study", "--function", "f2", "--iterations", "2", "--draws", "2",
-              "--replicates", "2", "--out-dir", "out"]), ["0", "True False False"]),
+              "--replicates", "2", "--out-dir", "out"]), ["0", DESIGNED]),
     (run_cli(["check-prior", "--function", "f2", "--n", "100", "--out-dir", "out"]),
-     ["0", "True True True"]),
+     ["0", "True True True True True True"]),
 ], ids=["build-parser", "help", "exit-2", "bad-config", "covering", "predict",
         "fit-two-sizes", "rate-study-two-sizes", "predict-two-sizes", "priors",
         "fit-desk", "design", "rate-study-desk", "check-prior"])
@@ -1340,19 +1347,21 @@ def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
     So importing the priors, and fit, design and rate-study at a designed
     geometry, load no scipy module at all, and neither do the commands that
     build no prior.  numpy, the next heaviest, loads only in the commands
-    that compute with arrays: parsing the command line, --help, a rejected
-    flag, a rejected --config value, a usage error of fit, predict or
-    rate-study and `covering` with explicit --L/--W/--S/--B/--delta load
-    none.  The last lines a fresh interpreter prints are the exit code, if
-    any, and whether it loaded numpy, any scipy module and scipy.special;
-    an exit 2 prints one 'error:' line."""
+    that compute with arrays, and `design` (with `dataclasses` and
+    `inspect`) only in those that design or bound a network: parsing the
+    command line, --help, a rejected flag, a rejected --config value and a
+    usage error of fit, predict or rate-study load neither, and `covering`
+    with explicit --L/--W/--S/--B/--delta loads no numpy.  The last lines a
+    fresh interpreter prints are the exit code, if any, and whether it
+    loaded numpy, any scipy module, scipy.special, `design`, `dataclasses`
+    and `inspect`; an exit 2 prints one 'error:' line."""
     shape = NetworkShape(d_in=1, hidden_widths=(2,))
     vi.save_checkpoint(tmp_path / "checkpoint",
                        vi.VariationalState(mu=np.zeros(shape.n_params),
                                            rho=np.zeros(shape.n_params)), shape)
     (tmp_path / "bad.json").write_text('{"alpha": 1.5}')
-    code += ("\nimport sys; print(*(m in sys.modules for m in "
-             "('numpy', 'scipy', 'scipy.special')))")
+    code += ("\nimport sys; print(*(m in sys.modules for m in ('numpy', 'scipy', "
+             "'scipy.special', 'besovbnn.design', 'dataclasses', 'inspect')))")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-len(tail):] == tail, proc.stderr

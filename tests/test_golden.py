@@ -13,6 +13,7 @@ and say in the change's notes which bytes moved and why.
 
 import contextlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -60,6 +61,17 @@ def outputs(argv, out_dir: Path) -> dict[str, bytes]:
 def test_closed_form_outputs_match_golden(tmp_path, case):
     expected = {p.name: p.read_bytes() for p in (GOLDEN / case).iterdir()}
     assert outputs(CASES[case], tmp_path / "out") == expected
+
+
+def test_json_outputs_are_strict():
+    # RFC 8259 has no NaN or Infinity: a non-finite float is written as null
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    texts = [*GOLDEN.glob("*/*.json"), *GOLDEN.glob("check-prior-*/stdout.txt")]
+    assert len(texts) == 15  # five design.json, five condition_report.json and its stdout
+    for path in texts:
+        json.loads(path.read_text(), parse_constant=reject)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ it.
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,6 +61,34 @@ def test_matrix_leaves_the_golden_commands_to_test_golden(identity):
         assert argv not in golden, case["name"]
 
 
+def test_this_tree_names_the_src_tree_a_commit_records(identity, tmp_path, monkeypatch):
+    def git(*args) -> str:
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("a = 1\n")
+    (tmp_path / "notes.txt").write_text("outside src\n")
+    git("init", "-q")
+    git("add", "--all")
+    git("commit", "-q", "-m", "first")
+    monkeypatch.setattr(identity, "ROOT", tmp_path)
+    # clean: HEAD's own src/ tree
+    assert identity.this_tree() == {"this_head": git("rev-parse", "HEAD"), "this_dirty": False,
+                                    "this_src_tree": git("rev-parse", "HEAD:src")}
+    # dirty: the src/ tree that committing the changes records, index untouched
+    (tmp_path / "src" / "a.py").write_text("a = 2\n")
+    (tmp_path / "src" / "b.py").write_text("b = 1\n")
+    (tmp_path / "notes.txt").write_text("not in src\n")
+    record = identity.this_tree()
+    assert git("diff", "--cached", "--name-only") == ""  # nothing staged
+    git("add", "--all")
+    git("commit", "-q", "-m", "second")
+    assert record["this_dirty"] and record["this_head"] == git("rev-parse", "HEAD~1")
+    assert record["this_src_tree"] == git("rev-parse", "HEAD:src") != git("rev-parse", "HEAD~1:src")
+
+
 def fake_run(identity):
     """Results of every case at both thread counts, with the digests a
     fake tree would give."""
@@ -88,13 +117,13 @@ def test_report_lists_each_difference_and_sets_the_exit_code(identity, tmp_path,
         this["fit-desk-f2@2"] = {"exit": change.get("exit", entry["exit"]),
                                  "digests": {**entry["digests"], **change.get("digests", {})}}
     header = {"against_rev": "HEAD", "against_commit": "0" * 40, "this_head": "0" * 40,
-              "this_dirty": False,
+              "this_dirty": False, "this_src_tree": "1" * 40,
               "versions": {"python": "3", "numpy": "2", "scipy": "1", "openblas": "0"},
               "wall_s": 1.0}
     rc = identity.report(tmp_path / "IDENTITY.json", header, identity.matrix(), this, against)
     record = json.loads((tmp_path / "IDENTITY.json").read_text())
     assert set(record) == {"schema_version", "against_rev", "against_commit", "this_head",
-                           "this_dirty", "versions", "wall_s", "threads", "skipped", "cases",
+                           "this_dirty", "this_src_tree", "versions", "wall_s", "threads", "skipped", "cases",
                            "this", "against", "items_compared", "differences"}
     assert record["threads"] == [1, 2] and record["skipped"] == ["timings.txt"]
     assert set(record["cases"]) == {case["name"] for case in identity.matrix()}

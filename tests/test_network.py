@@ -320,23 +320,22 @@ class TestProperties:
             fresh.append(grad)
         assert not np.shares_memory(fresh[0], fresh[1])
 
-    def test_deep_stack_shares_one_mask_and_two_deltas(self):
-        # every hidden activation, but one mask and two deltas of the widest
-        # layer, alternating by layer: 8 R n sum(w) + 17 R n max(w) bytes
+    def test_deep_stack_shares_one_mask_and_no_delta(self):
+        # every hidden activation, but one mask of the widest layer and no
+        # delta buffer: 8 R n sum(w) + R n max(w) bytes.  Each delta goes
+        # over the activation of its width.
         shape = NetworkShape(d_in=2, hidden_widths=(5, 9, 3, 9, 4, 7, 2))
         R, n = 3, 11
         buffers = PassBuffers(shape, n, R)
         widths = shape.hidden_widths
-        for views in (buffers.masks, buffers.deltas):
-            assert [v.shape for v in views] == [(R, n, w) for w in widths]
-            assert all(v.flags.c_contiguous for v in views)
-        shared = {id(v.base): v.base for v in buffers.masks + buffers.deltas}
-        bases = [*buffers.acts, *shared.values()]
-        assert len(bases) == len(widths) + 3 and all(a.base is None for a in bases)
+        assert [v.shape for v in buffers.masks] == [(R, n, w) for w in widths]
+        assert all(v.flags.c_contiguous for v in buffers.masks)
+        assert len({id(v.base) for v in buffers.masks}) == 1
+        bases = [*buffers.acts, buffers.masks[0].base]
+        assert all(a.base is None for a in bases)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(bases) for b in bases[:i])
-        assert sum(a.nbytes for a in bases) == 8 * R * n * sum(widths) + 17 * R * n * max(widths)
-        # consecutive layers' deltas never share memory
-        assert not any(np.shares_memory(a, b) for a, b in zip(buffers.deltas, buffers.deltas[1:]))
+        assert sum(a.nbytes for a in bases) == 8 * R * n * sum(widths) + R * n * max(widths)
+        assert not hasattr(buffers, "deltas")
         rng = np.random.default_rng(4)
         theta = 0.5 * rng.standard_normal((R, shape.n_params))
         x, y = rng.uniform(-1, 1, (R, n, 2)), rng.standard_normal((R, n))

@@ -262,12 +262,12 @@ def test_train_keeps_eleven_full_length_arrays(monkeypatch):
     assert peak <= (11 + 1) * T * 8, f"{peak / (T * 8):.2f} T-vectors"
 
 
-def test_deep_pass_keeps_one_mask_and_two_deltas():
+def test_deep_pass_keeps_one_mask_and_no_delta():
     # A deep network with n large relative to W: besides the eleven
-    # T-vectors (R = 1), the pass holds every hidden activation but only one
-    # ReLU mask and two backward deltas of the widest layer, and the tail
-    # one block set of four block-wide arrays and a bool mask.  A mask and a
-    # delta per layer would need 17 n (sum(w) - max(w)) bytes more.
+    # T-vectors (R = 1), the pass holds every hidden activation, written
+    # over by the backward deltas, and one ReLU mask of the widest layer,
+    # and the tail one block set of four block-wide arrays and a bool mask.
+    # One delta buffer of the widest layer would need 8 n max(w) bytes more.
     widths = (8, 12, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8)
     shape, data, prior = designed_problem(2000, widths, seed=5)
     T, n = shape.n_params, data.n
@@ -282,13 +282,13 @@ def test_deep_pass_keeps_one_mask_and_two_deltas():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    pass_bytes = 8 * n * sum(widths) + 17 * n * max(widths)
+    pass_bytes = 8 * n * sum(widths) + n * max(widths)
     bound = 11 * T * 8 + pass_bytes + 33 * width
     # The output and residual columns, numpy's 64 KiB ufunc buffer (4.1
-    # n-vectors here) and small temporaries: 7.9 n-vectors measured.
+    # n-vectors here) and small temporaries: 7.7 n-vectors measured.
     slack = 10 * n * 8
     assert peak <= bound + slack, f"{(peak - bound) / (n * 8):.2f} n-vectors over"
-    assert 17 * n * (sum(widths) - max(widths)) > 2 * slack
+    assert 8 * n * max(widths) > slack
 
 
 def test_sigmoid_matches_two_branch_formula():

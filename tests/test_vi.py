@@ -180,6 +180,19 @@ class TestElboGradient:
 
 
 class TestTrain:
+    def test_initial_state_is_the_documented_one(self):
+        # README's contract: weights N(0, 1/fan_in) drawn from the seed in
+        # the flattening order, zero biases and every sigma_q = 0.01.
+        shape = NetworkShape(d_in=2, hidden_widths=(5, 3))
+        mu, rho = np.empty(shape.n_params), np.empty(shape.n_params)
+        _init_state(shape, 6, mu, rho)
+        np.testing.assert_allclose(softplus(rho), 0.01, rtol=1e-12)
+        rng = np.random.default_rng(6)
+        p = shape.layer_widths
+        want = np.concatenate([np.append(rng.standard_normal(p[l] * p[l + 1]) / math.sqrt(p[l]),
+                                         np.zeros(p[l + 1])) for l in range(len(p) - 1)])
+        assert mu.tobytes() == want.tobytes()
+
     def test_recovers_constant_function(self):
         f, data = small_data(n=200, seed=9)
         shape = NetworkShape(d_in=1, hidden_widths=(8,))
@@ -313,8 +326,8 @@ class TestTrainReplicates:
         self.assert_fits_match(shape, datasets, prior, configs)
 
     def test_deep_uneven_stack_matches_separate_fits(self):
-        # five hidden layers of uneven width, so the backward pass passes its
-        # two deltas back and forth and views them at every width
+        # five hidden layers of uneven width, so the backward pass writes a
+        # delta over an activation of every width
         prior, _ = designed_f2(60)
         shape = NetworkShape(1, (7, 12, 5, 9, 3))
         f0 = log_singular_function()

@@ -18,12 +18,14 @@ codes, stdout, stderr and result files byte for byte.
 For each case and thread count both trees' exit codes and the SHA-256 of
 stdout, stderr and every file under the case's out-dir but `timings.txt`
 (wall-clock only) are written to IDENTITY.json, with the numpy, scipy and
-OpenBLAS versions, this tree's HEAD commit (`this_head`) and whether its
-`src/` has uncommitted changes (`this_dirty`).  Each item that differs is
-printed, and the exit code is 1 if any does, 0 if none does, and 2 if no
-comparison was made (REV cannot be read, or Ctrl-C).  Training digests
-depend on the BLAS build, so compare two trees on one machine, never
-against a file from another.
+OpenBLAS versions, this tree's HEAD commit (`this_head`), whether its
+`src/` has uncommitted changes (`this_dirty`) and the git tree id of the
+`src/` that ran (`this_src_tree`), which `git rev-parse <commit>:src`
+matches for the commit that records that `src/`, amended or not.  Each
+item that differs is printed, and the exit code is 1 if any does, 0 if
+none does, and 2 if no comparison was made (REV cannot be read, or
+Ctrl-C).  Training digests depend on the BLAS build, so compare two trees
+on one machine, never against a file from another.
 
 The two trees run at the same time, each case with its own working
 directory under one temporary directory that is removed on exit.
@@ -252,14 +254,23 @@ def versions(src: Path) -> dict:
 
 
 def this_tree() -> dict:
-    """This checkout's HEAD commit, and whether its src/ has uncommitted
-    changes: if it has, the run checked a change, not HEAD against itself."""
-    def git(*args) -> str:
-        return subprocess.run(["git", "-C", str(ROOT), *args],
-                              capture_output=True, text=True).stdout.strip()
+    """This checkout's HEAD commit, whether its src/ has uncommitted
+    changes (if it has, the run checked a change, not HEAD against itself)
+    and the tree id of src/ as it is, the one a commit of every change
+    under src/ records: HEAD:src for a clean src/.  The tree is written
+    through a temporary index, so the checkout's own index is left alone."""
+    def git(*args, env=None) -> str:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                              env=env and {**os.environ, **env}).stdout.strip()
 
+    with tempfile.TemporaryDirectory(prefix="identity-index-") as tmp:
+        index = {"GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=index)
+        git("add", "--all", "--", "src", env=index)
+        tree = git("write-tree", "--prefix=src/", env=index)
     return {"this_head": git("rev-parse", "HEAD"),
-            "this_dirty": bool(git("status", "--porcelain", "--", "src"))}
+            "this_dirty": bool(git("status", "--porcelain", "--", "src")),
+            "this_src_tree": tree}
 
 
 def compare(this: dict, against: dict) -> tuple[list[str], int]:
