@@ -46,6 +46,8 @@ from . import DENSITY_NAMES
 SCHEMA_VERSION = 1
 DESK_MAX_PARAMS = 100_000
 MAX_REPLICATES = 100  # rate-study's replicates per sample size
+# A command runs on one BLAS thread: OpenBLAS's bits depend on its thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Each built-in target's smoothness class, as `design.SmoothnessSpec`
 # keywords, and the name of its true function's factory in `testbed`.
@@ -620,11 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON object of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, _, options) in COMMANDS.items():
+    for name, (_, help_text, _, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for option in ("--n", "--function", *options):
             p.add_argument(option, **{**FLAGS[option], "default": argparse.SUPPRESS})
-        p.set_defaults(func=func)
     return parser
 
 
@@ -675,17 +676,19 @@ def _read_config(path: Path) -> dict:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # else BLAS is loaded already, and its caller owns it
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         args = build_parser().parse_args(argv)
         config = {} if args.config is None else _read_config(args.config)
         given = set(vars(args))
         args.from_config = config.keys() - given
         args.given = given | args.from_config
-        _, _, n, options = COMMANDS[args.command]
+        handler, _, n, options = COMMANDS[args.command]
         for option in ("--n", "--function", *options):  # argv, else the file, else the default
             dest, default = _dest(option), n if option == "--n" else FLAGS[option].get("default")
             setattr(args, dest, getattr(args, dest, config.get(dest, default)))
-        return args.func(args)
+        return handler(args)
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

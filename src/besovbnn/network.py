@@ -124,10 +124,15 @@ def forward(params: NetworkParams, x) -> np.ndarray:
     """Evaluate the network on a batch x (..., n, d): (n,) for one network
     on (n, d), and (R, n) for a stack of R networks on a batch (n, d) or on
     a stack of batches (R, n, d)."""
+    return _layers(params, _inputs(params, x))[..., 0]
+
+
+def _inputs(params: NetworkParams, x) -> np.ndarray:
+    """x as a float array (..., n, d_in), or ValueError."""
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != params.shape.d_in:
         raise ValueError(f"expected inputs (..., n, {params.shape.d_in}), got shape {x.shape}")
-    return _layers(params, x)[..., 0]
+    return x
 
 
 def _layers(params: NetworkParams, h, outs=None) -> np.ndarray:
@@ -202,7 +207,7 @@ def _forward_loglik(params: NetworkParams, x, y, sigma: float,
     the hidden post-activations) and the buffer set the pass ran in."""
     if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
         raise ValueError(f"need sigma > 0 whose square is a positive finite double, got {sigma}")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _inputs(params, x)
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     if x.shape[:-1] != y.shape:

@@ -1093,7 +1093,9 @@ class TestRateStudyConcurrency:
     @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                         reason="needs 2 usable CPUs")
     def test_forked_workers_match_one_cpu_with_blas_threads(self, tmp_path):
-        # Workers fork while OpenBLAS's own threads are alive.
+        # An environment that asks for two BLAS threads changes no byte: the
+        # CLI pins one before numpy loads, so the workers fork from a process
+        # without OpenBLAS threads and match a run on one CPU.
         env = src_env(OPENBLAS_NUM_THREADS="2")
         one_cpu = min(os.sched_getaffinity(0))
 
@@ -1282,8 +1284,8 @@ class TestConfigFile:
     def test_one_parse_of_argv(self, tmp_path, monkeypatch):
         # The parser holds only what argv gives, and main parses argv once,
         # with or without a file, and fills in the rest itself.
-        assert {k: v for k, v in vars(build_parser().parse_args(["fit", "--seed", "3"])).items()
-                if k != "func"} == {"config": None, "command": "fit", "seed": 3}
+        assert vars(build_parser().parse_args(["fit", "--seed", "3"])) == {
+            "config": None, "command": "fit", "seed": 3}
         calls = []
         monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build_parser(*a))
         cfg = tmp_path / "cfg.json"
@@ -1367,3 +1369,31 @@ def test_scipy_loads_only_with_the_priors(tmp_path, code, tail):
     assert proc.stdout.splitlines()[-len(tail):] == tail, proc.stderr
     if tail[0] == "2":
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_one_blas_thread_whatever_the_environment_says(monkeypatch, capsys):
+    """A fresh interpreter that runs the CLI first computes on one BLAS
+    thread, even with OPENBLAS_NUM_THREADS=2: its product of (100, 400) by
+    (400, 250), past OpenBLAS's thread-sensitive sizes, has the one-thread
+    bits.  A caller that loaded numpy first keeps its own environment."""
+    covering = ["covering", "--L", "3", "--W", "10", "--S", "20", "--B", "1", "--delta", "0.01"]
+    code = run_cli(covering) + (
+        "import hashlib, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng(0)\n"
+        "a, b = rng.standard_normal((100, 400)), rng.standard_normal((400, 250))\n"
+        "print(hashlib.sha256((a @ b).tobytes()).hexdigest())\n")
+
+    def digest(threads):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                                          MKL_NUM_THREADS=threads))
+        assert proc.returncode == 0 and proc.stdout.splitlines()[-2] == "0", proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    assert digest("2") == digest("1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    environ = dict(os.environ)
+    assert main(covering) == 0
+    assert dict(os.environ) == environ and "covering bound" in capsys.readouterr().out

@@ -1,19 +1,21 @@
 """`tools/identity.py`, the byte-identity check against another revision,
 without its training runs: its case matrix, which leaves the closed-form
-commands to tests/test_golden.py, and its compare-and-write step on fake
-digests.  Real digests depend on the BLAS build, so no test pins
-them.  The tool is imported, not written: no bytecode is cached next to
-it.
+commands to tests/test_golden.py, its compare-and-write step on fake
+digests, and a whole run on a one-case matrix (`--help`).  Real digests
+depend on the BLAS build, so no test pins them.  The tool is imported, not
+written: no bytecode is cached next to it.
 """
 
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import besovbnn
 import test_golden
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -90,31 +92,26 @@ def test_this_tree_names_the_src_tree_a_commit_records(identity, tmp_path, monke
 
 
 def fake_run(identity):
-    """Results of every case at both thread counts, with the digests a
-    fake tree would give."""
-    run = {}
-    for case in identity.matrix():
-        for threads in identity.THREADS:
-            key = f"{case['name']}@{threads}"
-            run[key] = {"exit": 0, "digests": {"stdout": "a" * 64, "stderr": "b" * 64,
-                                               f"{case['out_dir']}/result.csv": "c" * 64}}
-    return run
+    """Results of every case, with the digests a fake tree would give."""
+    return {case["name"]: {"exit": 0, "digests": {"stdout": "a" * 64, "stderr": "b" * 64,
+                                                  f"{case['out_dir']}/result.csv": "c" * 64}}
+            for case in identity.matrix()}
 
 
 @pytest.mark.parametrize("change, line", [
     (None, None),
-    ({"exit": 1}, "fit-desk-f2@2: exit 1 here, 0 at the revision"),
-    ({"digests": {"stdout": "d" * 64}}, "fit-desk-f2@2: stdout differs"),
+    ({"exit": 1}, "fit-desk-f2: exit 1 here, 0 at the revision"),
+    ({"digests": {"stdout": "d" * 64}}, "fit-desk-f2: stdout differs"),
     ({"digests": {"out/fit-desk-f2/extra.csv": "e" * 64}},
-     "fit-desk-f2@2: out/fit-desk-f2/extra.csv written only here"),
+     "fit-desk-f2: out/fit-desk-f2/extra.csv written only here"),
 ], ids=["equal", "exit", "digest", "extra-file"])
 def test_report_lists_each_difference_and_sets_the_exit_code(identity, tmp_path, capsys,
                                                              change, line):
     against = fake_run(identity)
     this = fake_run(identity)
     if change is not None:
-        entry = this["fit-desk-f2@2"]
-        this["fit-desk-f2@2"] = {"exit": change.get("exit", entry["exit"]),
+        entry = this["fit-desk-f2"]
+        this["fit-desk-f2"] = {"exit": change.get("exit", entry["exit"]),
                                  "digests": {**entry["digests"], **change.get("digests", {})}}
     header = {"against_rev": "HEAD", "against_commit": "0" * 40, "this_head": "0" * 40,
               "this_dirty": False, "this_src_tree": "1" * 40,
@@ -123,9 +120,9 @@ def test_report_lists_each_difference_and_sets_the_exit_code(identity, tmp_path,
     rc = identity.report(tmp_path / "IDENTITY.json", header, identity.matrix(), this, against)
     record = json.loads((tmp_path / "IDENTITY.json").read_text())
     assert set(record) == {"schema_version", "against_rev", "against_commit", "this_head",
-                           "this_dirty", "this_src_tree", "versions", "wall_s", "threads", "skipped", "cases",
+                           "this_dirty", "this_src_tree", "versions", "wall_s", "skipped", "cases",
                            "this", "against", "items_compared", "differences"}
-    assert record["threads"] == [1, 2] and record["skipped"] == ["timings.txt"]
+    assert record["skipped"] == ["timings.txt"]
     assert set(record["cases"]) == {case["name"] for case in identity.matrix()}
     # per run: the exit code and its three digests
     assert record["items_compared"] == 4 * len(this) + (line is not None and "extra" in line)
@@ -137,3 +134,27 @@ def test_report_lists_each_difference_and_sets_the_exit_code(identity, tmp_path,
         assert (rc, record["differences"]) == (1, [line])
         assert f"differs: {line}\n" in out
 
+
+
+def test_main_compares_two_trees_end_to_end(identity, tmp_path, monkeypatch, capsys):
+    # A temporary repository whose src/ is this package: the tool extracts
+    # its HEAD, runs a one-case matrix on both trees and writes the record.
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path / "repo"), "-c", "user.name=t",
+                        "-c", "user.email=t@t", *args], capture_output=True, check=True)
+
+    package = Path(besovbnn.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "repo" / "src" / "besovbnn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    git("init", "-q")
+    git("add", "--all")
+    git("commit", "-q", "-m", "first")
+    monkeypatch.setattr(identity, "ROOT", tmp_path / "repo")
+    monkeypatch.setattr(identity, "matrix", lambda: [
+        {"name": "help", "argv": ["-m", "besovbnn.cli", "--help"], "out_dir": "out/help"}])
+    out = tmp_path / "IDENTITY.json"
+    assert identity.main(["--against", "HEAD", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert set(record["this"]) == set(record["against"]) == {"help"}
+    assert record["this"]["help"]["exit"] == 0 and record["differences"] == []
+    assert "0 differ" in capsys.readouterr().out

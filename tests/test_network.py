@@ -406,7 +406,10 @@ class TestProperties:
             ((params, x[..., :-1, :], y, 0.3), "length mismatch"),
             ((params, x[0], y[0], 0.3) if stack else (params, x[None], y[None], 0.3),
              "stack"),
+            ((params, np.concatenate([x, x[..., :1]], axis=-1), y, 0.3), "expected inputs"),
         ]
+        if stack is None:
+            bad_calls.append(((params, x[:, 0], y, 0.3), "expected inputs"))  # a 1-D x
         for fn in (loglik, loglik_and_grad):
             for args, match in bad_calls:
                 with pytest.raises(ValueError, match=match):

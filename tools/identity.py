@@ -4,28 +4,30 @@
 
 Extracts REV's `src/` with `git archive` into a temporary directory and
 runs one fixed matrix of cases against it and against this tree's `src/`,
-each case in a fresh interpreter, at 1 and at 2 BLAS threads
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS) with
-PYTHONHASHSEED=0.  The matrix holds desk, minibatch and full-scale fits,
-predict from the desk and full-scale checkpoints, criterion 7's rate-study
-and a full-scale one, diverging runs, exit-2 cases, `--help`, a fit whose
+each case once per tree in a fresh interpreter with PYTHONHASHSEED=0 and
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS at 1 (the CLI
+pins one BLAS thread itself; criterion 8's pipeline calls the library).
+The matrix holds desk, minibatch and full-scale fits (f2 at n=300 reaches
+width 250, where OpenBLAS's bits depend on its thread count), predict from
+the desk and full-scale checkpoints, criterion 7's rate-study and a
+full-scale one, diverging runs, exit-2 cases, `--help`, a fit whose
 options come from a `--config` file and one flag, and criterion 8's
 VI-versus-Metropolis pipeline through the library.  The closed-form
 commands (`design`, `check-prior`, `covering`) are not in it: they draw no
 random numbers and call no BLAS, and tests/test_golden.py pins their exit
 codes, stdout, stderr and result files byte for byte.
 
-For each case and thread count both trees' exit codes and the SHA-256 of
-stdout, stderr and every file under the case's out-dir but `timings.txt`
-(wall-clock only) are written to IDENTITY.json, with the numpy, scipy and
-OpenBLAS versions, this tree's HEAD commit (`this_head`), whether its
-`src/` has uncommitted changes (`this_dirty`) and the git tree id of the
-`src/` that ran (`this_src_tree`), which `git rev-parse <commit>:src`
-matches for the commit that records that `src/`, amended or not.  Each
-item that differs is printed, and the exit code is 1 if any does, 0 if
-none does, and 2 if no comparison was made (REV cannot be read, or
-Ctrl-C).  Training digests depend on the BLAS build, so compare two trees
-on one machine, never against a file from another.
+For each case both trees' exit codes and the SHA-256 of stdout, stderr
+and every file under the case's out-dir but `timings.txt` (wall-clock
+only) are written to IDENTITY.json, with the numpy, scipy and OpenBLAS
+versions, this tree's HEAD commit (`this_head`), whether its `src/` has
+uncommitted changes (`this_dirty`) and the git tree id of the `src/` that
+ran (`this_src_tree`), which `git rev-parse <commit>:src` matches for the
+commit that records that `src/`, amended or not.  Each item that differs
+is printed, and the exit code is 1 if any does, 0 if none does, and 2 if
+no comparison was made (REV cannot be read, or Ctrl-C).  Training digests
+depend on the BLAS build, so compare two trees on one machine, never
+against a file from another.
 
 The two trees run at the same time, each case with its own working
 directory under one temporary directory that is removed on exit.
@@ -50,8 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMA_VERSION = 1
-THREADS = (1, 2)
+SCHEMA_VERSION = 2
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SKIPPED = {"timings.txt"}  # wall-clock sidecars
 CASE_TIMEOUT = 300  # seconds
@@ -119,6 +120,8 @@ def matrix() -> list[dict]:
         "fit-desk-f1": ["fit", "--function", "f1", "--n", "100", "--seed", "4", *FAST],
         "fit-minibatch": ["fit", "--function", "f1", "--n", "200", "--batch-size", "16", *FAST],
         "fit-full": ["fit", "--function", "f2", "--n", "100", *FULL],
+        "fit-full-f2-300": ["fit", "--function", "f2", "--n", "300", "--full-scale",
+                            "--iterations", "2", "--draws", "2", "--grid-points", "11"],
         "fit-full-minibatch": ["fit", "--function", "f2", "--n", "100", "--batch-size", "16",
                                *FULL],
         "predict-desk": ["predict", "--function", "f2", "--n", "100", "--seed", "3",
@@ -172,10 +175,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _env(src: Path, threads: int) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
-    env.update({var: str(threads) for var in THREAD_VARS})
-    return env
+def _env(src: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
+            **dict.fromkeys(THREAD_VARS, "1")}
 
 
 def _run(argv, cwd: Path, env: dict) -> tuple[int | str, bytes, bytes]:
@@ -198,12 +200,12 @@ def _run(argv, cwd: Path, env: dict) -> tuple[int | str, bytes, bytes]:
     return rc, out, err
 
 
-def run_lane(src: Path, work: Path, threads: int, cases, stop: threading.Event) -> dict:
+def run_lane(src: Path, work: Path, cases, stop: threading.Event) -> dict:
     """Run the cases in order on the package in src, in the working
-    directory work, at `threads` BLAS threads, until `stop` is set; returns
+    directory work, until `stop` is set; returns
     {name: {"exit", "digests"}}, the digests keyed "stdout", "stderr" and
     each result file's path relative to work."""
-    env = _env(src, threads)
+    env = _env(src)
     work.mkdir(parents=True)
     results = {}
     for case in cases:
@@ -248,7 +250,7 @@ def versions(src: Path) -> dict:
         "                  'scipy': scipy.__version__, 'openblas': blas,\n"
         "                  'package': besovbnn.__file__}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", program], env=_env(src, 1),
+    proc = subprocess.run([sys.executable, "-c", program], env=_env(src),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -275,8 +277,7 @@ def this_tree() -> dict:
 
 def compare(this: dict, against: dict) -> tuple[list[str], int]:
     """The items that differ between two trees' runs of one matrix, both
-    keyed "<case>@<threads>", one line each, and the number of items
-    compared."""
+    keyed by case name, one line each, and the number of items compared."""
     differences, compared = [], 0
     for key in sorted(this):
         a, b = this[key], against[key]
@@ -300,7 +301,6 @@ def report(path: Path, header: dict, cases, this: dict, against: dict) -> int:
     record = {
         "schema_version": SCHEMA_VERSION,
         **header,
-        "threads": list(THREADS),
         "skipped": sorted(SKIPPED),
         "cases": {case["name"]: case["argv"] for case in cases},
         "this": this,
@@ -339,24 +339,20 @@ def main(argv=None) -> int:
                 print(f"error: the {side} tree's package is not imported from {src}",
                       file=sys.stderr)
                 return 2
-        lanes = [(side, threads) for threads in THREADS for side in trees]
         # The cases run in their own sessions, out of reach of Ctrl-C, so on
         # Ctrl-C each lane stops after the case it is running.
         stop = threading.Event()
         with ThreadPoolExecutor(len(trees)) as pool:
             try:
-                runs = list(pool.map(lambda lane: run_lane(
-                    trees[lane[0]], tmp / f"{lane[0]}-{lane[1]}", lane[1], cases, stop), lanes))
+                runs = list(pool.map(lambda side: run_lane(
+                    trees[side], tmp / "runs" / side, cases, stop), trees))
             except KeyboardInterrupt:
                 stop.set()
                 print("error: interrupted", file=sys.stderr)
                 return 2
-    results = {side: {} for side in trees}
-    for (side, threads), run in zip(lanes, runs):
-        results[side].update({f"{name}@{threads}": r for name, r in run.items()})
     header = {"against_rev": args.against, "against_commit": commit, **this_tree(),
               "versions": found["this"], "wall_s": round(time.monotonic() - t0, 1)}
-    rc = report(args.out, header, cases, results["this"], results["against"])
+    rc = report(args.out, header, cases, *runs)  # this tree's, then the revision's
     print(f"identity: wall time {header['wall_s']} s")
     return rc
 
