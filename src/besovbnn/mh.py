@@ -8,8 +8,9 @@ earlier ones were accepted, so `mh_sample` pre-fetches: it scores the next
 PROPOSALS_PER_PASS proposals along the all-rejected path in one stacked
 prior call and one stacked likelihood pass, in buffers and network views
 built once per chain, and then walks their accept decisions in order
-(Brockwell 2006).  The chain is the one-proposal-per-step chain bit for bit;
-only the number of calls falls, not the cost of one.
+(Brockwell 2006).  The start point is scored by the same stacked target.
+The chain is the one-proposal-per-step chain bit for bit; only the number
+of calls falls, not the cost of one.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class MHConfig:
     def __post_init__(self):
         if not self.steps > self.burn_in >= 0:
             raise ValueError("need steps > burn_in >= 0")
-        if not self.proposal_sd > 0:
-            raise ValueError("need proposal_sd > 0")
+        if not 0 < self.proposal_sd < math.inf:
+            raise ValueError(f"need a finite proposal_sd > 0, got {self.proposal_sd}")
 
 
 @dataclass
@@ -54,15 +55,6 @@ class MHResult:
     acceptance_rate: float
     proposal_sd: float  # final (post-adaptation) scale
     shape: NetworkShape
-
-
-def _log_target(theta, params, data, prior: DensityHandle, sigma):
-    """log prior + log-likelihood at theta, whose network views are params;
-    the prior alone without data, and a non-finite prior as it is."""
-    lp = prior.log_density_sum(theta)
-    if not math.isfinite(lp) or data is None:
-        return lp
-    return lp + loglik(params, data.x, data.y, sigma)
 
 
 def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, sigma: float,
@@ -79,25 +71,42 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, s
     stacked prior call and one stacked `loglik`, and the accept decisions
     are walked in step order up to the first accept, the end of an
     adaptation window or the end of the chain.  The unread draws move to
-    the front of the queue.  Each walked step sees the doubles of a lone
-    step, so the chain is the one-proposal-per-step chain bit for bit.
+    the front of the queue.  The start point is scored by the same stacked
+    target, every row at theta = 0.  Each walked step sees the doubles of a
+    lone step, so the chain is the one-proposal-per-step chain bit for bit.
     """
     T = shape.n_params
     if T > MAX_PARAMS:
         raise ValueError(f"parameter count {T} exceeds the desk-scale cap {MAX_PARAMS}")
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(T)
-    log_p = _log_target(theta, NetworkParams.from_flat(shape, theta), data, prior, sigma)
-    if not math.isfinite(log_p):
-        raise ValueError("non-finite target at the initial point")
-
     K = PROPOSALS_PER_PASS
     z, u = np.empty((K, T)), [0.0] * K  # the queued draws of the next K steps
-    props = np.empty((K, T))
+    props = np.zeros((K, T))  # every row holds the start point theta = 0
     props_params = NetworkParams.from_flat(shape, props)
     if data is not None:
         buffers = PassBuffers(shape, data.n, stack=K)
         xs, ys = np.repeat(data.x[None], K, axis=0), np.repeat(data.y[None], K, axis=0)
+
+    def score():
+        """The log target of every row of props: its log prior, plus its
+        log-likelihood where the prior is finite and there is data.  Zeros
+        stand in for the other rows in the one stacked network pass."""
+        log_prior = prior.log_density_sum(props).tolist()
+        if data is None:
+            return log_prior
+        skip = [j for j, lp in enumerate(log_prior) if not math.isfinite(lp)]
+        if skip:
+            held = props[skip]
+            props[skip] = 0.0
+        log_lik = loglik(props_params, xs, ys, sigma, buffers=buffers).tolist()
+        if skip:
+            props[skip] = held
+        return [lp + ll if math.isfinite(lp) else lp for lp, ll in zip(log_prior, log_lik)]
+
+    theta = np.zeros(T)
+    log_p = score()[0]
+    if not math.isfinite(log_p):
+        raise ValueError("non-finite target at the initial point")
 
     def draw(rows):
         for j in rows:
@@ -116,25 +125,12 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, s
         # props = theta + sd * z row by row, the doubles of one step's proposal.
         np.multiply(z, sd, out=props)
         props += theta
-        log_prior = prior.log_density_sum(props).tolist()
-        if data is not None:
-            # A row with a non-finite prior is scored by its prior alone, as
-            # `_log_target` does; zeros stand in for it in the network pass.
-            skip = [j for j, lp in enumerate(log_prior) if not math.isfinite(lp)]
-            if skip:
-                held = props[skip]
-                props[skip] = 0.0
-            log_lik = loglik(props_params, xs, ys, sigma, buffers=buffers).tolist()
-            if skip:
-                props[skip] = held
+        log_target = score()
         for j in range(K):
-            log_p_prop = log_prior[j]
-            if data is not None and math.isfinite(log_p_prop):
-                log_p_prop += log_lik[j]
-            accept = math.log(u[j]) < log_p_prop - log_p
+            accept = math.log(u[j]) < log_target[j] - log_p
             if accept:
                 theta[:] = props[j]
-                log_p = log_p_prop
+                log_p = log_target[j]
             if step < burn_in:
                 accept_window += accept
                 if (step + 1) % window == 0:
@@ -163,13 +159,12 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, s
 def compare_vi_mh(vi_mean_on_grid, mh_result: MHResult, grid, tolerance: float = 0.1):
     """Max absolute difference of posterior-predictive mean functions.
 
-    vi_mean_on_grid is the variational predictive mean evaluated on `grid`;
-    the chain mean function is averaged over the retained draws.
+    vi_mean_on_grid is the variational predictive mean evaluated on `grid`,
+    an (n,) or (n, d_in) array of points (`forward` rejects another
+    dimension); the chain mean function is averaged over the retained draws.
     """
     grid = np.asarray(grid, dtype=float)
     grid_x = grid.reshape(-1, 1) if grid.ndim == 1 else grid
-    if grid_x.shape[1] != mh_result.shape.d_in:
-        raise ValueError("grid dimension does not match the chain's model")
     vi_mean = np.asarray(vi_mean_on_grid, dtype=float)
     if vi_mean.shape[0] != grid_x.shape[0]:
         raise ValueError("vi summary and grid length mismatch")

@@ -87,25 +87,31 @@ def log_singular_function() -> TrueFunction:
 
 
 def tabulated_function(x, values) -> TrueFunction:
+    """The piecewise-linear interpolant of values at the knots x, constant
+    beyond the ends: x and values 1-d of one length, x strictly increasing."""
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=float)
     if x.shape != values.shape or x.ndim != 1:
         raise ValueError("tabulated function needs matching 1-d x and value arrays")
+    if not np.all(x[1:] > x[:-1]):
+        raise ValueError(f"tabulated function needs strictly increasing x, got {x.tolist()}")
     return TrueFunction(partial(np.interp, xp=x, fp=values))
 
 
 @dataclass
 class Dataset:
-    """Regression sample (x_i, y_i)."""
+    """Regression sample (x_i, y_i): x of shape (n, d) and y of shape (n,)
+    with n >= 1, both stored as C-contiguous float arrays."""
 
     x: np.ndarray  # (n, d), C-contiguous
     y: np.ndarray  # (n,), C-contiguous
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float, order="C"))
+        self.x = np.asarray(self.x, dtype=float, order="C")
         self.y = np.asarray(self.y, dtype=float, order="C")
-        if self.x.shape[0] != self.y.shape[0] or self.y.shape[0] == 0:
-            raise ValueError("x and y must be nonempty and the same length")
+        if self.x.ndim != 2 or self.y.shape != self.x.shape[:1] or self.y.size == 0:
+            raise ValueError(f"need x of shape (n, d) and y of shape (n,) with n >= 1, "
+                             f"got {self.x.shape} and {self.y.shape}")
 
     @property
     def n(self) -> int:
@@ -117,16 +123,15 @@ class Dataset:
 
 
 def generate_dataset(f: TrueFunction, n: int, noise_sd: float, seed: int) -> Dataset:
-    """Uniform design on [0, 1] with y = f(x) + N(0, noise_sd^2) noise."""
+    """Uniform design on [0, 1] with y = f(x) + noise_sd * z, z standard
+    normal: n >= 1 points and a finite noise_sd >= 0 (0 gives the truth)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+    if not 0 <= noise_sd < math.inf:
+        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, size=(n, 1))
-    fx = f(x[:, 0])
-    y = fx + noise_sd * rng.standard_normal(n) if noise_sd > 0 else fx.copy()
-    return Dataset(x=x, y=y)
+    return Dataset(x=x, y=f(x[:, 0]) + noise_sd * rng.standard_normal(n))
 
 
 def empirical_norm(f_values) -> float:

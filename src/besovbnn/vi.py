@@ -370,8 +370,6 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     rngs = [np.random.default_rng(config.seed + 1) for config in configs]
     if batch < n:
         xb, yb = np.empty((R, batch, d)), np.empty((R, batch))
-    elif R == 1:  # a lone full-batch fit reads its data in place
-        xb, yb = datasets[0].x[None], datasets[0].y[None]
     else:
         xb, yb = np.stack([data.x for data in datasets]), np.stack([data.y for data in datasets])
 

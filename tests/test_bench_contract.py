@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,3 +91,22 @@ def test_a_traced_fit_reaches_every_training_span(bench):
                             vi.TrainConfig(iterations=3, learning_rate=0.01), sigma=0.1)
         vi.posterior_predictive(state, shape, data.x, 4, f0, data)
     assert [span for span in bench._TRAINING_SPANS if tracer.stat(span, 0) == 0] == []
+
+
+def test_a_traced_chain_reaches_every_metropolis_span(bench):
+    # desk-acceptance's criterion-8 pipeline needs these spans too; a short
+    # chain and its comparison show whether `mh` still looks its calls up
+    # where the patch map wraps them.
+    tracing, mh, network, priors, testbed = (
+        bench.tracing, bench.mh, bench.network, bench.priors, bench.testbed)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer, tracing.patch_map(bench.MODULES)):
+        f0 = testbed.tabulated_function([0.0, 1.0], [0.5, 0.5])
+        data = testbed.generate_dataset(f0, 20, 0.1, 0)
+        shape = network.NetworkShape(d_in=1, hidden_widths=(4,))
+        chain = mh.mh_sample(shape, data, priors.make_density("gauss", sigma=1.0), 0.1,
+                             mh.MHConfig(steps=50, burn_in=10, proposal_sd=0.05))
+        grid = np.linspace(0.0, 1.0, 11)
+        mh.compare_vi_mh(np.zeros(len(grid)), chain, grid)
+    spans = ["mh.mh_sample", "mh.compare_vi_mh", "network.forward", "priors.log_density_sum"]
+    assert [span for span in spans if tracer.stat(span, 0) == 0] == []

@@ -30,6 +30,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             MHConfig(steps=10, burn_in=0, proposal_sd=math.nan)
 
+    def test_proposal_sd_must_be_finite(self):
+        with pytest.raises(ValueError, match="got inf"):
+            MHConfig(steps=10, burn_in=0, proposal_sd=math.inf)
+
 
 class TestPriorRecovery:
     def test_gaussian_prior_moments(self):
@@ -89,10 +93,10 @@ class TestKnownTarget:
 
 class TestWithData:
     def test_one_pass_buffer_set_per_chain(self, monkeypatch):
-        # one lone-network call scores the start point; every later call is
-        # a stacked pass of PROPOSALS_PER_PASS proposals in one reused
-        # PassBuffers, fewer calls than half the steps; the chain equals a
-        # chain whose every likelihood call allocates afresh
+        # every call, the start point's included, is a stacked pass of
+        # PROPOSALS_PER_PASS rows in one reused PassBuffers, fewer calls than
+        # half the steps; the chain equals a chain whose every likelihood
+        # call allocates afresh
         f0 = tabulated_function([0.0, 1.0], [0.5, 0.5])
         data = generate_dataset(f0, 30, 0.1, seed=1)
         config = MHConfig(steps=400, burn_in=100, proposal_sd=0.05, seed=2)
@@ -109,8 +113,7 @@ class TestWithData:
         got = mh_sample(TINY_SHAPE, data, prior, 0.1, config)
         assert got.chain.tobytes() == want.chain.tobytes()
         assert got.acceptance_rate == want.acceptance_rate
-        assert seen[0] == (None, None)
-        stacks, passes = zip(*seen[1:])
+        stacks, passes = zip(*seen)
         assert isinstance(passes[0], PassBuffers) and passes[0].stack == mh.PROPOSALS_PER_PASS
         assert all(r == mh.PROPOSALS_PER_PASS for r in stacks)
         assert all(b is passes[0] for b in passes)
@@ -121,7 +124,9 @@ class _NowhereFinite:
     """A prior whose log density is -inf everywhere."""
 
     def log_density_sum(self, theta):
-        return -math.inf
+        # a float for a vector (T,), an array (R,) for a stack (R, T)
+        total = np.full(np.shape(theta)[:-1], -math.inf)
+        return float(total) if total.ndim == 0 else total
 
 
 class TestGuards:
@@ -174,3 +179,10 @@ class TestCompare:
         )
         with pytest.raises(ValueError):
             compare_vi_mh(np.zeros(3), res, np.linspace(0, 1, 5))
+
+    def test_grid_of_another_dimension(self):
+        # a 2-column grid for a d_in = 1 chain fails in `forward`'s input check
+        res = MHResult(chain=np.zeros((5, TINY_SHAPE.n_params)), acceptance_rate=0.2,
+                       proposal_sd=0.1, shape=TINY_SHAPE)
+        with pytest.raises(ValueError, match="expected inputs"):
+            compare_vi_mh(np.zeros(4), res, np.zeros((4, 2)))

@@ -145,7 +145,8 @@ def test_block_edges(steps, burn_in, with_data):
 
 
 class _CountingGauss:
-    """The gauss prior, counting the stacked calls: one per prefetch pass."""
+    """The gauss prior, counting the stacked calls: one for the start point
+    and one per prefetch pass."""
 
     def __init__(self):
         self.density = make_density("gauss", sigma=1.0)
@@ -165,7 +166,7 @@ def test_one_row_and_full_passes(proposal_sd, passes):
     prior = _CountingGauss()
     got = _assert_same_chain(CRITERION_8_SHAPE, _data(), prior, config)
     assert got.acceptance_rate == (1.0 if proposal_sd < 1 else 0.0)
-    assert prior.passes == passes
+    assert prior.passes == 1 + passes  # the start point's pass, then the walk's
 
 
 def test_rows_outside_the_support_skip_the_network():

@@ -97,6 +97,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(x=[[0.1, 0.2, 0.3]], y=[1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((5,), (5,)),  # a 1-d x: n points, but not as a column
+        ((5, 1, 1), (5,)),
+        ((5, 1), (5, 1)),
+    ])
+    def test_rejects_other_shapes(self, x_shape, y_shape):
+        with pytest.raises(ValueError, match=r"need x of shape \(n, d\) and y of shape \(n,\)"):
+            Dataset(x=np.zeros(x_shape), y=np.zeros(y_shape))
+
+    @pytest.mark.parametrize("noise_sd", [-0.1, math.nan, math.inf])
+    def test_rejects_noise_sd(self, noise_sd):
+        with pytest.raises(ValueError, match=str(noise_sd)):
+            generate_dataset(cantor_function(), 5, noise_sd, seed=0)
+
 
 class TestEmpiricalNorm:
     def test_constant(self):
@@ -122,3 +136,10 @@ class TestEmpiricalNorm:
 def test_tabulated_function_interpolates():
     f = tabulated_function([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
     assert f(0.25) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("knots", [[1.0, 0.0], [0.0, 0.0, 1.0]])
+def test_tabulated_function_needs_increasing_knots(knots):
+    # np.interp assumes increasing knots: [1, 0] -> [0, 1] read 1.0 at 0.25
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tabulated_function(knots, np.arange(len(knots), dtype=float))
