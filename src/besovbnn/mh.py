@@ -159,15 +159,16 @@ def mh_sample(shape: NetworkShape, data: Dataset | None, prior: DensityHandle, s
 def compare_vi_mh(vi_mean_on_grid, mh_result: MHResult, grid, tolerance: float = 0.1):
     """Max absolute difference of posterior-predictive mean functions.
 
-    vi_mean_on_grid is the variational predictive mean evaluated on `grid`,
-    an (n,) or (n, d_in) array of points (`forward` rejects another
-    dimension); the chain mean function is averaged over the retained draws.
+    vi_mean_on_grid, of shape (m,), is the variational predictive mean
+    evaluated on `grid`, an (m,) or (m, d_in) array of m points (`forward`
+    rejects another dimension); the chain mean function is averaged over
+    the retained draws.
     """
     grid = np.asarray(grid, dtype=float)
     grid_x = grid.reshape(-1, 1) if grid.ndim == 1 else grid
     vi_mean = np.asarray(vi_mean_on_grid, dtype=float)
-    if vi_mean.shape[0] != grid_x.shape[0]:
-        raise ValueError("vi summary and grid length mismatch")
+    if vi_mean.shape != grid_x.shape[:1]:
+        raise ValueError(f"vi mean of shape {vi_mean.shape}, not the grid's {grid_x.shape[:1]}")
     chain = mh_result.chain
     acc = np.zeros(grid_x.shape[0])
     for start in range(0, chain.shape[0], DRAWS_PER_PASS):

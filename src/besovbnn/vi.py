@@ -146,17 +146,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
-class _BlockSet:
-    """One thread's block-wide arrays of the step's tail: sigmoid(rho)
-    `sig`, g_mu, g_rho, the scratch `work` and the bool `mask`.  sig is
-    dead once g_rho is formed, so it is Adam's second scratch."""
-
-    def __init__(self, lead: tuple, width: int):
-        self.sig, self.g_mu, self.g_rho, self.work = (
-            np.empty((*lead, width)) for _ in range(4))
-        self.mask = np.empty((*lead, width), dtype=bool)
-
-
 class StepBuffers:
     """Work arrays of one `elbo_gradient` call for a network shape, batch
     size and a stack of R states (stack=R) or one (stack=None).
@@ -167,10 +156,12 @@ class StepBuffers:
     activations (reused for the deltas) and mask take 8·R·n·Σw + R·n·max(w)
     bytes, and `params`, the NetworkParams views of theta.  The elementwise
     tail after the network pass runs over column blocks of `width`
-    (TAIL_BLOCK elements across the stack), in `sets`, one block-wide
-    `_BlockSet` (four float arrays and a bool mask, 33·R·width bytes) for
-    each of the `threads` threads that take blocks.  The buffers keep no
-    record of what they hold: the caller that fills zeta and sq knows.
+    (TAIL_BLOCK elements across the stack) in block-wide arrays with a
+    leading thread axis, one entry for each of the `threads` threads that
+    take blocks: sigmoid(rho) `sig`, g_mu, g_rho, the scratch `work` and the
+    bool `mask`, 33·R·width bytes per thread.  sig is dead once g_rho is
+    formed, so it is Adam's second scratch.  The buffers keep no record of
+    what they hold: the caller that fills zeta and sq knows.
     """
 
     def __init__(self, shape: NetworkShape, batch: int, stack: int | None = None,
@@ -181,7 +172,9 @@ class StepBuffers:
         self.network = PassBuffers(shape, batch, stack)
         self.params = NetworkParams.from_flat(shape, self.theta)
         self.width = min(T, max(1, TAIL_BLOCK // (stack or 1)))
-        self.sets = [_BlockSet(lead, self.width) for _ in range(threads)]
+        block = (threads, *lead, self.width)
+        self.sig, self.g_mu, self.g_rho, self.work = (np.empty(block) for _ in range(4))
+        self.mask = np.empty(block, dtype=bool)
 
     def blocks(self):
         """The column slices of the tail's blocks, in order."""
@@ -281,23 +274,23 @@ def elbo_gradient(state: VariationalState, shape: NetworkShape, x, y, prior,
     g_mu, g_rho = np.empty_like(theta), np.empty_like(theta)
     for cols in b.blocks():
         g_mu[..., cols], g_rho[..., cols] = _gradient_block(
-            b, b.sets[0], state.rho, cols, prior, n_weight)
+            b, 0, state.rho, cols, prior, n_weight)
     return objective, g_mu, g_rho
 
 
-def _gradient_block(b: StepBuffers, own: _BlockSet, rho, cols: slice, prior, n_weight: float):
-    """The tail of the step in `b` on the columns `cols`: sigmoid(rho) into
-    own.sig, then g_mu and g_rho into the block arrays of `own`, the set of
-    the thread that runs it, whose views it returns.  Every coordinate takes
-    the operations of the whole-vector formula in the same order, so the
-    values do not depend on the blocks.  zeta is read from `b` on each
+def _gradient_block(b: StepBuffers, thread: int, rho, cols: slice, prior, n_weight: float):
+    """The tail of the step in `b` on the columns `cols`, in entry `thread`
+    of b's block arrays, that of the thread that runs it: sigmoid(rho) into
+    sig, then g_mu and g_rho, whose views it returns.  Every coordinate
+    takes the operations of the whole-vector formula in the same order, so
+    the values do not depend on the blocks.  zeta is read from `b` on each
     call, since `train_replicates` swaps it with the spare."""
     w = cols.stop - cols.start
-    work, mask = own.work[..., :w], own.mask[..., :w]
-    sig = _sigmoid(rho[..., cols], out=own.sig[..., :w], work=work, mask=mask)
-    g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=own.g_mu[..., :w])
+    work, mask = b.work[thread, ..., :w], b.mask[thread, ..., :w]
+    sig = _sigmoid(rho[..., cols], out=b.sig[thread, ..., :w], work=work, mask=mask)
+    g_mu = np.multiply(b.network.grad[..., cols], n_weight, out=b.g_mu[thread, ..., :w])
     g_mu += prior.grad_log_pdf(b.theta[..., cols])
-    g_rho = np.multiply(g_mu, b.zeta[..., cols], out=own.g_rho[..., :w])
+    g_rho = np.multiply(g_mu, b.zeta[..., cols], out=b.g_rho[thread, ..., :w])
     g_rho *= sig
     g_rho += np.divide(sig, b.sq[..., cols], out=work)  # entropy term d/drho sum log sigma_q
     return g_mu, g_rho
@@ -392,18 +385,18 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
     results = [None] * R
     live = np.ones(R, dtype=bool)
 
-    def ascend(own: _BlockSet, blocks: deque, t: int):
-        """Take blocks until none is left: on each, the gradient, Adam step
-        t of mu and rho, and then sigma_q of the updated rho into
-        buffers.sq, which the next call (seed=None) takes as it is."""
+    def ascend(thread: int, blocks: deque, t: int):
+        """Take blocks until none is left, in entry `thread` of the block
+        arrays: on each, the gradient, Adam step t of mu and rho, and then
+        sigma_q of the updated rho into buffers.sq for the next call."""
         while True:
             try:
                 cols = blocks.popleft()  # deque.popleft is thread-safe
             except IndexError:
                 return
-            g_mu, g_rho = _gradient_block(buffers, own, state.rho, cols, prior, n_weight)
+            g_mu, g_rho = _gradient_block(buffers, thread, state.rho, cols, prior, n_weight)
             g_mu[~live], g_rho[~live] = 0.0, 0.0
-            scratch = [a[..., : cols.stop - cols.start] for a in (own.work, own.sig)]
+            scratch = [a[thread, ..., :cols.stop - cols.start] for a in (buffers.work, buffers.sig)]
             for param, g, m, v in ((state.mu, g_mu, m_mu, v_mu),
                                    (state.rho, g_rho, m_rho, v_rho)):
                 _adam_ascent(param[..., cols], g, m[..., cols], v[..., cols], t,
@@ -439,11 +432,11 @@ def train_replicates(shape: NetworkShape, datasets, prior, configs, sigma: float
                 break
             trace[:, it] = obj
             # The helper joins once its noise draw is done, with the last
-            # set (the only one when the tasks run inline); every block
-            # touches only its own columns.
+            # thread's block arrays (the only ones when the tasks run
+            # inline); every block touches only its own columns.
             blocks = deque(buffers.blocks())
-            helped = _start(helper, ascend, buffers.sets[-1], blocks, it + 1)
-            ascend(buffers.sets[0], blocks, it + 1)
+            helped = _start(helper, ascend, len(buffers.sig) - 1, blocks, it + 1)
+            ascend(0, blocks, it + 1)
             helped()
             if drawn is not None:  # this step's batch and noise are read
                 drawn()
@@ -492,19 +485,22 @@ class PredictiveSummary:
 def posterior_predictive(state: VariationalState, shape: NetworkShape, grid,
                          draws: int, f0, data: Dataset, alpha: float = 0.05,
                          seed: int = 0) -> PredictiveSummary:
-    """Sample `draws` networks from q and summarize them on the grid.  When
-    the grid is the training design itself (`grid is data.x`), its network
-    values also give the per-draw errors."""
+    """Sample `draws` networks from q and summarize them on the grid, an
+    (m,) or (m, d_in) array.  Per-draw errors are against f0(data.x[:, 0])
+    on the one-column training design (f0 is univariate); with that design
+    as the grid (`grid is data.x`), its network values serve both."""
     if draws < 2:
         raise ValueError("need at least 2 draws")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if data.d != 1:
+        raise ValueError(f"the truth f0 is univariate: need a one-column design, got d={data.d}")
     grid = np.asarray(grid, dtype=float)
     grid_x = grid.reshape(-1, 1) if grid.ndim == 1 else grid
     on_design = grid_x is data.x
     rng = np.random.default_rng(seed)
     sq = state.sigma_q
-    fx_true = np.asarray(f0(data.x[:, 0] if data.d == 1 else data.x), dtype=float)
+    fx_true = np.asarray(f0(data.x[:, 0]), dtype=float)
     fvals = np.empty((draws, grid_x.shape[0]))
     errors = np.empty(draws)
     zetas, theta = np.empty((2, state.T)), np.empty(state.T)

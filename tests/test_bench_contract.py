@@ -89,24 +89,36 @@ def test_a_traced_fit_reaches_every_training_span(bench):
         data = testbed.generate_dataset(f0, 50, 0.1, 0)
         state, _ = vi.train(shape, data, prior,
                             vi.TrainConfig(iterations=3, learning_rate=0.01), sigma=0.1)
-        vi.posterior_predictive(state, shape, data.x, 4, f0, data)
+        # the benchmark's call: a 1-D grid, a seed, and the mean read back
+        grid = np.linspace(0.0, 1.0, 11)
+        mean = vi.posterior_predictive(state, shape, grid, 4, f0, data, seed=1).mean
+    assert mean.shape == grid.shape
     assert [span for span in bench._TRAINING_SPANS if tracer.stat(span, 0) == 0] == []
 
 
 def test_a_traced_chain_reaches_every_metropolis_span(bench):
     # desk-acceptance's criterion-8 pipeline needs these spans too; a short
-    # chain and its comparison show whether `mh` still looks its calls up
-    # where the patch map wraps them.
-    tracing, mh, network, priors, testbed = (
-        bench.tracing, bench.mh, bench.network, bench.priors, bench.testbed)
+    # fit, chain and comparison, with the library called as
+    # `child.mh_crosscheck` calls it, show whether `mh` still looks its calls
+    # up where the patch map wraps them and still takes the predictive mean
+    # that pipeline passes.
+    tracing, mh, network, priors, testbed, vi = (
+        bench.tracing, bench.mh, bench.network, bench.priors, bench.testbed, bench.vi)
     tracer = tracing.Tracer()
     with tracing.patched(tracer, tracing.patch_map(bench.MODULES)):
         f0 = testbed.tabulated_function([0.0, 1.0], [0.5, 0.5])
         data = testbed.generate_dataset(f0, 20, 0.1, 0)
         shape = network.NetworkShape(d_in=1, hidden_widths=(4,))
-        chain = mh.mh_sample(shape, data, priors.make_density("gauss", sigma=1.0), 0.1,
-                             mh.MHConfig(steps=50, burn_in=10, proposal_sd=0.05))
+        prior = priors.make_density("gauss", sigma=1.0)
+        state, _ = vi.train(shape, data, prior,
+                            vi.TrainConfig(iterations=3, learning_rate=0.01, seed=0), sigma=0.1)
         grid = np.linspace(0.0, 1.0, 11)
-        mh.compare_vi_mh(np.zeros(len(grid)), chain, grid)
+        summary = vi.posterior_predictive(state, shape, grid, 4, f0, data, seed=1)
+        chain = mh.mh_sample(shape, data, prior, 0.1,
+                             mh.MHConfig(steps=50, burn_in=10, proposal_sd=0.05, seed=2))
+        result = mh.compare_vi_mh(summary.mean, chain, grid, tolerance=bench.VI_MH_TOLERANCE)
+    assert np.isfinite(result["max_abs_diff"])
+    assert chain.chain.shape == (40, shape.n_params)
+    assert 0.0 <= chain.acceptance_rate <= 1.0 and chain.proposal_sd > 0.0
     spans = ["mh.mh_sample", "mh.compare_vi_mh", "network.forward", "priors.log_density_sum"]
     assert [span for span in spans if tracer.stat(span, 0) == 0] == []

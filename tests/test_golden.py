@@ -1,10 +1,12 @@
-"""Golden outputs of the closed-form commands.
+"""Golden outputs of the closed-form commands and of the training
+commands' usage errors.
 
 `design`, `check-prior` and `covering` draw no random numbers and call no
-BLAS, so their result files, stdout, stderr and exit codes are pinned byte
-for byte against the files under tests/golden/<case>/.  These cases are the
-only check of their bytes: tools/identity.py leaves them out.  After a
-deliberate output change, rewrite those files with
+BLAS, and a usage error of `fit`, `predict` or `rate-study` exits 2 before
+numpy loads, so their result files, stdout, stderr and exit codes are
+pinned byte for byte against the files under tests/golden/<case>/.  These
+cases are the only check of their bytes: tools/identity.py leaves them
+out.  After a deliberate output change, rewrite those files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -42,6 +44,16 @@ CASES = {
     # An explicit geometry reads no --n: exit 2 with one stderr line.
     "covering-explicit-n": ["covering", "--L", "3", "--W", "8", "--S", "10", "--B", "2",
                             "--delta", "0.5", "--n", "1000"],
+    # Usage errors of the training commands: exit 2 with one stderr line,
+    # before numpy loads or any file is written.
+    "exit-2-one-draw": ["fit", "--function", "f2", "--draws", "1"],
+    "exit-2-two-sizes": ["fit", "--function", "f2", "--n", "20,40"],
+    "exit-2-nan-rate": ["fit", "--function", "f2", "--learning-rate", "nan"],
+    "exit-2-unknown-flag": ["fit", "--function", "f2", "--bogus"],
+    "exit-2-no-checkpoint": ["predict", "--function", "f2"],
+    "exit-2-missing-checkpoint": ["predict", "--function", "f2",
+                                  "--checkpoint", "out/missing/checkpoint"],
+    "exit-2-rate-study-sizes": ["rate-study", "--function", "f2", "--n", "20,40"],
 }
 
 

@@ -180,6 +180,16 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare_vi_mh(np.zeros(3), res, np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize("mean", [np.zeros((2, 2)) + [0.0, 0.5], np.zeros((3, 1))])
+    def test_vi_mean_must_have_one_value_per_grid_point(self, mean):
+        # an (m, k) mean broadcast against the chain's (m,) mean: on a zero
+        # chain these read 0.5 and 0.0 without an error
+        res = MHResult(chain=np.zeros((5, TINY_SHAPE.n_params)), acceptance_rate=0.2,
+                       proposal_sd=0.1, shape=TINY_SHAPE)
+        m = len(mean)
+        with pytest.raises(ValueError, match=rf"not the grid's \({m},\)"):
+            compare_vi_mh(mean, res, np.linspace(0, 1, m))
+
     def test_grid_of_another_dimension(self):
         # a 2-column grid for a d_in = 1 chain fails in `forward`'s input check
         res = MHResult(chain=np.zeros((5, TINY_SHAPE.n_params)), acceptance_rate=0.2,

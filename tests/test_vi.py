@@ -465,6 +465,20 @@ class TestPosteriorPredictive:
         with pytest.raises(ValueError, match="alpha"):
             posterior_predictive(state, shape, [0.5], 4, f, data, alpha=alpha)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_design_of_two_columns_raises_before_drawing(self, monkeypatch, n):
+        # f0 is univariate; evaluated on an (n, 2) design it broadcast
+        # against the draws' (n,) values: wrong errors at n = 2, numpy's
+        # broadcast error at n = 4
+        shape = NetworkShape(d_in=2, hidden_widths=(2,))
+        state = make_state(shape)
+        f, _ = small_data(n=5)
+        rng = np.random.default_rng(n)
+        data = Dataset(x=rng.uniform(0, 1, (n, 2)), y=rng.standard_normal(n))
+        monkeypatch.setattr("besovbnn.vi.forward", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="one-column design, got d=2"):
+            posterior_predictive(state, shape, data.x, 4, f, data, seed=1)
+
 
 class TestPredictiveOracle:
     """posterior_predictive against a loop that calls nothing in vi: the
@@ -658,8 +672,11 @@ class TestHelperThread:
         (buffers,) = built
         fields = vars(buffers).copy()
         assert type(fields.pop("width")) is int
-        sets = fields.pop("sets")
-        assert len(sets) == 2 and all(type(s) is vi._BlockSet for s in sets)
+        # the tail's block arrays have one entry per thread: the caller's
+        # and the helper's
+        assert buffers.sig.shape[0] == 2
+        assert all(buffers.sig.shape == getattr(buffers, name).shape
+                   for name in ("g_mu", "g_rho", "work", "mask"))
         assert [name for name, value in fields.items()
                 if not isinstance(value, (np.ndarray, PassBuffers, NetworkParams))] == []
 
